@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import assembly, oracle
-from .errors import AssumptionError, FirngasError, ValidationError
+from .errors import AssumptionError, FirngasError, TimeStepError, ValidationError
 from .model import RescaledContext
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
     "check_pd",
     "continuity_coercivity_constants",
     "build_report",
+    "Plan",
+    "plan_run",
 ]
 
 _TRUNC = 1e-8          # truncation of singular integrands near z = 1
@@ -54,8 +56,9 @@ def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 def check_assumptions(f_profile, d_profile, mesh, grid_factor: int = 4) -> dict:
     """Verify node-wise admissibility of the coefficient pair.
 
-    Returns the observed caps, Lipschitz estimate and ratio suprema; raises
-    :class:`AssumptionError` naming the failed assumption otherwise.
+    Returns the checked node samples, observed caps, Lipschitz estimate and
+    ratio suprema; raises :class:`AssumptionError` naming the failed
+    assumption otherwise.
     """
     f_nodes = f_profile.node_samples(mesh, assumption="(5)")
     d_nodes = d_profile.node_samples(mesh, assumption="(6)")
@@ -63,6 +66,8 @@ def check_assumptions(f_profile, d_profile, mesh, grid_factor: int = 4) -> dict:
     interior_f = f_nodes[:-1]
     interior_d = d_nodes[:-1]
     return {
+        "f_nodes": f_nodes,
+        "d_nodes": d_nodes,
         "f_max_observed": float(f_nodes.max()),
         "d_max_observed": float(d_nodes.max()),
         "lipschitz_L": lipschitz,
@@ -140,6 +145,12 @@ def compute_C0(f_profile, d_profile, z_F: float, lipschitz_L: float, B0: float) 
     integral) when the bottom diffusivity is positive, the Lipschitz branch
     otherwise.
     """
+    return _trace_constant(f_profile, d_profile, lipschitz_L, B0,
+                           *_integral_inv_d(d_profile, z_F))
+
+
+def _trace_constant(f_profile, d_profile, lipschitz_L: float, B0: float,
+                    integral: float, divergent: bool) -> float:
     grid = np.linspace(0.0, 1.0 - _TRUNC, 20001)
     f_vals = np.asarray(f_profile(grid), dtype=float)
     d_vals = np.asarray(d_profile(grid), dtype=float)
@@ -147,7 +158,6 @@ def compute_C0(f_profile, d_profile, z_F: float, lipschitz_L: float, B0: float) 
         raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
     ratio_sup = float(np.sqrt(np.max(f_vals / d_vals)))
     if float(d_profile(1.0)) > 0.0:
-        integral, divergent = _integral_inv_d(d_profile, z_F)
         if divergent:
             raise FirngasError("inverse-diffusivity integral diverges in the nondegenerate branch")
         d_max = max(float(np.max(d_vals)), float(d_profile(1.0)))
@@ -174,9 +184,14 @@ def compute_KG(d_profile, z_F: float, mcoef: float, c_D: float,
     ``"error"`` raises, ``"limit"`` uses the limiting value in which the
     integral term vanishes (the conservative choice for the step bound).
     """
+    return _defect_constant(*_integral_inv_d(d_profile, z_F), mcoef, c_D, L_delta,
+                            on_divergence)
+
+
+def _defect_constant(integral: float, divergent: bool, mcoef: float, c_D: float,
+                     L_delta: float, on_divergence: str) -> float:
     if not 0.0 < c_D < 2.0:
         raise ValidationError(f"c_D must lie in (0, 2), got {c_D}")
-    integral, divergent = _integral_inv_d(d_profile, z_F)
     if divergent:
         if on_divergence == "error":
             raise FirngasError("inverse-diffusivity integral diverges; defect constant undefined")
@@ -255,18 +270,8 @@ class StabilityReport:
     pd_verdicts: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        flat = {
-            "lipschitz_L": self.lipschitz_L,
-            "ratio_sup_Df": self.ratio_sup_Df,
-            "ratio_sup_fD": self.ratio_sup_fD,
-            "B0": self.B0,
-            "C0": self.C0,
-            "I_D": self.I_D,
-            "I_D_divergent": self.I_D_divergent,
-            "f_underbar_h": self.f_underbar_h,
-            "K_G": self.K_G,
-            "dt_max": self.dt_max,
-        }
+        flat = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("continuity", "pd_verdicts")}
         for key, value in self.continuity.items():
             flat[f"continuity_{key}"] = value
         for name, verdict in self.pd_verdicts.items():
@@ -296,39 +301,98 @@ def build_report(f_profile, d_profile, mesh, context: RescaledContext,
     ``dt`` is the step used for the step-matrix verdict; by default the
     auto-selected ``0.9 * dt_max``.
     """
-    fragment = check_assumptions(f_profile, d_profile, mesh)
-    f_nodes = f_profile.node_samples(mesh, "(5)")
-    d_nodes = d_profile.node_samples(mesh, "(6)")
+    return plan_run(f_profile, d_profile, mesh, context, c_D,
+                    report_dt="auto" if dt is None else dt).report
+
+
+@dataclass
+class Plan:
+    """Everything a run derives before its first step, each quantity once.
+
+    ``assumptions`` is the :func:`check_assumptions` record, node samples
+    included.  A forced run past a failed check has none: it runs on raw
+    node samples and knows the step bound only if it had to pick the step.
+    """
+
+    mesh: object
+    context: RescaledContext
+    f_nodes: np.ndarray
+    d_nodes: np.ndarray
+    dt: float
+    assumptions: dict | None = None
+    I_D: float | None = None
+    I_D_divergent: bool | None = None
+    f_underbar_h: float | None = None
+    L_delta: float | None = None
+    K_G: float | None = None
+    dt_max: float | None = None
+    report: StabilityReport | None = None
+    _systems: dict = field(default_factory=dict, repr=False)
+
+    def system(self, dt: float) -> assembly.DiscreteSystem:
+        """Operators and step matrix for the step ``dt``, assembled once per step."""
+        if dt not in self._systems:
+            self._systems[dt] = assembly.assemble_system(self.mesh, self.f_nodes, self.d_nodes,
+                                                         self.context, dt)
+        return self._systems[dt]
+
+
+def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 1.0,
+             dt="auto", force: bool = False, report_dt=None) -> Plan:
+    """Admissibility plan of one run.
+
+    ``dt = "auto"`` becomes ``0.9 * dt_max``; a step above ``dt_max`` raises
+    :class:`TimeStepError` unless ``force``.  With ``report_dt`` (a step or
+    ``"auto"``) the plan carries the :class:`StabilityReport`, its
+    step-matrix verdict at that step; checks then fail in the report's order,
+    the step bound last.  Under ``force`` a failed check drops the report
+    and falls back to raw node samples, with the bound computed only to pick
+    an ``"auto"`` step.
+    """
+    auto = dt is None or dt == "auto"
+    try:
+        assumptions = check_assumptions(f_profile, d_profile, mesh)
+        inv_d = _integral_inv_d(d_profile, context.z_F)
+        if report_dt is not None:
+            b0 = compute_B0(d_profile, context.z_F)
+            c0 = _trace_constant(f_profile, d_profile, assumptions["lipschitz_L"], b0, *inv_d)
+        bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)
+        auto_dt = _DT_SAFETY * bound["dt_max"]
+        plan = Plan(mesh, context, assumptions["f_nodes"], assumptions["d_nodes"],
+                    auto_dt if auto else float(dt), assumptions, **bound)
+        if report_dt is not None:
+            system = plan.system(auto_dt if report_dt == "auto" else report_dt)
+            verdicts = {name: check_pd(getattr(system, name))
+                        for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}
+            plan.report = StabilityReport(
+                B0=b0, C0=c0, pd_verdicts=verdicts,
+                continuity=continuity_coercivity_constants(f_profile, d_profile, context,
+                                                           b0, c0),
+                **{key: assumptions[key]
+                   for key in ("lipschitz_L", "ratio_sup_Df", "ratio_sup_fD")},
+                **{key: bound[key]
+                   for key in ("I_D", "I_D_divergent", "f_underbar_h", "K_G", "dt_max")})
+        if not (auto or force) and plan.dt > plan.dt_max:
+            raise TimeStepError(plan.dt, plan.dt_max)
+        return plan
+    except FirngasError:
+        if not force:
+            raise
+    bound = _step_bound(f_profile, d_profile, mesh, context, c_D,
+                        _integral_inv_d(d_profile, context.z_F)) if auto else {}
+    return Plan(mesh, context, np.asarray(f_profile(mesh.nodes), dtype=float),
+                np.asarray(d_profile(mesh.nodes), dtype=float),
+                _DT_SAFETY * bound["dt_max"] if auto else float(dt), **bound)
+
+
+def _step_bound(f_profile, d_profile, mesh, context: RescaledContext, c_D: float,
+                inv_d: tuple[float, bool]) -> dict:
+    """``f_underbar_h``, ``L_delta``, ``K_G`` and ``dt_max`` from the integral ``inv_d``."""
     h = mesh.h_min
-    b0 = compute_B0(d_profile, context.z_F)
-    c0 = compute_C0(f_profile, d_profile, context.z_F, fragment["lipschitz_L"], b0)
     f_underbar = compute_fh(f_profile, h)
-    i_d, i_d_divergent = _integral_inv_d(d_profile, context.z_F)
     l_delta = estimate_lipschitz(d_profile, hi=1.0 - h, grid_points=4 * (mesh.n - 1) + 1)
-    k_g = compute_KG(d_profile, context.z_F, context.mcoef, c_D, l_delta,
-                     on_divergence="limit")
-    dt_max = compute_dt_max(h, context.z_F, context.T_e, context.fcoef,
-                            context.gcoef, f_underbar, k_g)
-    step = dt if dt is not None else _DT_SAFETY * dt_max
-    system = assembly.assemble_system(mesh, f_nodes, d_nodes, context, step)
-    verdicts = {
-        name: check_pd(matrix)
-        for name, matrix in (("M", system.M), ("Mf", system.Mf), ("Kf", system.Kf),
-                             ("A", system.A), ("S", system.S), ("B", system.B),
-                             ("V", system.V))
-    }
-    constants = continuity_coercivity_constants(f_profile, d_profile, context, b0, c0)
-    return StabilityReport(
-        lipschitz_L=fragment["lipschitz_L"],
-        ratio_sup_Df=fragment["ratio_sup_Df"],
-        ratio_sup_fD=fragment["ratio_sup_fD"],
-        B0=b0,
-        C0=c0,
-        I_D=i_d,
-        I_D_divergent=i_d_divergent,
-        f_underbar_h=f_underbar,
-        K_G=k_g,
-        dt_max=dt_max,
-        continuity=constants,
-        pd_verdicts=verdicts,
-    )
+    k_g = _defect_constant(*inv_d, context.mcoef, c_D, l_delta, on_divergence="limit")
+    dt_max = compute_dt_max(h, context.z_F, context.T_e, context.fcoef, context.gcoef,
+                            f_underbar, k_g)
+    return {"I_D": inv_d[0], "I_D_divergent": inv_d[1], "f_underbar_h": f_underbar,
+            "L_delta": l_delta, "K_G": k_g, "dt_max": dt_max}

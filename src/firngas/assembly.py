@@ -31,7 +31,6 @@ __all__ = [
     "assemble_v1",
     "assemble_v3",
     "assemble_rhs",
-    "write_band_csv",
 ]
 
 
@@ -268,14 +267,6 @@ class DiscreteSystem:
     C: Tridiagonal
     V: Tridiagonal
 
-    def __post_init__(self):
-        # consistency of the stored linear combination
-        recomputed = self.Mf + self.C.scale(self.context.T_e * self.dt)
-        scale = max(self.V.max_abs(), 1.0)
-        for band in ("sub", "diag", "sup"):
-            if np.max(np.abs(getattr(recomputed, band) - getattr(self.V, band))) > 1e-12 * scale:
-                raise ValidationError("system matrix inconsistent with its components")
-
 
 def assemble_system(mesh, f_samples, d_samples, context: RescaledContext,
                     dt: float) -> DiscreteSystem:
@@ -340,13 +331,3 @@ def assemble_rhs(lam_k: np.ndarray, v1: np.ndarray, v3: np.ndarray,
         raise ValidationError("right-hand-side dimension mismatch")
     return Mf.matvec(lam_k) - v1 - T_e * dt * v3
 
-
-def write_band_csv(matrix: Tridiagonal, path):
-    """Dump a tridiagonal matrix as (row, col, value) CSV, 0-based indices."""
-    with open(path, "w", newline="\n") as handle:
-        for k in range(matrix.dim):
-            if k > 0:
-                handle.write(f"{k},{k - 1},{matrix.sub[k - 1]:.17g}\n")
-            handle.write(f"{k},{k},{matrix.diag[k]:.17g}\n")
-            if k < matrix.dim - 1:
-                handle.write(f"{k},{k + 1},{matrix.sup[k]:.17g}\n")

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, assembly, mesh as mesh_mod, oracle, solver
-from .errors import (AssumptionError, ConfigError, FirngasError,
-                     SingularMatrixError, TimeStepError)
+from .errors import AssumptionError, ConfigError, FirngasError, TimeStepError
 from .model import AtmosphereSeries, CoefficientProfile, ModelParams, rescale
 
 __all__ = ["RunConfig", "load_config", "cmd_run", "cmd_check",
@@ -31,11 +30,6 @@ EXIT_IO = 1
 EXIT_ADMISSIBILITY = 2
 EXIT_NUMERICAL = 3
 
-# Expected MVT-vs-quadrature convergence orders of the max entry deviation
-# under mesh halving, as observed on smooth weights.  The weighted mass
-# matrix gains an order from error cancellation across adjacent elements;
-# the first-derivative and stiffness patterns are first order.
-_ORACLE_ORDERS = {"Mf": 2.0, "Kf": 1.0, "A": 1.0, "S": 1.0}
 _ORDER_BAND = 0.5
 _EXACT_FLOOR = 1e-13
 
@@ -51,9 +45,7 @@ class RunConfig:
     out: str
     stride: int
     c_D: float
-    check_only: bool = False
     force: bool = False
-    oracle_compare: bool = False
 
 
 def _get_float(section, key, default=None):
@@ -144,9 +136,7 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
     return RunConfig(
         params=params, mesh=grid, f_profile=f_profile, d_profile=d_profile,
         atmosphere=atmosphere, dt=dt, out=out, stride=stride, c_D=c_D,
-        check_only=bool(overrides and overrides.check_only),
         force=bool(overrides and overrides.force),
-        oracle_compare=bool(overrides and overrides.oracle_compare),
     )
 
 
@@ -160,47 +150,21 @@ def _emit(text: str, out: str | None):
 
 def cmd_check(config: RunConfig) -> int:
     """Emit the stability report without solving."""
-    context = rescale(config.params)
-    try:
-        report = analysis.build_report(config.f_profile, config.d_profile,
-                                       config.mesh, context, c_D=config.c_D)
-    except (AssumptionError, TimeStepError) as exc:
-        print(f"admissibility failure: {exc}", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except FirngasError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = analysis.build_report(config.f_profile, config.d_profile, config.mesh,
+                                   rescale(config.params), c_D=config.c_D)
     _emit(report.to_text(), config.out)
     return EXIT_OK
 
 
 def cmd_run(config: RunConfig) -> int:
     """Run the simulation; write the trajectory CSV with an inline report."""
-    context = rescale(config.params)
-    report = None
-    try:
-        try:
-            report = analysis.build_report(config.f_profile, config.d_profile,
-                                           config.mesh, context, c_D=config.c_D)
-        except FirngasError:
-            if not config.force:
-                raise
-        if (report is not None and not config.force and config.dt != "auto"
-                and config.dt > report.dt_max):
-            raise TimeStepError(config.dt, report.dt_max)
-        trajectory = solver.run(config.mesh, config.f_profile, config.d_profile,
-                                context, config.atmosphere, dt=config.dt,
-                                force=config.force, c_D=config.c_D)
-    except (AssumptionError, TimeStepError) as exc:
-        print(f"admissibility failure: {exc}", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except (SingularMatrixError, FirngasError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    out_path = config.out or "trajectory.csv"
-    with open(out_path, "w", newline="\n") as handle:
-        if report is not None:
-            for line in report.to_text().splitlines():
+    plan = analysis.plan_run(config.f_profile, config.d_profile, config.mesh,
+                             rescale(config.params), config.c_D, config.dt,
+                             config.force, report_dt="auto")
+    trajectory = solver.run_plan(plan, config.atmosphere)
+    with open(config.out or "trajectory.csv", "w", newline="\n") as handle:
+        if plan.report is not None:
+            for line in plan.report.to_text().splitlines():
                 handle.write(f"# {line}\n")
         trajectory.write_csv(handle, stride=config.stride)
     return EXIT_OK
@@ -214,30 +178,28 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     verdicts.  Succeeds iff each observed order sits within 0.5 of the
     documented one (or the deviation is at rounding level).
     """
-    context = rescale(config.params)
+    fcoef = rescale(config.params).fcoef
+    # kind -> (band assembler of node samples, weight profile, expected order).
+    # The expected orders are those of the max entry deviation under mesh
+    # halving, as observed on smooth weights.  The weighted mass matrix gains
+    # an order from error cancellation across adjacent elements; the
+    # first-derivative and stiffness patterns are first order.
+    kinds = {
+        "Mf": (assembly.assemble_Mf, config.f_profile, 2.0),
+        "Kf": (lambda grid, f: assembly.assemble_Kf(grid, f, fcoef), config.f_profile, 1.0),
+        "A": (assembly.assemble_A, config.d_profile, 1.0),
+        "S": (assembly.assemble_S, config.d_profile, 1.0),
+    }
     n_coarse = config.mesh.n
     n_fine = 2 * (n_coarse - 1) + 1
     lines = ["kind,deviation_coarse,deviation_fine,observed_order,expected_order,pass"]
     ok = True
-    for kind, expected in _ORACLE_ORDERS.items():
+    for kind, (assemble, weight, expected) in kinds.items():
         devs = []
         for n in (n_coarse, n_fine):
             grid = mesh_mod.build_uniform(n)
-            f_nodes = config.f_profile(grid.nodes)
-            d_nodes = config.d_profile(grid.nodes)
-            if kind == "Mf":
-                band = assembly.assemble_Mf(grid, f_nodes)
-                ref = oracle.assemble_reference(config.f_profile, "Mf", grid)
-            elif kind == "Kf":
-                band = assembly.assemble_Kf(grid, f_nodes, context.fcoef)
-                ref = oracle.assemble_reference(config.f_profile, "Kf", grid,
-                                                fcoef=context.fcoef)
-            elif kind == "A":
-                band = assembly.assemble_A(grid, d_nodes)
-                ref = oracle.assemble_reference(config.d_profile, "A", grid)
-            else:
-                band = assembly.assemble_S(grid, d_nodes)
-                ref = oracle.assemble_reference(config.d_profile, "S", grid)
+            band = assemble(grid, weight(grid.nodes))
+            ref = oracle.assemble_reference(weight, kind, grid, fcoef=fcoef)
             devs.append((band - ref).max_abs())
         if devs[0] <= _EXACT_FLOOR:
             order, passed = float("nan"), True
@@ -287,15 +249,19 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    command = (cmd_oracle_compare if args.oracle_compare
+               else cmd_check if args.check_only else cmd_run)
     try:
-        if config.oracle_compare:
-            return cmd_oracle_compare(config)
-        if config.check_only:
-            return cmd_check(config)
-        return cmd_run(config)
+        return command(config)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (AssumptionError, TimeStepError) as exc:
+        print(f"admissibility failure: {exc}", file=sys.stderr)
+        return EXIT_ADMISSIBILITY
+    except FirngasError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, assembly
-from .errors import SingularMatrixError, TimeStepError, ValidationError
+from .errors import SingularMatrixError, ValidationError
 
-__all__ = ["Trajectory", "solve_tridiagonal", "step", "run"]
+__all__ = ["Trajectory", "solve_tridiagonal", "step", "run", "run_plan"]
 
 _PIVOT_TOL = 1e-13  # relative pivot-magnitude guard for the unpivoted path
+_EPS = float(np.finfo(float).eps)
 
 
 def _thomas(matrix: assembly.Tridiagonal, rhs: np.ndarray) -> np.ndarray:
@@ -99,8 +100,13 @@ def solve_tridiagonal(matrix: assembly.Tridiagonal, rhs) -> np.ndarray:
 
 def step(system: assembly.DiscreteSystem, lam_k, atmosphere, t_k: float,
          t_k1: float) -> np.ndarray:
-    """Advance the interior coefficients over one implicit step."""
-    if abs((t_k1 - t_k) - system.dt) > 1e-12 * max(system.dt, 1e-300):
+    """Advance the interior coefficients over one implicit step.
+
+    The interval must match the assembled step.  On a grid ``t_k = dt * k``
+    the interval carries up to about one ulp of ``t_k1`` of rounding, which
+    the tolerance admits.
+    """
+    if abs((t_k1 - t_k) - system.dt) > 1e-12 * max(system.dt, 1e-300) + 4 * _EPS * abs(t_k1):
         raise ValidationError("step interval does not match the assembled step size")
     v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, system.mesh, system.f_samples)
     v3 = assembly.assemble_v3(t_k1, atmosphere, system.mesh, system.f_samples,
@@ -174,50 +180,32 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
 
     ``dt`` is either a number or ``"auto"`` (0.9 times the computed step
     bound).  Admissibility failures and steps above the bound abort unless
-    ``force`` is set.  The time grid is uniform; the last step is shortened
-    to land exactly on t=1, reusing a step matrix assembled for its own
-    length.
+    ``force`` is set; see :func:`firngas.analysis.plan_run`.
     """
-    if force:
-        f_nodes = np.asarray(f_profile(mesh.nodes), dtype=float)
-        d_nodes = np.asarray(d_profile(mesh.nodes), dtype=float)
-    else:
-        analysis.check_assumptions(f_profile, d_profile, mesh)
-        f_nodes = f_profile.node_samples(mesh, "(5)")
-        d_nodes = d_profile.node_samples(mesh, "(6)")
+    return run_plan(analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force),
+                    atmosphere)
 
-    auto = dt is None or dt == "auto"
-    if auto or not force:
-        h = mesh.h_min
-        f_underbar = analysis.compute_fh(f_profile, h)
-        l_delta = analysis.estimate_lipschitz(d_profile, hi=1.0 - h,
-                                              grid_points=4 * (mesh.n - 1) + 1)
-        k_g = analysis.compute_KG(d_profile, context.z_F, context.mcoef, c_D,
-                                  l_delta, on_divergence="limit")
-        dt_max = analysis.compute_dt_max(h, context.z_F, context.T_e,
-                                         context.fcoef, context.gcoef,
-                                         f_underbar, k_g)
-        if auto:
-            dt = 0.9 * dt_max
-        elif dt > dt_max:
-            raise TimeStepError(dt, dt_max)
-    dt = float(dt)
+
+def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
+    """Implicit-Euler loop at the step of an admissibility plan.
+
+    The time grid is uniform; the last step is shortened to land exactly on
+    t=1, reusing a step matrix assembled for its own length.
+    """
+    dt = plan.dt
     if not 0.0 < dt <= 1.0:
         raise ValidationError(f"time step must lie in (0, 1], got {dt}")
 
     n_steps = math.ceil(1.0 / dt - 1e-12)
     times = np.minimum(dt * np.arange(n_steps + 1), 1.0)
     times[-1] = 1.0
-    system = assembly.assemble_system(mesh, f_nodes, d_nodes, context, dt)
+    system = plan.system(dt)
     last_dt = times[-1] - times[-2]
-    if abs(last_dt - dt) > 1e-12 * dt:
-        last_system = assembly.assemble_system(mesh, f_nodes, d_nodes, context, last_dt)
-    else:
-        last_system = system
+    last_system = plan.system(last_dt) if abs(last_dt - dt) > 1e-12 * dt else system
 
-    interior = np.zeros((n_steps + 1, mesh.n - 1))
+    interior = np.zeros((n_steps + 1, plan.mesh.n - 1))
     for k in range(n_steps):
         sys_k = last_system if k == n_steps - 1 else system
         interior[k + 1] = step(sys_k, interior[k], atmosphere, times[k], times[k + 1])
     boundary = np.asarray(atmosphere(times), dtype=float)
-    return Trajectory(times=times, interior=interior, boundary=boundary, mesh=mesh)
+    return Trajectory(times=times, interior=interior, boundary=boundary, mesh=plan.mesh)

@@ -5,8 +5,7 @@ from firngas import assembly
 from firngas.assembly import (Tridiagonal, assemble_A, assemble_B, assemble_Kf,
                               assemble_M, assemble_Mf, assemble_S,
                               assemble_rhs, assemble_system, assemble_v1,
-                              assemble_v3, exact_inner, mvt_inner,
-                              write_band_csv)
+                              assemble_v3, exact_inner, mvt_inner)
 from firngas.errors import DomainError, ValidationError
 from firngas.mesh import build_graded, build_uniform
 from firngas.model import AtmosphereSeries, RescaledContext
@@ -195,14 +194,3 @@ class TestRhs:
             assemble_rhs(np.zeros(3), np.zeros(2), np.zeros(2),
                          assemble_M(MESH3), 1.0, 0.1)
 
-
-def test_write_band_csv(tmp_path):
-    path = tmp_path / "band.csv"
-    write_band_csv(assemble_M(MESH3), path)
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    entries = {(int(r), int(c)): float(v) for r, c, v in rows}
-    assert entries[(0, 0)] == pytest.approx(1.0 / 3.0)
-    assert entries[(0, 1)] == pytest.approx(1.0 / 12.0)
-    assert entries[(1, 0)] == pytest.approx(1.0 / 12.0)
-    assert entries[(1, 1)] == pytest.approx(1.0 / 6.0)
-    assert path.read_bytes().endswith(b"\n")

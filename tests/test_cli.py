@@ -13,22 +13,20 @@ tau = 0.3
 lam = 0.7
 v = 0.5
 w_air = 0.1
-z_F = 1.0
-T_e = 1.0
 """
 
 
 def write_config(tmp_path, f_kind="affine", d_kind="affine", atmosphere="ramp",
-                 dt="auto", n=11, f_value=None):
+                 dt="auto", n=11, f_value=None, f_intercept=1.0, z_F=1.0, T_e=1.0):
     if f_kind == "affine":
-        f_section = "[profile.f]\nkind = affine\nintercept = 1.0\nslope = -1.0\n"
+        f_section = f"[profile.f]\nkind = affine\nintercept = {f_intercept}\nslope = -1.0\n"
     else:
         f_section = f"[profile.f]\nkind = constant\nvalue = {f_value}\n"
     if d_kind == "affine":
         d_section = "[profile.D]\nkind = affine\nintercept = 1.0\nslope = -1.0\n"
     else:
         d_section = "[profile.D]\nkind = constant\nvalue = 1.0\n"
-    text = (BASE_PARAMS
+    text = (BASE_PARAMS + f"z_F = {z_F}\nT_e = {T_e}\n"
             + f"[mesh]\nn = {n}\n[time]\ndt = {dt}\n"
             + f_section + d_section
             + f"[atmosphere]\nkind = {atmosphere}\namplitude = 1.0\n"
@@ -105,6 +103,14 @@ class TestCmdRun:
         cli.main(["--config", cfg, "--out", str(strided), "--stride", "25"])
         assert len(strided.read_text().splitlines()) < len(full.read_text().splitlines())
 
+    def test_long_run_at_readme_scale(self, tmp_path):
+        cfg = write_config(tmp_path, z_F=80.0, T_e=30.0)
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", cfg, "--out", str(out), "--n", "5",
+                         "--dt", "1e-4"]) == cli.EXIT_OK
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert len(rows) == 1 + 10001  # header plus K+1 levels
+
     def test_n_override(self, tmp_path):
         cfg = write_config(tmp_path, n=11)
         out = tmp_path / "o.csv"
@@ -159,3 +165,8 @@ class TestCmdOracleCompare:
                          "--out", str(out)]) == cli.EXIT_OK
         mf = [ln for ln in out.read_text().splitlines() if ln.startswith("Mf,")][0]
         assert float(mf.split(",")[1]) <= 1e-13
+
+    def test_non_finite_profile_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f_intercept="nan")
+        assert cli.main(["--config", cfg, "--oracle-compare"]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")

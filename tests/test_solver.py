@@ -5,7 +5,8 @@ from firngas import oracle
 from firngas.assembly import Tridiagonal, assemble_system
 from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import build_uniform
-from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext
+from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
+                           RescaledContext, rescale)
 from firngas.solver import Trajectory, run, solve_tridiagonal, step
 
 ONE = CoefficientProfile.constant(1.0)
@@ -14,6 +15,11 @@ DECAY = CoefficientProfile.affine(1.0, -1.0)
 
 def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0):
     return RescaledContext(T_e=1.0, z_F=1.0, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
+
+
+# The README's physical config: 80 m of firn, 30 years.
+README_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3,
+                                     lam=0.7, v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
 
 
 class TestSolveTridiagonal:
@@ -172,3 +178,12 @@ class TestRun:
                    dt="auto")
         assert np.all(np.isfinite(traj.interior))
         assert traj.times[-1] == 1.0
+
+    def test_long_run_at_readme_scale(self):
+        # 10,000 steps: dt * k drifts from t_k by up to an ulp of t_k, which
+        # the step's interval check must accept.
+        traj = run(build_uniform(5), DECAY, DECAY, README_CONTEXT, AtmosphereSeries.ramp(),
+                   dt=1e-4)
+        assert traj.n_levels == 10001
+        assert traj.times[-1] == 1.0
+        assert np.all(np.isfinite(traj.interior))
