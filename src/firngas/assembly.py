@@ -35,6 +35,8 @@ __all__ = [
     "assemble_S",
     "assemble_B",
     "assemble_system",
+    "surface_v1",
+    "surface_v3",
     "assemble_v1",
     "assemble_v3",
     "assemble_rhs",
@@ -305,18 +307,20 @@ def assemble_system(mesh, f_samples, d_samples, context: RescaledContext,
                           M=M, Mf=Mf, Kf=Kf, A=A, S=S, B=B, C=C, V=V)
 
 
-def assemble_v1(t_k: float, t_k1: float, atmosphere, mesh, f_samples) -> np.ndarray:
-    """Boundary forcing from the change of the atmospheric signal."""
+def surface_v1(rho_k, rho_k1, mesh, f_samples):
+    """Row 0 of ``v1`` for a step from boundary value ``rho_k`` to ``rho_k1``.
+
+    Elementwise on arrays of boundary values, one entry per step.
+    """
     f = np.asarray(f_samples, dtype=float)
-    out = np.zeros(mesh.n - 1)
-    drho = atmosphere(t_k1) - atmosphere(t_k)
-    out[0] = drho * (f[0] + f[1]) * mesh.element_lengths[0] / 12.0
-    return out
+    return (rho_k1 - rho_k) * (f[0] + f[1]) * mesh.element_lengths[0] / 12.0
 
 
-def assemble_v3(t_k1: float, atmosphere, mesh, f_samples, d_samples,
-                context: RescaledContext) -> np.ndarray:
-    """Boundary forcing from the spatial operator acting on the surface hat."""
+def surface_v3(rho_k1, mesh, f_samples, d_samples, context: RescaledContext):
+    """Row 0 of ``v3`` for a step ending at boundary value ``rho_k1``.
+
+    Elementwise on arrays of boundary values, one entry per step.
+    """
     f = np.asarray(f_samples, dtype=float)
     d = np.asarray(d_samples, dtype=float)
     h2 = mesh.element_lengths[0]
@@ -325,8 +329,21 @@ def assemble_v3(t_k1: float, atmosphere, mesh, f_samples, d_samples,
           - (d[0] + d[1]) / (2.0 * h2 * z_F**2)
           - context.fcoef * (f[0] + f[1]) / (4.0 * z_F)
           - context.mcoef * (d[0] + d[1]) / (4.0 * z_F))
+    return rho_k1 * c1
+
+
+def assemble_v1(t_k: float, t_k1: float, atmosphere, mesh, f_samples) -> np.ndarray:
+    """Boundary forcing from the change of the atmospheric signal."""
     out = np.zeros(mesh.n - 1)
-    out[0] = atmosphere(t_k1) * c1
+    out[0] = surface_v1(atmosphere(t_k), atmosphere(t_k1), mesh, f_samples)
+    return out
+
+
+def assemble_v3(t_k1: float, atmosphere, mesh, f_samples, d_samples,
+                context: RescaledContext) -> np.ndarray:
+    """Boundary forcing from the spatial operator acting on the surface hat."""
+    out = np.zeros(mesh.n - 1)
+    out[0] = surface_v3(atmosphere(t_k1), mesh, f_samples, d_samples, context)
     return out
 
 

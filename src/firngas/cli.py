@@ -98,7 +98,15 @@ def _load_atmosphere(section) -> AtmosphereSeries:
 
 
 def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
-    """Parse an INI run configuration, applying CLI overrides."""
+    """Parse an INI run configuration, applying CLI overrides.
+
+    An override given on the command line wins even when it is zero, so an
+    invalid value is refused here, before any solve.
+    """
+    def given(name, fallback):
+        value = getattr(overrides, name, None)
+        return fallback if value is None else value
+
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -113,17 +121,21 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             z_F=_get_float(p, "z_F"), T_e=_get_float(p, "T_e"),
         )
         msec = parser["mesh"] if "mesh" in parser else {}
-        n = int(overrides.n) if overrides and overrides.n else int(msec.get("n", 0))
-        if "file" in msec and not (overrides and overrides.n):
+        n = int(given("n", msec.get("n", 0)))
+        if "file" in msec and given("n", None) is None:
             grid = mesh_mod.read_mesh_csv(msec["file"])
         else:
             if n < 3:
                 raise ConfigError("mesh needs either [mesh] n >= 3 or a node file")
             grid = mesh_mod.build_uniform(n)
         tsec = parser["time"] if "time" in parser else {}
-        dt_raw = overrides.dt if overrides and overrides.dt else tsec.get("dt", "auto")
+        dt_raw = given("dt", tsec.get("dt", "auto"))
         dt = "auto" if str(dt_raw).lower() == "auto" else float(dt_raw)
-        stride = int(overrides.stride) if overrides and overrides.stride else int(tsec.get("stride", 1))
+        if dt != "auto" and not dt > 0.0:
+            raise ConfigError(f"time step must be positive, got {dt_raw!r}")
+        stride = int(given("stride", tsec.get("stride", 1)))
+        if stride < 1:
+            raise ConfigError(f"stride must be >= 1, got {stride}")
         f_profile = _load_profile(parser["profile.f"])
         d_profile = _load_profile(parser["profile.D"])
         atmosphere = _load_atmosphere(parser["atmosphere"] if "atmosphere" in parser else {})
@@ -131,12 +143,11 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         c_D = _get_float(asec, "c_D", 1.0) if asec else 1.0
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config error in {path}: {exc}") from exc
-    out = (overrides.out if overrides and overrides.out else
-           parser.get("output", "path", fallback=None))
+    out = given("out", parser.get("output", "path", fallback=None))
     return RunConfig(
         params=params, mesh=grid, f_profile=f_profile, d_profile=d_profile,
         atmosphere=atmosphere, dt=dt, out=out, stride=stride, c_D=c_D,
-        force=bool(overrides and overrides.force),
+        force=bool(given("force", False)),
     )
 
 

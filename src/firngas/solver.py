@@ -1,9 +1,13 @@
-"""Implicit-Euler time loop with a direct tridiagonal solve per step.
+"""Implicit-Euler time loop: each step matrix is factored once; a step is one substitution.
 
 The homogenized unknown carries the interior-plus-bottom coefficients; the
 Dirichlet surface value is re-attached when reconstructing the full node
-vector.  The step matrix is assembled once per distinct step size and
-reused across the loop.
+vector.  A run's uniform time grid has at most two step matrices, the
+uniform step and the shortened last one; each is assembled and factored once
+per run.  The atmosphere enters only row 0 of the right-hand side, so the
+loop evaluates it once for every level and then costs one ``Mf`` product and
+one forward/back substitution per step.  :func:`step` is the one-step
+reference the loop reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -16,98 +20,140 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 
-__all__ = ["Trajectory", "solve_tridiagonal", "step", "run", "run_plan"]
+__all__ = ["Trajectory", "factor_tridiagonal", "solve_tridiagonal", "step", "run",
+           "run_plan"]
 
 _PIVOT_TOL = 1e-13  # relative pivot-magnitude guard for the unpivoted path
 _EPS = float(np.finfo(float).eps)
 
 
-def _thomas(matrix: assembly.Tridiagonal, rhs: np.ndarray) -> np.ndarray:
-    """Unpivoted banded elimination; raises on a small pivot."""
-    m = matrix.dim
-    scale = max(matrix.max_abs(), 1.0)
-    c = np.empty(m - 1)
-    d = np.empty(m)
-    pivot = matrix.diag[0]
-    if abs(pivot) <= _PIVOT_TOL * scale:
-        raise SingularMatrixError(0)
-    if m > 1:
-        c[0] = matrix.sup[0] / pivot
-    d[0] = rhs[0] / pivot
-    for k in range(1, m):
-        pivot = matrix.diag[k] - matrix.sub[k - 1] * c[k - 1]
-        if abs(pivot) <= _PIVOT_TOL * scale:
-            raise SingularMatrixError(k)
-        if k < m - 1:
-            c[k] = matrix.sup[k] / pivot
-        d[k] = (rhs[k] - matrix.sub[k - 1] * d[k - 1]) / pivot
-    x = np.empty(m)
-    x[m - 1] = d[m - 1]
-    for k in range(m - 2, -1, -1):
-        x[k] = d[k] - c[k] * x[k + 1]
-    return x
+def _rhs_list(rhs, dim: int) -> list:
+    rhs = np.asarray(rhs, dtype=float)
+    if len(rhs) != dim:
+        raise ValidationError("right-hand-side length mismatch")
+    return rhs.tolist()
 
 
-def _pivoted_banded(matrix: assembly.Tridiagonal, rhs: np.ndarray) -> np.ndarray:
+class _Elimination:
+    """Unpivoted banded elimination: the pivots and the ``c`` multipliers.
+
+    Raises :class:`SingularMatrixError` at the first pivot below the guard.
+    The substitution divides by each stored pivot, on Python floats: the same
+    IEEE double arithmetic as on NumPy scalars, so a reused factor gives
+    bitwise the result of a fresh solve.
+    """
+
+    def __init__(self, matrix: assembly.Tridiagonal):
+        m = matrix.dim
+        guard = _PIVOT_TOL * max(matrix.max_abs(), 1.0)
+        diag, sub, sup = matrix.diag.tolist(), matrix.sub.tolist(), matrix.sup.tolist()
+        pivots, c = [], []
+        for k in range(m):
+            pivot = diag[k] - sub[k - 1] * c[k - 1] if k else diag[0]
+            if abs(pivot) <= guard:
+                raise SingularMatrixError(k)
+            pivots.append(pivot)
+            if k < m - 1:
+                c.append(sup[k] / pivot)
+        self.dim = m
+        self._pivots = pivots
+        self._sub = sub
+        self._c_reversed = c[::-1]
+
+    def solve(self, rhs) -> np.ndarray:
+        r = _rhs_list(rhs, self.dim)
+        d = r[0] / self._pivots[0]
+        ds = [d] + [d := (r_k - s * d) / pivot
+                    for r_k, s, pivot in zip(r[1:], self._sub, self._pivots[1:])]
+        x = ds.pop()
+        xs = [x] + [x := d_k - c_k * x for d_k, c_k in zip(reversed(ds), self._c_reversed)]
+        return np.fromiter(reversed(xs), dtype=float, count=self.dim)
+
+
+class _PivotedElimination:
     """Partially pivoted elimination; fill widens the upper band to 2."""
-    m = matrix.dim
-    scale = max(matrix.max_abs(), 1.0)
-    diag = matrix.diag.copy()
-    sup1 = np.zeros(m)
-    sup2 = np.zeros(m)
-    sup1[: m - 1] = matrix.sup
-    sub = matrix.sub.copy()
-    b = np.asarray(rhs, dtype=float).copy()
-    for k in range(m - 1):
-        if abs(sub[k]) > abs(diag[k]):
-            # swap row k with row k+1
-            diag[k], sub[k] = sub[k], diag[k]
-            sup1[k], diag[k + 1] = diag[k + 1], sup1[k]
-            sup2[k], sup1[k + 1] = sup1[k + 1], sup2[k]
-            b[k], b[k + 1] = b[k + 1], b[k]
-        if abs(diag[k]) <= _PIVOT_TOL * 1e-3 * scale:
-            raise SingularMatrixError(k)
-        factor = sub[k] / diag[k]
-        diag[k + 1] -= factor * sup1[k]
-        sup1[k + 1] -= factor * sup2[k]
-        b[k + 1] -= factor * b[k]
-    if abs(diag[m - 1]) <= _PIVOT_TOL * 1e-3 * scale:
-        raise SingularMatrixError(m - 1)
-    x = np.empty(m)
-    x[m - 1] = b[m - 1] / diag[m - 1]
-    if m > 1:
-        x[m - 2] = (b[m - 2] - sup1[m - 2] * x[m - 1]) / diag[m - 2]
-    for k in range(m - 3, -1, -1):
-        x[k] = (b[k] - sup1[k] * x[k + 1] - sup2[k] * x[k + 2]) / diag[k]
-    return x
+
+    def __init__(self, matrix: assembly.Tridiagonal):
+        m = matrix.dim
+        guard = _PIVOT_TOL * 1e-3 * max(matrix.max_abs(), 1.0)
+        diag = matrix.diag.tolist()
+        sub = matrix.sub.tolist()
+        sup1 = matrix.sup.tolist() + [0.0]
+        sup2 = [0.0] * m
+        swaps, factors = [], []
+        for k in range(m - 1):
+            swap = abs(sub[k]) > abs(diag[k])
+            if swap:
+                # swap row k with row k+1
+                diag[k], sub[k] = sub[k], diag[k]
+                sup1[k], diag[k + 1] = diag[k + 1], sup1[k]
+                sup2[k], sup1[k + 1] = sup1[k + 1], sup2[k]
+            if abs(diag[k]) <= guard:
+                raise SingularMatrixError(k)
+            factor = sub[k] / diag[k]
+            diag[k + 1] -= factor * sup1[k]
+            sup1[k + 1] -= factor * sup2[k]
+            swaps.append(swap)
+            factors.append(factor)
+        if abs(diag[m - 1]) <= guard:
+            raise SingularMatrixError(m - 1)
+        self.dim = m
+        self._diag, self._sup1, self._sup2 = diag, sup1, sup2
+        self._swaps, self._factors = swaps, factors
+
+    def solve(self, rhs) -> np.ndarray:
+        b = _rhs_list(rhs, self.dim)
+        for k, (swap, factor) in enumerate(zip(self._swaps, self._factors)):
+            if swap:
+                b[k], b[k + 1] = b[k + 1], b[k]
+            b[k + 1] -= factor * b[k]
+        m, diag, sup1, sup2 = self.dim, self._diag, self._sup1, self._sup2
+        x = [0.0] * m
+        x[m - 1] = b[m - 1] / diag[m - 1]
+        if m > 1:
+            x[m - 2] = (b[m - 2] - sup1[m - 2] * x[m - 1]) / diag[m - 2]
+        for k in range(m - 3, -1, -1):
+            x[k] = (b[k] - sup1[k] * x[k + 1] - sup2[k] * x[k + 2]) / diag[k]
+        return np.array(x)
 
 
-def solve_tridiagonal(matrix: assembly.Tridiagonal, rhs) -> np.ndarray:
-    """Direct solve of a tridiagonal system.
+def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Elimination | _PivotedElimination:
+    """Factor a tridiagonal matrix once; ``.solve(rhs)`` then substitutes.
 
     Tries the unpivoted banded elimination first (the admissible-step
     matrices are positive definite, keeping pivots healthy) and falls back
-    to a partially pivoted variant when a pivot degenerates.
+    to a partially pivoted variant when a pivot degenerates.  Raises
+    :class:`SingularMatrixError` with the failing pivot's index.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if len(rhs) != matrix.dim:
-        raise ValidationError("right-hand-side length mismatch")
     try:
-        return _thomas(matrix, rhs)
+        return _Elimination(matrix)
     except SingularMatrixError:
-        return _pivoted_banded(matrix, rhs)
+        return _PivotedElimination(matrix)
+
+
+def solve_tridiagonal(matrix: assembly.Tridiagonal, rhs) -> np.ndarray:
+    """Direct solve of a tridiagonal system: :func:`factor_tridiagonal` then substitution."""
+    return factor_tridiagonal(matrix).solve(rhs)
+
+
+def _check_intervals(t_k, t_k1, dt):
+    """Raise unless every interval ``t_k1 - t_k`` matches its assembled step ``dt``.
+
+    On a grid ``t_k = dt * k`` the interval carries up to about one ulp of
+    ``t_k1`` of rounding, which the tolerance admits.  Scalars or arrays.
+    """
+    tol = 1e-12 * np.maximum(dt, 1e-300) + 4 * _EPS * np.abs(t_k1)
+    if np.any(np.abs((t_k1 - t_k) - dt) > tol):
+        raise ValidationError("step interval does not match the assembled step size")
 
 
 def step(system: assembly.DiscreteSystem, lam_k, atmosphere, t_k: float,
          t_k1: float) -> np.ndarray:
     """Advance the interior coefficients over one implicit step.
 
-    The interval must match the assembled step.  On a grid ``t_k = dt * k``
-    the interval carries up to about one ulp of ``t_k1`` of rounding, which
-    the tolerance admits.
+    The interval must match the assembled step, see :func:`_check_intervals`.
     """
-    if abs((t_k1 - t_k) - system.dt) > 1e-12 * max(system.dt, 1e-300) + 4 * _EPS * abs(t_k1):
-        raise ValidationError("step interval does not match the assembled step size")
+    _check_intervals(t_k, t_k1, system.dt)
     v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, system.mesh, system.f_samples)
     v3 = assembly.assemble_v3(t_k1, atmosphere, system.mesh, system.f_samples,
                               system.d_samples, system.context)
@@ -190,7 +236,10 @@ def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
     """Implicit-Euler loop at the step of an admissibility plan.
 
     The time grid is uniform; the last step is shortened to land exactly on
-    t=1, reusing a step matrix assembled for its own length.
+    t=1, with a step matrix assembled for its own length.  Each step matrix
+    is factored once, the atmosphere is evaluated once at every level, and
+    each step then repeats :func:`step`'s arithmetic: the ``Mf`` product,
+    the row-0 forcing and one substitution.
     """
     dt = plan.dt
     if not 0.0 < dt <= 1.0:
@@ -202,10 +251,22 @@ def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
     system = plan.system(dt)
     last_dt = times[-1] - times[-2]
     last_system = plan.system(last_dt) if abs(last_dt - dt) > 1e-12 * dt else system
+    steps = np.full(n_steps, system.dt)
+    steps[-1] = last_system.dt
+    _check_intervals(times[:-1], times[1:], steps)
 
+    boundary = np.asarray(atmosphere(times), dtype=float)
+    v1 = assembly.surface_v1(boundary[:-1], boundary[1:], plan.mesh, system.f_samples)
+    v3 = assembly.surface_v3(boundary[1:], plan.mesh, system.f_samples, system.d_samples,
+                             system.context)
+    v3_scaled = system.context.T_e * steps * v3  # T_e * dt_k * v3[k]
+    uniform = factor_tridiagonal(system.V)
+    last = uniform if last_system is system else factor_tridiagonal(last_system.V)
+
+    Mf = system.Mf  # independent of the step length
     interior = np.zeros((n_steps + 1, plan.mesh.n - 1))
     for k in range(n_steps):
-        sys_k = last_system if k == n_steps - 1 else system
-        interior[k + 1] = step(sys_k, interior[k], atmosphere, times[k], times[k + 1])
-    boundary = np.asarray(atmosphere(times), dtype=float)
+        rhs = Mf.matvec(interior[k])
+        rhs[0] = (rhs[0] - v1[k]) - v3_scaled[k]
+        interior[k + 1] = (last if k == n_steps - 1 else uniform).solve(rhs)
     return Trajectory(times=times, interior=interior, boundary=boundary, mesh=plan.mesh)

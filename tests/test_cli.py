@@ -53,6 +53,36 @@ class TestConfig:
         assert config.c_D == 1.0
 
 
+class TestInvalidOverrides:
+    """Invalid values exit 1 before any solve, even when they are zero."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, *flags, dt="auto"):
+        out = tmp_path / "o.csv"
+        code = cli.main(["--config", write_config(tmp_path, dt=dt), "--out", str(out), *flags])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_stride_zero(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, "--stride", "0")
+
+    def test_stride_negative(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, "--stride", "-1")
+
+    def test_n_zero(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, "--n", "0")
+
+    def test_dt_zero(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, "--dt", "0")
+
+    def test_dt_negative(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, "--dt", "-0.001", "--force")
+
+    def test_dt_zero_in_config_file(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, dt="0")
+
+
 class TestCmdRun:
     def test_zero_atmosphere_writes_zero_csv(self, tmp_path):
         cfg = write_config(tmp_path, f_kind="constant", f_value=1.0,

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from firngas import oracle
+from firngas import analysis, oracle
 from firngas.assembly import Tridiagonal, assemble_system
 from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
-from firngas.solver import Trajectory, run, solve_tridiagonal, step
+from firngas.solver import (Trajectory, factor_tridiagonal, run, run_plan,
+                            solve_tridiagonal, step)
 
 ONE = CoefficientProfile.constant(1.0)
 DECAY = CoefficientProfile.affine(1.0, -1.0)
@@ -20,6 +23,50 @@ def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0):
 # The README's physical config: 80 m of firn, 30 years.
 README_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3,
                                      lam=0.7, v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
+# The same constants on the unit square (z_F = T_e = 1), as in the CLI tests.
+UNIT_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3,
+                                   lam=0.7, v=0.5, w_air=0.1, z_F=1.0, T_e=1.0))
+
+# Deterministic property tests: the same examples on every run, no database.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def assert_solves(matrix, rhs, x):
+    """``x`` agrees with the dense LAPACK solve to 1e-10 relative."""
+    ref = oracle.dense_solve(matrix, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1e-300)
+
+
+@st.composite
+def dominant_tridiagonals(draw):
+    """Strictly row- and column-diagonally dominant bands with random signs."""
+    m = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sub = rng.uniform(-1.0, 1.0, m - 1) * 10.0 ** rng.uniform(-3, 3)
+    sup = rng.uniform(-1.0, 1.0, m - 1) * 10.0 ** rng.uniform(-3, 3)
+    reach = np.zeros(m)
+    reach[1:] += np.abs(sub) + np.abs(sup)
+    reach[:-1] += np.abs(sub) + np.abs(sup)
+    margin = 10.0 ** rng.uniform(-2, 2)
+    diag = rng.choice([-1.0, 1.0], m) * (reach + margin)
+    return Tridiagonal(sub, diag, sup), rng.normal(size=(draw(st.integers(2, 5)), m))
+
+
+@st.composite
+def admissible_step_matrices(draw):
+    """Step matrices ``V`` of random admissible runs at their ``auto`` step."""
+    n = draw(st.integers(3, 40))
+    f0 = draw(st.floats(0.5, 2.0))
+    d0 = draw(st.floats(0.5, 2.0))
+    f = CoefficientProfile.affine(f0, -f0 * draw(st.floats(0.0, 1.0)))
+    d = CoefficientProfile.affine(d0, -d0 * draw(st.floats(0.0, 1.0)))
+    context = RescaledContext(T_e=draw(st.floats(0.5, 50.0)), z_F=draw(st.floats(0.5, 100.0)),
+                              mcoef=draw(st.floats(0.0, 0.1)), gcoef=draw(st.floats(0.0, 2.0)),
+                              fcoef=draw(st.floats(0.0, 2.0)))
+    plan = analysis.plan_run(f, d, build_uniform(n), context)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return plan.system(plan.dt).V, rng.normal(size=(draw(st.integers(2, 5)), n - 1))
 
 
 class TestSolveTridiagonal:
@@ -61,6 +108,39 @@ class TestSolveTridiagonal:
         band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
         with pytest.raises(ValidationError):
             solve_tridiagonal(band, np.zeros(3))
+
+
+class TestFactorTridiagonal:
+    @staticmethod
+    def check_reuse(matrix, rhs_rows):
+        # One factor for every right-hand side: bitwise the fresh solves.
+        factor = factor_tridiagonal(matrix)
+        for rhs in rhs_rows:
+            x = factor.solve(rhs)
+            assert np.array_equal(x, solve_tridiagonal(matrix, rhs))
+            assert_solves(matrix, rhs, x)
+
+    @PROPERTY
+    @given(dominant_tridiagonals())
+    def test_reuse_on_dominant(self, case):
+        self.check_reuse(*case)
+
+    @PROPERTY
+    @given(admissible_step_matrices())
+    def test_reuse_on_admissible_step_matrices(self, case):
+        self.check_reuse(*case)
+
+    def test_pivoted_fallback_reused(self):
+        # zero first pivot: one pivoted factor serves every right-hand side
+        rng = np.random.default_rng(7)
+        diag = rng.uniform(3.0, 4.0, 6)
+        diag[0] = 0.0
+        band = Tridiagonal(rng.uniform(1.0, 2.0, 5), diag, rng.uniform(1.0, 2.0, 5))
+        factor = factor_tridiagonal(band)
+        for rhs in rng.normal(size=(4, 6)):
+            x = factor.solve(rhs)
+            np.testing.assert_allclose(x, oracle.dense_solve(band, rhs), rtol=1e-12,
+                                       atol=1e-12)
 
 
 class TestStep:
@@ -187,3 +267,42 @@ class TestRun:
         assert traj.n_levels == 10001
         assert traj.times[-1] == 1.0
         assert np.all(np.isfinite(traj.interior))
+
+
+def step_by_step(plan, atmosphere, times):
+    """The reference loop: the public :func:`step` applied once per interval."""
+    last_dt = times[-1] - times[-2]
+    last = plan.system(last_dt) if abs(last_dt - plan.dt) > 1e-12 * plan.dt else None
+    interior = np.zeros((len(times), plan.mesh.n - 1))
+    for k in range(len(times) - 1):
+        system = last if last is not None and k == len(times) - 2 else plan.system(plan.dt)
+        interior[k + 1] = step(system, interior[k], atmosphere, times[k], times[k + 1])
+    return interior
+
+
+# name -> (n, context, dt, force, expected step count K)
+BIT_CASES = {
+    "unit_auto": (11, UNIT_CONTEXT, "auto", False, 267),
+    "unit_dt0.003_short_last": (11, UNIT_CONTEXT, 0.003, False, 334),
+    "readme_n5_dt1e-4": (5, README_CONTEXT, 1e-4, False, 10000),
+    "unit_forced_dt0.5": (11, UNIT_CONTEXT, 0.5, True, 2),
+}
+ATMOSPHERES = {
+    "ramp": AtmosphereSeries.ramp(),
+    "piecewise": AtmosphereSeries(np.array([0.0, 0.13, 0.4, 0.77, 1.0]),
+                                  np.array([0.0, 0.9, -0.3, 0.55, -1.2])),
+}
+
+
+@pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
+@pytest.mark.parametrize("case", sorted(BIT_CASES))
+def test_run_plan_bitwise_equals_step_loop(case, atm_name):
+    # The fast loop repeats step()'s arithmetic exactly; the golden CSVs in
+    # tests/data pin that arithmetic itself.
+    n, context, dt, force, n_steps = BIT_CASES[case]
+    atmosphere = ATMOSPHERES[atm_name]
+    plan = analysis.plan_run(DECAY, DECAY, build_uniform(n), context, dt=dt, force=force)
+    traj = run_plan(plan, atmosphere)
+    assert traj.n_levels == n_steps + 1
+    assert np.array_equal(traj.boundary, atmosphere(traj.times))
+    assert np.array_equal(traj.interior, step_by_step(plan, atmosphere, traj.times))
