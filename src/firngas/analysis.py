@@ -41,11 +41,17 @@ _DIVERGENCE_GROWTH = 0.01  # >1% growth per truncation refinement -> divergent
 _DT_SAFETY = 0.9       # safety factor on the auto-selected time step
 
 
-def _tail_grid(base_points: int = 20001) -> np.ndarray:
+def _tail_grid() -> np.ndarray:
     """Uniform grid on [0, 0.9] plus a log-graded tail towards 1 - 1e-8."""
-    body = np.linspace(0.0, 0.9, base_points)
-    tail = 1.0 - np.logspace(-1, math.log10(_TRUNC), base_points // 4)
+    body = np.linspace(0.0, 0.9, 20001)
+    tail = 1.0 - np.logspace(-1, math.log10(_TRUNC), 5000)
     return np.unique(np.concatenate([body, tail]))
+
+
+def _body_samples(f_profile, d_profile) -> tuple[np.ndarray, np.ndarray]:
+    """f and D on the uniform grid of [0, 1 - 1e-8] behind C0 and the continuity constants."""
+    grid = np.linspace(0.0, 1.0 - _TRUNC, 20001)
+    return np.asarray(f_profile(grid), dtype=float), np.asarray(d_profile(grid), dtype=float)
 
 
 def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -53,23 +59,20 @@ def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def check_assumptions(f_profile, d_profile, mesh, grid_factor: int = 4) -> dict:
+def check_assumptions(f_profile, d_profile, mesh) -> dict:
     """Verify node-wise admissibility of the coefficient pair.
 
-    Returns the checked node samples, observed caps, Lipschitz estimate and
-    ratio suprema; raises :class:`AssumptionError` naming the failed
-    assumption otherwise.
+    Returns the checked node samples, Lipschitz estimate and ratio suprema;
+    raises :class:`AssumptionError` naming the failed assumption otherwise.
     """
     f_nodes = f_profile.node_samples(mesh, assumption="(5)")
     d_nodes = d_profile.node_samples(mesh, assumption="(6)")
-    lipschitz = estimate_lipschitz(d_profile, hi=1.0, grid_points=grid_factor * (mesh.n - 1) + 1)
+    lipschitz = estimate_lipschitz(d_profile, hi=1.0, grid_points=4 * (mesh.n - 1) + 1)
     interior_f = f_nodes[:-1]
     interior_d = d_nodes[:-1]
     return {
         "f_nodes": f_nodes,
         "d_nodes": d_nodes,
-        "f_max_observed": float(f_nodes.max()),
-        "d_max_observed": float(d_nodes.max()),
         "lipschitz_L": lipschitz,
         "ratio_sup_Df": float(np.max(interior_d / interior_f)),
         "ratio_sup_fD": float(np.max(interior_f / interior_d)),
@@ -85,27 +88,21 @@ def estimate_lipschitz(profile, hi: float = 1.0, grid_points: int = 4001) -> flo
     return float(np.max(np.abs(np.diff(values) / np.diff(grid))))
 
 
-def _hardy_product(v_integrand, w_integrand, grid: np.ndarray) -> np.ndarray:
-    inv_w = w_integrand(grid)
-    cum_inv_w = _cumulative_trapezoid(inv_w, grid)
-    v_vals = v_integrand(grid)
-    cum_v = _cumulative_trapezoid(v_vals, grid)
-    tail_v = cum_v[-1] - cum_v
-    return tail_v * cum_inv_w
-
-
-def compute_hardy_B(v_weight, w_weight, z_F: float = 1.0,
-                    grid: np.ndarray | None = None) -> float:
+def compute_hardy_B(v_weight, w_weight, z_F: float = 1.0) -> float:
     """Grid estimate of the weighted Poincare/Hardy constant.
 
     ``B = sup_z (int_z^{z_F} v)^{1/2} (int_0^z 1/w)^{1/2}``; weights are
     callables on the rescaled depth [0, 1].  The reported constant carries
     the physical scaling through ``z_F``.
     """
-    grid = _tail_grid() if grid is None else grid
-    product = _hardy_product(lambda u: np.asarray(v_weight(u), dtype=float),
-                             lambda u: 1.0 / np.maximum(np.asarray(w_weight(u), dtype=float), 1e-300),
-                             grid)
+    grid, cum_inv_w, _ = _inverse_integral(w_weight, 0.0, z_F)
+    return _hardy_constant(np.asarray(v_weight(grid), dtype=float), cum_inv_w, grid, z_F)
+
+
+def _hardy_constant(v_vals: np.ndarray, cum_inv_w: np.ndarray, grid: np.ndarray,
+                    z_F: float) -> float:
+    cum_v = _cumulative_trapezoid(v_vals, grid)
+    product = (cum_v[-1] - cum_v) * cum_inv_w
     coarse_mask = grid <= 1.0 - 1e-4
     sup_coarse = float(np.max(product[coarse_mask]))
     sup_full = float(np.max(product))
@@ -115,27 +112,28 @@ def compute_hardy_B(v_weight, w_weight, z_F: float = 1.0,
     return z_F * math.sqrt(sup_full)
 
 
-def compute_B0(d_profile, z_F: float = 1.0, grid: np.ndarray | None = None) -> float:
+def compute_B0(d_profile, z_F: float = 1.0) -> float:
     """Weighted Poincare constant for the diffusivity weight."""
-    return compute_hardy_B(lambda u: np.ones_like(u), d_profile, z_F, grid)
+    return compute_hardy_B(lambda u: np.ones_like(u), d_profile, z_F)
 
 
-def _integral_inv_d(d_profile, z_F: float) -> tuple[float, bool]:
-    """``z_F * int_0^1 1/D`` with a truncation-growth divergence flag.
+def _inverse_integral(weight, bottom: float, z_F: float) -> tuple:
+    """Running trapezoid integral of ``1/weight`` along the tail grid.
 
-    The graded grid stops at ``1 - 1e-8``; when the bottom diffusivity is
-    positive the last sliver is integrable and appended, so regular
-    profiles are not short-changed by the truncation.
+    Returns the grid, the running integral on it, and the pair of
+    ``z_F * int_0^1 1/weight`` and a truncation-growth divergence flag.
+    The graded grid stops at ``1 - 1e-8``; when the weight's ``bottom``
+    value at ``z = 1`` is positive the last sliver is integrable and enters
+    the total, so regular profiles are not short-changed by the truncation.
     """
     grid = _tail_grid()
-    if float(d_profile(1.0)) > 0.0:
-        grid = np.append(grid, 1.0)
-    inv_d = 1.0 / np.maximum(np.asarray(d_profile(grid), dtype=float), 1e-300)
-    cum = _cumulative_trapezoid(inv_d, grid)
-    coarse = float(cum[grid <= 1.0 - 1e-4][-1])
+    points = np.append(grid, 1.0) if bottom > 0.0 else grid
+    inv = 1.0 / np.maximum(np.asarray(weight(points), dtype=float), 1e-300)
+    cum = _cumulative_trapezoid(inv, points)
+    coarse = float(cum[:grid.size][grid <= 1.0 - 1e-4][-1])
     full = float(cum[-1])
     divergent = (not np.isfinite(full)) or full > (1.0 + _DIVERGENCE_GROWTH) * max(coarse, 1e-300)
-    return z_F * full, divergent
+    return grid, cum[:grid.size], (z_F * full, divergent)
 
 
 def compute_C0(f_profile, d_profile, z_F: float, lipschitz_L: float, B0: float) -> float:
@@ -145,23 +143,20 @@ def compute_C0(f_profile, d_profile, z_F: float, lipschitz_L: float, B0: float) 
     integral) when the bottom diffusivity is positive, the Lipschitz branch
     otherwise.
     """
-    return _trace_constant(f_profile, d_profile, lipschitz_L, B0,
-                           *_integral_inv_d(d_profile, z_F))
+    d_bottom = float(d_profile(1.0))
+    return _trace_constant(*_body_samples(f_profile, d_profile), d_bottom, lipschitz_L, B0,
+                           *_inverse_integral(d_profile, d_bottom, z_F)[2])
 
 
-def _trace_constant(f_profile, d_profile, lipschitz_L: float, B0: float,
-                    integral: float, divergent: bool) -> float:
-    grid = np.linspace(0.0, 1.0 - _TRUNC, 20001)
-    f_vals = np.asarray(f_profile(grid), dtype=float)
-    d_vals = np.asarray(d_profile(grid), dtype=float)
+def _trace_constant(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
+                    lipschitz_L: float, B0: float, integral: float, divergent: bool) -> float:
     if np.any(d_vals <= 0.0):
         raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
     ratio_sup = float(np.sqrt(np.max(f_vals / d_vals)))
-    if float(d_profile(1.0)) > 0.0:
+    if d_bottom > 0.0:
         if divergent:
             raise FirngasError("inverse-diffusivity integral diverges in the nondegenerate branch")
-        d_max = max(float(np.max(d_vals)), float(d_profile(1.0)))
-        return ratio_sup * d_max * integral
+        return ratio_sup * max(float(np.max(d_vals)), d_bottom) * integral
     return ratio_sup * lipschitz_L * B0**2
 
 
@@ -184,8 +179,8 @@ def compute_KG(d_profile, z_F: float, mcoef: float, c_D: float,
     ``"error"`` raises, ``"limit"`` uses the limiting value in which the
     integral term vanishes (the conservative choice for the step bound).
     """
-    return _defect_constant(*_integral_inv_d(d_profile, z_F), mcoef, c_D, L_delta,
-                            on_divergence)
+    inv_d = _inverse_integral(d_profile, float(d_profile(1.0)), z_F)[2]
+    return _defect_constant(*inv_d, mcoef, c_D, L_delta, on_divergence)
 
 
 def _defect_constant(integral: float, divergent: bool, mcoef: float, c_D: float,
@@ -234,14 +229,17 @@ def check_pd(matrix) -> PDVerdict:
 def continuity_coercivity_constants(f_profile, d_profile, context: RescaledContext,
                                     B0: float, C0: float) -> dict:
     """Indicative continuity and Garding-coercivity constants of the weak form."""
-    grid = np.linspace(0.0, 1.0 - _TRUNC, 20001)
-    f_vals = np.asarray(f_profile(grid), dtype=float)
-    d_vals = np.asarray(d_profile(grid), dtype=float)
+    return _continuity(*_body_samples(f_profile, d_profile), float(d_profile(1.0)),
+                       context, B0, C0)
+
+
+def _continuity(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
+                context: RescaledContext, B0: float, C0: float) -> dict:
     if np.any(f_vals <= 0.0) or np.any(d_vals <= 0.0):
         raise AssumptionError("(9)", "coefficient ratios unbounded on [0, 1)")
     sqrt_fd = float(np.sqrt(np.max(f_vals / d_vals)))
     sqrt_df = float(np.sqrt(np.max(d_vals / f_vals)))
-    sqrt_d_sup = float(np.sqrt(max(np.max(d_vals), float(d_profile(1.0)))))
+    sqrt_d_sup = float(np.sqrt(max(np.max(d_vals), d_bottom)))
     c_p = 2.0 * B0
     big_c = (1.0 + c_p * context.mcoef * sqrt_d_sup + context.gcoef * c_p**2
              + context.fcoef * sqrt_fd + context.fcoef * C0**2)
@@ -295,23 +293,20 @@ class StabilityReport:
 
 
 def build_report(f_profile, d_profile, mesh, context: RescaledContext,
-                 c_D: float = 1.0, dt: float | None = None) -> StabilityReport:
+                 c_D: float = 1.0) -> StabilityReport:
     """Run the full diagnostic pipeline for one configuration.
 
-    ``dt`` is the step used for the step-matrix verdict; by default the
-    auto-selected ``0.9 * dt_max``.
+    The step-matrix verdict is taken at the auto-selected ``0.9 * dt_max``.
     """
-    return plan_run(f_profile, d_profile, mesh, context, c_D,
-                    report_dt="auto" if dt is None else dt).report
+    return plan_run(f_profile, d_profile, mesh, context, c_D, report=True).report
 
 
 @dataclass
 class Plan:
     """Everything a run derives before its first step, each quantity once.
 
-    ``assumptions`` is the :func:`check_assumptions` record, node samples
-    included.  A forced run past a failed check has none: it runs on raw
-    node samples and knows the step bound only if it had to pick the step.
+    A forced run past a failed check runs on raw node samples and knows the
+    step bound ``dt_max`` only if it had to pick the step.
     """
 
     mesh: object
@@ -319,12 +314,6 @@ class Plan:
     f_nodes: np.ndarray
     d_nodes: np.ndarray
     dt: float
-    assumptions: dict | None = None
-    I_D: float | None = None
-    I_D_divergent: bool | None = None
-    f_underbar_h: float | None = None
-    L_delta: float | None = None
-    K_G: float | None = None
     dt_max: float | None = None
     report: StabilityReport | None = None
     _systems: dict = field(default_factory=dict, repr=False)
@@ -338,56 +327,58 @@ class Plan:
 
 
 def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 1.0,
-             dt="auto", force: bool = False, report_dt=None) -> Plan:
+             dt="auto", force: bool = False, report: bool = False) -> Plan:
     """Admissibility plan of one run.
 
     ``dt = "auto"`` becomes ``0.9 * dt_max``; a step above ``dt_max`` raises
-    :class:`TimeStepError` unless ``force``.  With ``report_dt`` (a step or
-    ``"auto"``) the plan carries the :class:`StabilityReport`, its
-    step-matrix verdict at that step; checks then fail in the report's order,
-    the step bound last.  Under ``force`` a failed check drops the report
-    and falls back to raw node samples, with the bound computed only to pick
-    an ``"auto"`` step.
+    :class:`TimeStepError` unless ``force``.  With ``report`` the plan
+    carries the :class:`StabilityReport`, its step-matrix verdict at the
+    auto step; checks then fail in the report's order, the step bound last.
+    The inverse-diffusivity integral is computed once, before the checks,
+    and also gives the report's B0; C0 and the continuity constants share
+    one sample of f and D.  Under ``force`` a failed check drops the report
+    and falls back to raw node samples, with the bound computed only to
+    pick an ``"auto"`` step.
     """
     auto = dt is None or dt == "auto"
+    d_bottom = float(d_profile(1.0))
+    grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
     try:
         assumptions = check_assumptions(f_profile, d_profile, mesh)
-        inv_d = _integral_inv_d(d_profile, context.z_F)
-        if report_dt is not None:
-            b0 = compute_B0(d_profile, context.z_F)
-            c0 = _trace_constant(f_profile, d_profile, assumptions["lipschitz_L"], b0, *inv_d)
+        if report:
+            b0 = _hardy_constant(np.ones_like(grid), cum_inv_d, grid, context.z_F)
+            f_vals, d_vals = _body_samples(f_profile, d_profile)
+            c0 = _trace_constant(f_vals, d_vals, d_bottom, assumptions["lipschitz_L"], b0, *inv_d)
         bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)
         auto_dt = _DT_SAFETY * bound["dt_max"]
         plan = Plan(mesh, context, assumptions["f_nodes"], assumptions["d_nodes"],
-                    auto_dt if auto else float(dt), assumptions, **bound)
-        if report_dt is not None:
-            system = plan.system(auto_dt if report_dt == "auto" else report_dt)
+                    auto_dt if auto else float(dt), bound["dt_max"])
+        if report:
+            system = plan.system(auto_dt)
             verdicts = {name: check_pd(getattr(system, name))
                         for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}
             plan.report = StabilityReport(
                 B0=b0, C0=c0, pd_verdicts=verdicts,
-                continuity=continuity_coercivity_constants(f_profile, d_profile, context,
-                                                           b0, c0),
+                continuity=_continuity(f_vals, d_vals, d_bottom, context, b0, c0),
                 **{key: assumptions[key]
                    for key in ("lipschitz_L", "ratio_sup_Df", "ratio_sup_fD")},
-                **{key: bound[key]
-                   for key in ("I_D", "I_D_divergent", "f_underbar_h", "K_G", "dt_max")})
+                **bound)
         if not (auto or force) and plan.dt > plan.dt_max:
             raise TimeStepError(plan.dt, plan.dt_max)
         return plan
     except FirngasError:
         if not force:
             raise
-    bound = _step_bound(f_profile, d_profile, mesh, context, c_D,
-                        _integral_inv_d(d_profile, context.z_F)) if auto else {}
+    dt_max = (_step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)["dt_max"]
+              if auto else None)
     return Plan(mesh, context, np.asarray(f_profile(mesh.nodes), dtype=float),
                 np.asarray(d_profile(mesh.nodes), dtype=float),
-                _DT_SAFETY * bound["dt_max"] if auto else float(dt), **bound)
+                _DT_SAFETY * dt_max if auto else float(dt), dt_max)
 
 
 def _step_bound(f_profile, d_profile, mesh, context: RescaledContext, c_D: float,
                 inv_d: tuple[float, bool]) -> dict:
-    """``f_underbar_h``, ``L_delta``, ``K_G`` and ``dt_max`` from the integral ``inv_d``."""
+    """The report's ``I_D``, ``f_underbar_h``, ``K_G`` and ``dt_max`` from the integral."""
     h = mesh.h_min
     f_underbar = compute_fh(f_profile, h)
     l_delta = estimate_lipschitz(d_profile, hi=1.0 - h, grid_points=4 * (mesh.n - 1) + 1)
@@ -395,4 +386,4 @@ def _step_bound(f_profile, d_profile, mesh, context: RescaledContext, c_D: float
     dt_max = compute_dt_max(h, context.z_F, context.T_e, context.fcoef, context.gcoef,
                             f_underbar, k_g)
     return {"I_D": inv_d[0], "I_D_divergent": inv_d[1], "f_underbar_h": f_underbar,
-            "L_delta": l_delta, "K_G": k_g, "dt_max": dt_max}
+            "K_G": k_g, "dt_max": dt_max}

@@ -4,8 +4,8 @@ Reads an INI config, runs the admissibility analysis and/or the
 implicit-Euler simulation, and emits byte-reproducible CSV / report files
 (17 significant digits, ``\\n`` line separators, ``.`` decimal point).
 
-Exit codes: 0 success, 1 I/O or parse error, 2 admissibility failure,
-3 numerical failure.
+Exit codes: 0 success, 1 I/O, parse or config-value error, 2 admissibility
+failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def cmd_run(config: RunConfig) -> int:
     """Run the simulation; write the trajectory CSV with an inline report."""
     plan = analysis.plan_run(config.f_profile, config.d_profile, config.mesh,
                              rescale(config.params), config.c_D, config.dt,
-                             config.force, report_dt="auto")
+                             config.force, report=True)
     trajectory = solver.run_plan(plan, config.atmosphere)
     with open(config.out or "trajectory.csv", "w", newline="\n") as handle:
         if plan.report is not None:
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args)
-    except (ConfigError, OSError) as exc:
+    except (FirngasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     command = (cmd_oracle_compare if args.oracle_compare

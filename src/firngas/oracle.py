@@ -3,7 +3,9 @@
 Everything here is deliberately redundant with :mod:`firngas.assembly`:
 per-element Gauss-Legendre quadrature instead of endpoint averages, dense
 LAPACK-backed linear algebra instead of band elimination.  Tests compare
-the two routes entry by entry.
+the two routes entry by entry.  The per-entry reference formulas live here
+too: closed-form hat inner products (:func:`exact_inner`) and their
+endpoint-average approximations (:func:`mvt_inner`).
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import Tridiagonal
-from .errors import SingularMatrixError, ValidationError
+from .errors import DomainError, SingularMatrixError, ValidationError
 
 __all__ = [
     "QuadratureRule",
+    "exact_inner",
+    "mvt_inner",
     "quad_inner",
     "assemble_reference",
     "dense_solve",
@@ -71,6 +75,94 @@ def _dhat(i: int, z: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         right = (z > nodes[i - 1]) & (z < nodes[i])
         out[right] = -1.0 / (nodes[i] - nodes[i - 1])
     return out
+
+
+def _check_indices(i: int, j: int, n: int):
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise DomainError(f"basis indices ({i}, {j}) out of range 1..{n}")
+
+
+def exact_inner(i: int, j: int, kind: str, mesh) -> float:
+    """Closed-form inner products of hat functions, 1-based indices.
+
+    ``kind`` is ``"phi_phi"`` for the plain product or ``"dphi_phi"`` for
+    derivative-times-function (derivative on the first index).
+    """
+    n = mesh.n
+    _check_indices(i, j, n)
+    el = mesh.element_lengths
+    if abs(i - j) > 1:
+        return 0.0
+    if kind == "phi_phi":
+        if i == j:
+            if i == 1:
+                return el[0] / 3.0
+            if i == n:
+                return el[n - 2] / 3.0
+            return (el[i - 2] + el[i - 1]) / 3.0
+        if j == i - 1:
+            return el[i - 2] / 6.0
+        return el[i - 1] / 6.0
+    if kind == "dphi_phi":
+        if i == j:
+            if i == 1:
+                return -0.5
+            if i == n:
+                return 0.5
+            return 0.0
+        if j == i - 1:
+            return 0.5
+        return -0.5
+    raise ValidationError(f"unknown exact inner-product kind {kind!r}")
+
+
+def mvt_inner(i: int, j: int, kind: str, weights, mesh) -> float:
+    """Endpoint-average approximations of weighted hat inner products.
+
+    ``weights`` are node samples of the weight; kinds are ``"w_phi_phi"``,
+    ``"w_dphi_phi"`` (derivative on the first index) and ``"w_dphi_dphi"``.
+    """
+    n = mesh.n
+    _check_indices(i, j, n)
+    w = np.asarray(weights, dtype=float)
+    if len(w) != n:
+        raise ValidationError("weight samples must be given at every node")
+    el = mesh.element_lengths
+    if abs(i - j) > 1:
+        return 0.0
+    if kind == "w_phi_phi":
+        if i == j:
+            if i == 1:
+                return (w[0] + w[1]) / 2.0 * el[0] / 3.0
+            if i == n:
+                return (w[n - 2] + w[n - 1]) / 2.0 * el[n - 2] / 3.0
+            return ((w[i - 1] + w[i]) / 2.0 * el[i - 1] / 3.0
+                    + (w[i - 2] + w[i - 1]) / 2.0 * el[i - 2] / 3.0)
+        if j == i - 1:
+            return (w[i - 2] + w[i - 1]) / 2.0 * el[i - 2] / 6.0
+        return (w[i - 1] + w[i]) / 2.0 * el[i - 1] / 6.0
+    if kind == "w_dphi_phi":
+        if i == j:
+            if i == 1:
+                return -(w[0] + w[1]) / 4.0
+            if i == n:
+                return (w[n - 2] + w[n - 1]) / 4.0
+            return (w[i - 2] - w[i]) / 4.0
+        if j == i - 1:
+            return (w[i - 2] + w[i - 1]) / 4.0
+        return -(w[i - 1] + w[i]) / 4.0
+    if kind == "w_dphi_dphi":
+        if i == j:
+            if i == 1:
+                return (w[0] + w[1]) / (2.0 * el[0])
+            if i == n:
+                return (w[n - 2] + w[n - 1]) / (2.0 * el[n - 2])
+            return ((w[i - 2] + w[i - 1]) / (2.0 * el[i - 2])
+                    + (w[i - 1] + w[i]) / (2.0 * el[i - 1]))
+        if j == i - 1:
+            return -(w[i - 2] + w[i - 1]) / (2.0 * el[i - 2])
+        return -(w[i - 1] + w[i]) / (2.0 * el[i - 1])
+    raise ValidationError(f"unknown weighted inner-product kind {kind!r}")
 
 
 def quad_inner(weight, i: int, j: int, mesh, rule: QuadratureRule | None = None,

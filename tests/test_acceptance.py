@@ -15,9 +15,10 @@ from firngas import analysis, assembly, oracle
 from firngas.analysis import compute_B0, compute_KG, compute_dt_max, compute_fh
 from firngas.assembly import (assemble_A, assemble_Kf, assemble_M, assemble_Mf,
                               assemble_S, assemble_system, assemble_v1,
-                              assemble_v3, exact_inner)
+                              assemble_v3)
 from firngas.mesh import build_uniform
 from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext
+from firngas.oracle import exact_inner
 from firngas.oracle import assemble_reference, min_symmetric_eigenvalue
 from firngas.solver import run
 

@@ -201,6 +201,21 @@ class TestBuildReport:
         assert "dt_max:" in text and text.endswith("\n")
         assert report.to_text() == build_report(DECAY, DECAY, build_uniform(11), ctx()).to_text()
 
+    def test_each_analysis_grid_sampled_once(self, monkeypatch):
+        """A report plan evaluates D once on the tail grid, f and D once each on the body grid."""
+        f, d = CoefficientProfile.affine(1.0, -1.0), CoefficientProfile.affine(1.0, -1.0)
+        calls = []
+        call = CoefficientProfile.__call__
+
+        def recording(profile, z):
+            calls.append(("f" if profile is f else "D", np.size(z)))
+            return call(profile, z)
+
+        monkeypatch.setattr(CoefficientProfile, "__call__", recording)
+        build_report(f, d, build_uniform(11), ctx())
+        assert calls.count(("D", analysis._tail_grid().size)) == 1
+        assert calls.count(("f", 20001)) == calls.count(("D", 20001)) == 1
+
     def test_json_flat_map(self):
         import json
         report = build_report(ONE, ONE, build_uniform(6), ctx())

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,17 @@ def write_config(tmp_path, f_kind="affine", d_kind="affine", atmosphere="ramp",
     return str(path)
 
 
+AFFINE = "kind = affine\nintercept = 1.0\nslope = -1.0"  # f's section, then D's
+
+
+def edit_config(path, old, new):
+    """Replace the first ``old`` in the config file at ``path`` by ``new``."""
+    text = Path(path).read_text()
+    assert old in text
+    Path(path).write_text(text.replace(old, new, 1))
+    return path
+
+
 class TestConfig:
     def test_missing_file(self, capsys):
         assert cli.main(["--config", "/nonexistent/run.ini"]) == cli.EXIT_IO
@@ -51,6 +64,23 @@ class TestConfig:
         assert config.mesh.n == 11
         assert config.dt == "auto"
         assert config.c_D == 1.0
+
+    @pytest.mark.parametrize("old, new, table", [
+        ("z_F = 1.0", "z_F = -1", None),
+        ("T = 250.0", "T = nan", None),
+        ("n = 11", "file = {table}", "0.0\n0.5\n2.0\n"),
+        ("kind = ramp", "kind = file\nfile = {table}", "0.0,1.0\n1.0,2.0\n"),
+        (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0\n0.5,0.5\n"),
+    ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
+            "sampled_short"])
+    def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
+        """A value a model constructor rejects while the config is read exits 1."""
+        table_path = tmp_path / "table.csv"
+        if table is not None:
+            table_path.write_text(table)
+        cfg = edit_config(write_config(tmp_path), old, new.format(table=table_path))
+        assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestInvalidOverrides:
@@ -168,6 +198,18 @@ class TestCmdCheck:
     def test_admissibility_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, f_kind="constant", f_value=-1.0)
         assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_ADMISSIBILITY
+
+    @pytest.mark.parametrize("n, code, message", [
+        ("101", cli.EXIT_ADMISSIBILITY, "assumption (9)"),
+        ("2002", cli.EXIT_NUMERICAL, "eigensolver capped"),
+    ])
+    def test_error_order(self, tmp_path, capsys, n, code, message):
+        """The (9) check runs after the PD verdicts, whose eigensolver cap fires first."""
+        table = tmp_path / "f.csv"
+        table.write_text("0,1\n0.9999,0\n1,0\n")  # f > 0 at interior nodes, 0 past 0.9999
+        cfg = edit_config(write_config(tmp_path), AFFINE, f"kind = sampled\nfile = {table}")
+        assert cli.main(["--config", cfg, "--check-only", "--n", n]) == code
+        assert message in capsys.readouterr().err
 
     def test_repeatable(self, tmp_path):
         cfg = write_config(tmp_path)
