@@ -3,7 +3,9 @@
 All constants are grid-estimated: suprema and minima are taken over dense
 sample grids, integrals use composite trapezoid with a graded tail towards
 the possibly singular bottom ``z = 1``.  They are indicative diagnostics,
-not sharp analytic values.
+not sharp analytic values.  The positive-definiteness verdicts are exact up
+to rounding: an O(n) inertia (Sturm) count on the symmetric tridiagonal part
+of each band matrix, with no size cap and numpy only.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import assembly, oracle
+from . import assembly
 from .errors import AssumptionError, FirngasError, TimeStepError, ValidationError
 from .model import RescaledContext
 
@@ -30,6 +32,7 @@ __all__ = [
     "compute_KG",
     "compute_dt_max",
     "check_pd",
+    "check_pd_all",
     "continuity_coercivity_constants",
     "build_report",
     "Plan",
@@ -39,6 +42,7 @@ __all__ = [
 _TRUNC = 1e-8          # truncation of singular integrands near z = 1
 _DIVERGENCE_GROWTH = 0.01  # >1% growth per truncation refinement -> divergent
 _DT_SAFETY = 0.9       # safety factor on the auto-selected time step
+_EPS = float(np.finfo(float).eps)
 
 
 def _tail_grid() -> np.ndarray:
@@ -216,14 +220,95 @@ class PDVerdict:
     min_eigenvalue: float
 
 
-def check_pd(matrix) -> PDVerdict:
-    """Positive definiteness of the symmetric part of a matrix."""
-    min_eig = oracle.min_symmetric_eigenvalue(matrix)
-    if isinstance(matrix, assembly.Tridiagonal):
-        scale = matrix.max_abs()
-    else:
-        scale = float(np.max(np.abs(matrix)))
-    return PDVerdict(bool(min_eig > 1e-12 * scale), min_eig)
+def check_pd(matrix: assembly.Tridiagonal) -> PDVerdict:
+    """Positive definiteness of the symmetric part of a band matrix."""
+    return check_pd_all({"": matrix})[""]
+
+
+def check_pd_all(matrices: dict) -> dict:
+    """:func:`check_pd` of each named band matrix of one dimension, in one batch.
+
+    A verdict holds when the smallest eigenvalue of the symmetric part
+    exceeds ``1e-12 * max|entry|``, so an all-zero matrix is not definite.
+    """
+    eigs = _min_sym_eigenvalues(list(matrices.values()))
+    return {name: PDVerdict(bool(eig > 1e-12 * matrix.max_abs()), float(eig))
+            for (name, matrix), eig in zip(matrices.items(), eigs)}
+
+
+_SHIFTS = 255        # shifts per matrix and sweep: the bracket shrinks 256-fold
+_ULPS = 4.0          # stop once the bracket is this many epsilons of its ends wide ...
+_FLOOR = 1e-18       # ... or about this fraction of max|T|, far below the PD threshold
+# The first bracket is at most 4 units of the scaled matrix wide, so 8 sweeps
+# reach the floor (256**8 > 4e18); the cap only guards against rounding.
+_MAX_SWEEPS = 16
+
+
+def _min_sym_eigenvalues(matrices: list) -> np.ndarray:
+    """Smallest eigenvalue of each ``(T + T^T) / 2`` by inertia-count multisection.
+
+    The symmetric part of a band matrix ``T`` is tridiagonal with diagonal
+    ``d`` and off-diagonal ``e = (sub + sup) / 2``.  By Sylvester's law of
+    inertia the number of negative LDL^T pivots of ``T - sigma I`` is the
+    number of eigenvalues below ``sigma`` (Demmel, Applied Numerical Linear
+    Algebra, 5.3); the smallest one is above ``sigma`` iff every pivot is
+    positive, and it lies in ``[min(d - |e_left| - |e_right|), min(d)]``
+    (Gershgorin and the Rayleigh quotient).  Each sweep tests
+    :data:`_SHIFTS` shifts spread over the bracket of every unfinished
+    matrix, all of them in one pass over the rows.  O(n) time and memory.
+    Each matrix is first scaled by a power of two to ``max|entry|`` in
+    ``[1, 2)``, without rounding, so that ``e**2`` cannot overflow, and can
+    underflow only where ``e`` is far below the floor.
+    """
+    d = np.stack([matrix.diag for matrix in matrices])
+    e = np.stack([(matrix.sub + matrix.sup) / 2.0 for matrix in matrices])
+    largest = np.maximum(np.max(np.abs(d), axis=1), np.max(np.abs(e), axis=1, initial=0.0))
+    scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)[:, None]
+    d, e = d / scale, e / scale
+    radius = np.zeros_like(d)
+    radius[:, 1:] += np.abs(e)
+    radius[:, :-1] += np.abs(e)
+    lo = np.min(d - radius, axis=1)
+    hi = np.min(d, axis=1)
+    fractions = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+    for _ in range(_MAX_SWEEPS):
+        tol = np.maximum(_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi)), _FLOOR)
+        rows = np.flatnonzero(hi - lo > tol)
+        if rows.size == 0:
+            break
+        sigma = lo[rows, None] + (hi - lo)[rows, None] * fractions
+        at_or_above = _has_nonpositive_pivot(d[rows], e[rows] ** 2, sigma)
+        # The eigenvalue lies between the last shift below it and the first
+        # at or above it; the bracket ends stand in where there is none.
+        first = np.where(at_or_above.any(axis=1), np.argmax(at_or_above, axis=1), _SHIFTS)
+        shifts = np.column_stack([lo[rows], sigma, hi[rows]])
+        picked = np.arange(rows.size)
+        lo[rows] = shifts[picked, first]
+        hi[rows] = shifts[picked, first + 1]
+    return (lo + hi) / 2.0 * scale[:, 0]
+
+
+def _has_nonpositive_pivot(d: np.ndarray, e2: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Whether ``T - sigma I`` has an LDL^T pivot ``<= 0``, per matrix and shift.
+
+    ``d`` and ``e2`` hold each matrix's diagonal and squared off-diagonal in
+    a row; the pivots ``q_i = d_i - sigma - e2_{i-1} / q_{i-1}`` run over
+    the columns of ``sigma``.  Only the pivots up to the first nonpositive
+    one matter: after a zero the next pivot is infinite, and a ``0 / 0``
+    NaN is skipped by ``fmin``.
+    """
+    d_cols = d.T[:, :, None].copy()
+    e2_cols = e2.T[:, :, None].copy()
+    q = d_cols[0] - sigma
+    lowest = q.copy()
+    ratio = np.empty_like(q)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for d_i, e2_i in zip(d_cols[1:], e2_cols):
+            np.divide(e2_i, q, out=ratio)
+            np.subtract(d_i, sigma, out=q)
+            q -= ratio
+            np.fmin(lowest, q, out=lowest)
+    return lowest <= 0.0
 
 
 def continuity_coercivity_constants(f_profile, d_profile, context: RescaledContext,
@@ -355,8 +440,8 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
                     auto_dt if auto else float(dt), bound["dt_max"])
         if report:
             system = plan.system(auto_dt)
-            verdicts = {name: check_pd(getattr(system, name))
-                        for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}
+            verdicts = check_pd_all({name: getattr(system, name)
+                                    for name in ("M", "Mf", "Kf", "A", "S", "B", "V")})
             plan.report = StabilityReport(
                 B0=b0, C0=c0, pd_verdicts=verdicts,
                 continuity=_continuity(f_vals, d_vals, d_bottom, context, b0, c0),

@@ -222,10 +222,10 @@ def cmd_oracle_compare(config: RunConfig) -> int:
                      f"{expected:g},{str(passed).lower()}")
     f_nodes = config.f_profile(config.mesh.nodes)
     d_nodes = config.d_profile(config.mesh.nodes)
-    for name, band in (("M", assembly.assemble_M(config.mesh)),
-                       ("Mf", assembly.assemble_Mf(config.mesh, f_nodes)),
-                       ("S", assembly.assemble_S(config.mesh, d_nodes))):
-        verdict = analysis.check_pd(band)
+    verdicts = analysis.check_pd_all({"M": assembly.assemble_M(config.mesh),
+                                      "Mf": assembly.assemble_Mf(config.mesh, f_nodes),
+                                      "S": assembly.assemble_S(config.mesh, d_nodes)})
+    for name, verdict in verdicts.items():
         lines.append(f"# pd_{name}: {str(verdict.positive_definite).lower()} "
                      f"(min_sym_eig {verdict.min_eigenvalue:.17g})")
     _emit("\n".join(lines) + "\n", config.out)

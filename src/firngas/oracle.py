@@ -5,7 +5,11 @@ per-element Gauss-Legendre quadrature instead of endpoint averages, dense
 LAPACK-backed linear algebra instead of band elimination.  Tests compare
 the two routes entry by entry.  The per-entry reference formulas live here
 too: closed-form hat inner products (:func:`exact_inner`) and their
-endpoint-average approximations (:func:`mvt_inner`).
+endpoint-average approximations (:func:`mvt_inner`).  The dense eigensolver
+(:func:`min_symmetric_eigenvalue`, capped at dimension 2000) is the
+reference the tests hold the O(n) positive-definiteness verdicts of
+:mod:`firngas.analysis` to; the report and the time loop never call into
+this module.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ __all__ = ["Trajectory", "factor_tridiagonal", "solve_tridiagonal", "step", "run
 
 _PIVOT_TOL = 1e-13  # relative pivot-magnitude guard for the unpivoted path
 _EPS = float(np.finfo(float).eps)
+_CSV_BLOCK = 1024   # levels formatted per write: bounded memory, few calls
 
 
 def _rhs_list(rhs, dim: int) -> list:
@@ -205,13 +206,16 @@ class Trajectory:
         levels = list(range(0, self.n_levels, stride))
         if levels[-1] != self.n_levels - 1:
             levels.append(self.n_levels - 1)
+        row_format = ",".join(["%.17g"] * (self.mesh.n + 1)) + "\n"
 
         def _dump(handle):
             coords = ",".join(f"{z:.17g}" for z in self.mesh.nodes)
             handle.write(f"t,{coords}\n")
-            for k in levels:
-                row = ",".join(f"{v:.17g}" for v in self.reconstruct_full(k))
-                handle.write(f"{self.times[k]:.17g},{row}\n")
+            for start in range(0, len(levels), _CSV_BLOCK):
+                block = levels[start:start + _CSV_BLOCK]
+                rows = np.column_stack([self.times[block], self.boundary[block],
+                                        self.interior[block]])
+                handle.write("".join([row_format % tuple(row) for row in rows.tolist()]))
 
         if hasattr(path, "write"):
             _dump(path)

@@ -2,20 +2,77 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from firngas import analysis
-from firngas.analysis import (build_report, check_assumptions, check_pd,
+from firngas import analysis, oracle
+from firngas.analysis import (build_report, check_assumptions, check_pd, check_pd_all,
                               compute_B0, compute_C0, compute_KG, compute_dt_max,
                               compute_fh, compute_hardy_B,
                               continuity_coercivity_constants,
                               estimate_lipschitz)
-from firngas.assembly import assemble_M, assemble_S
+from firngas.assembly import Tridiagonal, assemble_M, assemble_S, assemble_system
 from firngas.errors import AssumptionError, FirngasError, ValidationError
 from firngas.mesh import build_uniform
 from firngas.model import CoefficientProfile, RescaledContext
 
 ONE = CoefficientProfile.constant(1.0)
 DECAY = CoefficientProfile.affine(1.0, -1.0)  # 1 - z
+SEVEN = ("M", "Mf", "Kf", "A", "S", "B", "V")
+
+# Deterministic property tests: the same examples on every run, no database.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def tridiagonals(draw):
+    """Non-symmetric bands: random, zero, with a skew off-diagonal, or singular.
+
+    The singular kind has a weighted path Laplacian, whose null vector is
+    the constant, as its symmetric part.
+    """
+    m = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "zero", "diagonal", "singular"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-200, 200)
+    sub, diag, sup = (scale * rng.normal(size=k) for k in (m - 1, m, m - 1))
+    if kind == "zero":
+        sub, diag, sup = np.zeros(m - 1), np.zeros(m), np.zeros(m - 1)
+    elif kind == "diagonal":
+        sup = -sub
+    elif kind == "singular":
+        w = scale * rng.uniform(0.1, 1.0, m - 1)
+        diag = np.zeros(m)
+        diag[1:] += w
+        diag[:-1] += w
+        sub, sup = -w + sub, -w - sub
+    return Tridiagonal(sub, diag, sup)
+
+
+@st.composite
+def power_law_systems(draw):
+    """The seven matrices of admissible pairs ``f = (1-z)^p``, ``D = (1-z)^q``.
+
+    The step ``dt`` spans six decades, so ``V`` is not always definite.
+    """
+    mesh = build_uniform(draw(st.integers(3, 60)))
+    context = RescaledContext(T_e=draw(st.floats(0.5, 50.0)), z_F=draw(st.floats(0.5, 100.0)),
+                              mcoef=draw(st.floats(0.0, 0.1)), gcoef=draw(st.floats(0.0, 2.0)),
+                              fcoef=draw(st.floats(0.0, 2.0)))
+    system = assemble_system(mesh, (1.0 - mesh.nodes) ** draw(st.floats(1.0, 3.0)),
+                             (1.0 - mesh.nodes) ** draw(st.floats(1.0, 3.0)), context,
+                             10.0 ** draw(st.floats(-6.0, 0.0)))
+    return {name: getattr(system, name) for name in SEVEN}
+
+
+def assert_matches_dense(verdicts, matrices):
+    """Same verdict as the dense eigensolver, eigenvalue within its rounding."""
+    for name, matrix in matrices.items():
+        dense = oracle.min_symmetric_eigenvalue(matrix)
+        got = verdicts[name]
+        assert got.positive_definite == (dense > 1e-12 * matrix.max_abs()), name
+        tol = 1e-9 * abs(dense) + 10.0 * np.finfo(float).eps * matrix.max_abs()
+        assert abs(got.min_eigenvalue - dense) <= tol, (name, got.min_eigenvalue, dense)
 
 
 def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0, z_F=1.0, T_e=1.0):
@@ -161,13 +218,40 @@ class TestCheckPd:
         assert verdict.positive_definite and verdict.min_eigenvalue > 0.0
 
     def test_indefinite(self):
-        verdict = check_pd(np.diag([1.0, -1.0]))
+        verdict = check_pd(Tridiagonal([0.0], [1.0, -1.0], [0.0]))
         assert not verdict.positive_definite
 
     def test_degenerate_stiffness(self):
         mesh = build_uniform(20)
         verdict = check_pd(assemble_S(mesh, 1.0 - mesh.nodes))
         assert verdict.positive_definite
+
+    @pytest.mark.parametrize("sub, diag, sup, min_eig", [
+        ([], [5.0], [], 5.0),
+        ([], [0.0], [], 0.0),
+        ([0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0], 0.0),
+        ([-1.0], [0.0, 0.0], [1.0], 0.0),   # skew: the symmetric part is zero
+        ([0.5], [2.0, 3.0], [-0.5], 2.0),   # skew coupling: the diagonal is exact
+    ])
+    def test_exact_from_the_bracket(self, sub, diag, sup, min_eig):
+        assert check_pd(Tridiagonal(sub, diag, sup)).min_eigenvalue == min_eig
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_singular_is_not_definite(self, scale):
+        # e**2 would underflow or overflow without the power-of-two scaling.
+        verdict = check_pd(Tridiagonal([scale], [scale, scale], [scale]))
+        assert not verdict.positive_definite
+        assert abs(verdict.min_eigenvalue) <= 4.0 * np.finfo(float).eps * scale
+
+    @PROPERTY
+    @given(tridiagonals())
+    def test_matches_dense_on_random_bands(self, band):
+        assert_matches_dense({"T": check_pd(band)}, {"T": band})
+
+    @PROPERTY
+    @given(power_law_systems())
+    def test_matches_dense_on_power_law_systems(self, matrices):
+        assert_matches_dense(check_pd_all(matrices), matrices)
 
 
 class TestContinuityCoercivity:

@@ -201,15 +201,24 @@ class TestCmdCheck:
 
     @pytest.mark.parametrize("n, code, message", [
         ("101", cli.EXIT_ADMISSIBILITY, "assumption (9)"),
-        ("2002", cli.EXIT_NUMERICAL, "eigensolver capped"),
+        ("2002", cli.EXIT_ADMISSIBILITY, "assumption (9)"),
     ])
     def test_error_order(self, tmp_path, capsys, n, code, message):
-        """The (9) check runs after the PD verdicts, whose eigensolver cap fires first."""
+        """The (9) check runs after the PD verdicts, which have no size cap."""
         table = tmp_path / "f.csv"
         table.write_text("0,1\n0.9999,0\n1,0\n")  # f > 0 at interior nodes, 0 past 0.9999
         cfg = edit_config(write_config(tmp_path), AFFINE, f"kind = sampled\nfile = {table}")
         assert cli.main(["--config", cfg, "--check-only", "--n", n]) == code
         assert message in capsys.readouterr().err
+
+    def test_readme_config_past_dense_size(self, tmp_path, capsys):
+        """n = 5001 certifies all seven matrices; only B, which vanishes as f(1) = 0, fails."""
+        cfg = write_config(tmp_path, z_F=80.0, T_e=30.0)
+        assert cli.main(["--config", cfg, "--check-only", "--n", "5001"]) == cli.EXIT_OK
+        report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        verdicts = {key: value for key, value in report.items() if key.startswith("pd_")}
+        assert verdicts == {f"pd_{name}": "false" if name == "B" else "true"
+                            for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}
 
     def test_repeatable(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,9 +1,11 @@
-"""Import-time budget: the package and its CLI load without scipy.
+"""Import-time budget and the production path: no scipy, no oracle.
 
 scipy adds about 0.3-0.4 s and 27 MB of resident memory to ``import
 firngas.cli``, which would dominate the start-up time and the peak memory of
-short runs.  The check runs in a fresh interpreter so that other tests'
-imports cannot mask or cause a failure.
+short runs.  The dense verification oracle is for tests only: ``import
+firngas`` does not load it, and the report never calls its eigensolver.  The
+import checks run in a fresh interpreter so that other tests' imports cannot
+mask or cause a failure.
 """
 
 import os
@@ -11,14 +13,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+from firngas import analysis, cli, oracle
+from firngas.model import rescale
+from test_cli import write_config
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def test_package_and_cli_import_without_scipy():
+def _fresh_output(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    code = ("import sys, firngas, firngas.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_package_and_cli_import_without_scipy():
+    assert _fresh_output("import sys, firngas, firngas.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+                         ) == "[]"
+
+
+def test_package_import_leaves_oracle_unloaded():
+    assert _fresh_output("import sys, firngas; print('firngas.oracle' in sys.modules)") == "False"
+
+
+def test_report_path_never_calls_dense_eigensolver(tmp_path, monkeypatch, capsys):
+    def refuse(matrix):
+        raise AssertionError("dense eigensolver called on the report path")
+
+    monkeypatch.setattr(oracle, "min_symmetric_eigenvalue", refuse)
+    path = write_config(tmp_path, z_F=80.0, T_e=30.0, n=101)
+    config = cli.load_config(path)
+    report = analysis.build_report(config.f_profile, config.d_profile, config.mesh,
+                                   rescale(config.params), c_D=config.c_D)
+    assert report.pd_verdicts["V"].positive_definite
+    assert cli.main(["--config", path, "--check-only"]) == cli.EXIT_OK
+    assert "pd_V: true" in capsys.readouterr().out

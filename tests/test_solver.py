@@ -198,6 +198,28 @@ class TestTrajectory:
         assert lines[-1].split(",")[0] == "1"
         assert len(lines) < traj.n_levels + 1
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path, stride):
+        # Edge values of 17-digit text, across several write blocks; the
+        # reference formats each value of each reconstructed row on its own.
+        special = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1.0 / 3.0, 2.0**52 + 1.0,
+                   1e-5, 123456789.12345678, 1e16, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(3)
+        mesh = build_uniform(6)
+        levels = 2500
+        interior = rng.choice(special, size=(levels, 5)) * rng.choice([1.0, 1.7], (levels, 5))
+        interior[0] = 0.0
+        traj = Trajectory(times=np.cumsum(np.r_[0.0, rng.uniform(1e-9, 1.0, levels - 1)]),
+                          interior=interior, boundary=rng.choice(special, levels), mesh=mesh)
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path, stride=stride)
+        kept = list(range(0, levels, stride))
+        kept += [levels - 1] if kept[-1] != levels - 1 else []
+        want = "t," + ",".join(f"{z:.17g}" for z in mesh.nodes) + "\n" + "".join(
+            f"{traj.times[k]:.17g}," + ",".join(f"{v:.17g}" for v in traj.reconstruct_full(k))
+            + "\n" for k in kept)
+        assert path.read_bytes() == want.encode()
+
 
 class TestRun:
     def test_zero_forcing_exactly_zero(self):
