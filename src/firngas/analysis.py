@@ -4,8 +4,8 @@ All constants are grid-estimated: suprema and minima are taken over dense
 sample grids, integrals use composite trapezoid with a graded tail towards
 the possibly singular bottom ``z = 1``.  They are indicative diagnostics,
 not sharp analytic values.  The positive-definiteness verdicts are exact up
-to rounding: an O(n) inertia (Sturm) count on the symmetric tridiagonal part
-of each band matrix, with no size cap and numpy only.
+to rounding: bisection on an O(n) odd-even reduction inertia test of the
+symmetric tridiagonal part of each band matrix, with no size cap.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _tail_grid() -> np.ndarray:
     """Uniform grid on [0, 0.9] plus a log-graded tail towards 1 - 1e-8."""
     body = np.linspace(0.0, 0.9, 20001)
     tail = 1.0 - np.logspace(-1, math.log10(_TRUNC), 5000)
-    return np.unique(np.concatenate([body, tail]))
+    return np.concatenate([body, tail[tail > body[-1]]])
 
 
 def _body_samples(f_profile, d_profile) -> tuple[np.ndarray, np.ndarray]:
@@ -236,78 +236,70 @@ def check_pd_all(matrices: dict) -> dict:
             for (name, matrix), eig in zip(matrices.items(), eigs)}
 
 
-_SHIFTS = 255        # shifts per matrix and sweep: the bracket shrinks 256-fold
 _ULPS = 4.0          # stop once the bracket is this many epsilons of its ends wide ...
 _FLOOR = 1e-18       # ... or about this fraction of max|T|, far below the PD threshold
-# The first bracket is at most 4 units of the scaled matrix wide, so 8 sweeps
-# reach the floor (256**8 > 4e18); the cap only guards against rounding.
-_MAX_SWEEPS = 16
+_MAX_SWEEPS = 62     # halvings that take the first bracket, under 4 wide, below the floor
 
 
 def _min_sym_eigenvalues(matrices: list) -> np.ndarray:
-    """Smallest eigenvalue of each ``(T + T^T) / 2`` by inertia-count multisection.
+    """Smallest eigenvalue of each ``(T + T^T) / 2`` by bisection on a definiteness test.
 
     The symmetric part of a band matrix ``T`` is tridiagonal with diagonal
-    ``d`` and off-diagonal ``e = (sub + sup) / 2``.  By Sylvester's law of
-    inertia the number of negative LDL^T pivots of ``T - sigma I`` is the
-    number of eigenvalues below ``sigma`` (Demmel, Applied Numerical Linear
-    Algebra, 5.3); the smallest one is above ``sigma`` iff every pivot is
-    positive, and it lies in ``[min(d - |e_left| - |e_right|), min(d)]``
-    (Gershgorin and the Rayleigh quotient).  Each sweep tests
-    :data:`_SHIFTS` shifts spread over the bracket of every unfinished
-    matrix, all of them in one pass over the rows.  O(n) time and memory.
+    ``d`` and off-diagonal ``e = (sub + sup) / 2``.  Its smallest
+    eigenvalue lies in ``[min(d - |e_left| - |e_right|), min(d)]``
+    (Gershgorin and the Rayleigh quotient) and is above ``sigma`` iff
+    ``T - sigma I`` is definite.  Each step halves the bracket of every
+    unfinished matrix, all tested in one :func:`_has_nonpositive_pivot`.
     Each matrix is first scaled by a power of two to ``max|entry|`` in
     ``[1, 2)``, without rounding, so that ``e**2`` cannot overflow, and can
     underflow only where ``e`` is far below the floor.
     """
     d = np.stack([matrix.diag for matrix in matrices])
-    e = np.stack([(matrix.sub + matrix.sup) / 2.0 for matrix in matrices])
-    largest = np.maximum(np.max(np.abs(d), axis=1), np.max(np.abs(e), axis=1, initial=0.0))
+    e = np.abs(np.stack([(matrix.sub + matrix.sup) / 2.0 for matrix in matrices]))
+    largest = np.maximum(np.max(np.abs(d), axis=1), np.max(e, axis=1, initial=0.0))
     scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)[:, None]
-    d, e = d / scale, e / scale
-    radius = np.zeros_like(d)
-    radius[:, 1:] += np.abs(e)
-    radius[:, :-1] += np.abs(e)
-    lo = np.min(d - radius, axis=1)
+    d /= scale
+    e /= scale
+    lo = np.min(d - np.pad(e, ((0, 0), (1, 0))) - np.pad(e, ((0, 0), (0, 1))), axis=1)
     hi = np.min(d, axis=1)
-    fractions = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+    e2 = np.square(e, out=e)
     for _ in range(_MAX_SWEEPS):
         tol = np.maximum(_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi)), _FLOOR)
         rows = np.flatnonzero(hi - lo > tol)
         if rows.size == 0:
             break
-        sigma = lo[rows, None] + (hi - lo)[rows, None] * fractions
-        at_or_above = _has_nonpositive_pivot(d[rows], e[rows] ** 2, sigma)
-        # The eigenvalue lies between the last shift below it and the first
-        # at or above it; the bracket ends stand in where there is none.
-        first = np.where(at_or_above.any(axis=1), np.argmax(at_or_above, axis=1), _SHIFTS)
-        shifts = np.column_stack([lo[rows], sigma, hi[rows]])
-        picked = np.arange(rows.size)
-        lo[rows] = shifts[picked, first]
-        hi[rows] = shifts[picked, first + 1]
+        sigma = (lo[rows] + hi[rows]) / 2.0
+        at_or_above = _has_nonpositive_pivot(d[rows] - sigma[:, None], e2[rows])
+        hi[rows[at_or_above]] = sigma[at_or_above]
+        lo[rows[~at_or_above]] = sigma[~at_or_above]
     return (lo + hi) / 2.0 * scale[:, 0]
 
 
-def _has_nonpositive_pivot(d: np.ndarray, e2: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Whether ``T - sigma I`` has an LDL^T pivot ``<= 0``, per matrix and shift.
+def _has_nonpositive_pivot(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether a symmetric tridiagonal has an LDL^T pivot ``<= 0``, by odd-even reduction.
 
-    ``d`` and ``e2`` hold each matrix's diagonal and squared off-diagonal in
-    a row; the pivots ``q_i = d_i - sigma - e2_{i-1} / q_{i-1}`` run over
-    the columns of ``sigma``.  Only the pivots up to the first nonpositive
-    one matter: after a zero the next pivot is infinite, and a ``0 / 0``
-    NaN is skipped by ``fmin``.
+    ``a`` and ``c`` hold each matrix's diagonal and squared off-diagonal in
+    a row.  By Sylvester's law of inertia the pivots may be taken in any
+    order (Demmel, Applied Numerical Linear Algebra, 5.3).  Each level
+    pivots on its even-indexed unknowns, which couple only to odd ones, and
+    leaves the odd ones a tridiagonal Schur complement (Buzbee, Golub and
+    Nielson, SIAM J. Numer. Anal. 7, 1970): ``a'_k = a_{2k+1} -
+    c_{2k} / a_{2k} - c_{2k+1} / a_{2k+2}``, ``c'_k = c_{2k+1} c_{2k+2} /
+    a_{2k+2}**2``.  A Schur complement of a definite matrix is definite, so
+    every diagonal entry of every level is tested: an overflow to ``-inf``
+    is caught before it can meet a zero, a NaN only follows a nonpositive
+    entry, and ``fmin`` skips it.
     """
-    d_cols = d.T[:, :, None].copy()
-    e2_cols = e2.T[:, :, None].copy()
-    q = d_cols[0] - sigma
-    lowest = q.copy()
-    ratio = np.empty_like(q)
+    lowest = np.min(a, axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for d_i, e2_i in zip(d_cols[1:], e2_cols):
-            np.divide(e2_i, q, out=ratio)
-            np.subtract(d_i, sigma, out=q)
-            q -= ratio
-            np.fmin(lowest, q, out=lowest)
+        while a.shape[1] > 1:
+            half = a.shape[1] // 2
+            left = c[:, 0::2] / a[:, 0:2 * half:2]
+            right = c[:, 1::2] / a[:, 2::2]
+            a = a[:, 1::2] - left
+            a[:, :right.shape[1]] -= right
+            c = right[:, :half - 1] * left[:, 1:]
+            np.fmin(lowest, np.min(a, axis=1), out=lowest)
     return lowest <= 0.0
 
 
@@ -381,7 +373,7 @@ def build_report(f_profile, d_profile, mesh, context: RescaledContext,
                  c_D: float = 1.0) -> StabilityReport:
     """Run the full diagnostic pipeline for one configuration.
 
-    The step-matrix verdict is taken at the auto-selected ``0.9 * dt_max``.
+    The step-matrix verdict is taken at the auto-selected ``min(0.9 * dt_max, 1)``.
     """
     return plan_run(f_profile, d_profile, mesh, context, c_D, report=True).report
 
@@ -415,10 +407,11 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
              dt="auto", force: bool = False, report: bool = False) -> Plan:
     """Admissibility plan of one run.
 
-    ``dt = "auto"`` becomes ``0.9 * dt_max``; a step above ``dt_max`` raises
-    :class:`TimeStepError` unless ``force``.  With ``report`` the plan
-    carries the :class:`StabilityReport`, its step-matrix verdict at the
-    auto step; checks then fail in the report's order, the step bound last.
+    ``dt = "auto"`` becomes ``min(0.9 * dt_max, 1)``; a step above
+    ``dt_max`` raises :class:`TimeStepError` unless ``force``.  With
+    ``report`` the plan carries the :class:`StabilityReport`, its
+    step-matrix verdict at the auto step; checks then fail in the report's
+    order, the step bound last.
     The inverse-diffusivity integral is computed once, before the checks,
     and also gives the report's B0; C0 and the continuity constants share
     one sample of f and D.  Under ``force`` a failed check drops the report
@@ -434,8 +427,9 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
             b0 = _hardy_constant(np.ones_like(grid), cum_inv_d, grid, context.z_F)
             f_vals, d_vals = _body_samples(f_profile, d_profile)
             c0 = _trace_constant(f_vals, d_vals, d_bottom, assumptions["lipschitz_L"], b0, *inv_d)
+        del grid, cum_inv_d
         bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)
-        auto_dt = _DT_SAFETY * bound["dt_max"]
+        auto_dt = _auto_step(bound["dt_max"])
         plan = Plan(mesh, context, assumptions["f_nodes"], assumptions["d_nodes"],
                     auto_dt if auto else float(dt), bound["dt_max"])
         if report:
@@ -458,7 +452,12 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
               if auto else None)
     return Plan(mesh, context, np.asarray(f_profile(mesh.nodes), dtype=float),
                 np.asarray(d_profile(mesh.nodes), dtype=float),
-                _DT_SAFETY * dt_max if auto else float(dt), dt_max)
+                _auto_step(dt_max) if auto else float(dt), dt_max)
+
+
+def _auto_step(dt_max: float) -> float:
+    """The ``"auto"`` step: ``0.9 * dt_max``, at most the unit time interval."""
+    return min(_DT_SAFETY * dt_max, 1.0)
 
 
 def _step_bound(f_profile, d_profile, mesh, context: RescaledContext, c_D: float,

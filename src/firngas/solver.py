@@ -229,8 +229,8 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
     """Full implicit-Euler run on the rescaled unit time interval.
 
     ``dt`` is either a number or ``"auto"`` (0.9 times the computed step
-    bound).  Admissibility failures and steps above the bound abort unless
-    ``force`` is set; see :func:`firngas.analysis.plan_run`.
+    bound, at most 1).  Admissibility failures and steps above the bound
+    abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
     """
     return run_plan(analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force),
                     atmosphere)

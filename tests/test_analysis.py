@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firngas import analysis, oracle
+from firngas import analysis, cli, oracle
 from firngas.analysis import (build_report, check_assumptions, check_pd, check_pd_all,
                               compute_B0, compute_C0, compute_KG, compute_dt_max,
                               compute_fh, compute_hardy_B,
                               continuity_coercivity_constants,
-                              estimate_lipschitz)
+                              estimate_lipschitz, plan_run)
 from firngas.assembly import Tridiagonal, assemble_M, assemble_S, assemble_system
 from firngas.errors import AssumptionError, FirngasError, ValidationError
 from firngas.mesh import build_uniform
-from firngas.model import CoefficientProfile, RescaledContext
+from firngas.model import CoefficientProfile, RescaledContext, rescale
+from test_cli import write_config
 
 ONE = CoefficientProfile.constant(1.0)
 DECAY = CoefficientProfile.affine(1.0, -1.0)  # 1 - z
@@ -26,20 +27,34 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 @st.composite
 def tridiagonals(draw):
-    """Non-symmetric bands: random, zero, with a skew off-diagonal, or singular.
+    """Non-symmetric bands of dimension 1 to 300: random, zero, skew, sparse, graded, singular.
 
-    The singular kind has a weighted path Laplacian, whose null vector is
-    the constant, as its symmetric part.
+    Every ``2**k`` and ``2**k +- 1`` up to 257 is drawn as well, so odd-even
+    reduction runs up to eight levels on both parities.  The skew kind has a
+    zero symmetric off-diagonal, and the sparse kind zeroes it at random
+    positions.  The graded kind has a positive diagonal over 30 decades and
+    couplings at most a third of the geometric mean of their neighbours, so
+    it is definite.  The singular kind has a weighted path Laplacian, whose
+    null vector is the constant, as its symmetric part.
     """
-    m = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["random", "zero", "diagonal", "singular"]))
+    m = draw(st.one_of(st.integers(1, 300),
+                       st.sampled_from([2**k + j for k in range(1, 9) for j in (-1, 0, 1)])))
+    kind = draw(st.sampled_from(["random", "zero", "skew", "sparse", "graded", "singular"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** rng.uniform(-200, 200)
     sub, diag, sup = (scale * rng.normal(size=k) for k in (m - 1, m, m - 1))
     if kind == "zero":
         sub, diag, sup = np.zeros(m - 1), np.zeros(m), np.zeros(m - 1)
-    elif kind == "diagonal":
+    elif kind == "skew":
         sup = -sub
+    elif kind == "sparse":
+        decoupled = rng.random(m - 1) < rng.uniform(0.1, 0.9)
+        sub[decoupled] = 0.0
+        sup[decoupled] = 0.0
+    elif kind == "graded":
+        diag = scale * 10.0 ** np.sort(rng.uniform(-30.0, 0.0, m))[::-1]
+        coupling = rng.uniform(-1.0, 1.0, m - 1) * np.sqrt(diag[:-1]) * np.sqrt(diag[1:]) / 3.0
+        sub, sup = coupling + sub, coupling - sub
     elif kind == "singular":
         w = scale * rng.uniform(0.1, 1.0, m - 1)
         diag = np.zeros(m)
@@ -252,6 +267,40 @@ class TestCheckPd:
     @given(power_law_systems())
     def test_matches_dense_on_power_law_systems(self, matrices):
         assert_matches_dense(check_pd_all(matrices), matrices)
+
+    def test_matches_dense_on_readme_config(self, tmp_path):
+        """The seven step matrices of the README config at n = 513: nine reduction levels."""
+        config = cli.load_config(write_config(tmp_path, z_F=80.0, T_e=30.0, n=513))
+        plan = plan_run(config.f_profile, config.d_profile, config.mesh,
+                        rescale(config.params), config.c_D)
+        system = plan.system(plan.dt)
+        matrices = {name: getattr(system, name) for name in SEVEN}
+        assert system.V.dim == 512
+        assert_matches_dense(check_pd_all(matrices), matrices)
+
+
+# No removal and no advection give dt_max = inf; T_e = 0.001 gives dt_max = 4.2.
+LARGE_BOUND = {"inf": ctx(gcoef=0.0, fcoef=0.0), "4.2": ctx(T_e=0.001)}
+
+
+class TestAutoStep:
+    """``dt = "auto"`` is ``0.9 * dt_max`` capped at the unit time interval."""
+
+    @pytest.mark.parametrize("name", LARGE_BOUND)
+    def test_checked_plan(self, name):
+        plan = plan_run(DECAY, DECAY, build_uniform(11), LARGE_BOUND[name], report=True)
+        assert plan.dt == 1.0
+        assert plan.report.dt_max == plan.dt_max > 1.0 / 0.9
+        assert plan.report.pd_verdicts["V"].positive_definite
+
+    @pytest.mark.parametrize("name", LARGE_BOUND)
+    def test_forced_fallback(self, name):
+        capped = CoefficientProfile.affine(1.0, -1.0, upper_bound=0.5)  # fails (5)
+        with pytest.raises(AssumptionError):
+            plan_run(capped, DECAY, build_uniform(11), LARGE_BOUND[name])
+        plan = plan_run(capped, DECAY, build_uniform(11), LARGE_BOUND[name], force=True)
+        assert plan.dt == 1.0
+        assert plan.dt_max > 1.0 / 0.9
 
 
 class TestContinuityCoercivity:

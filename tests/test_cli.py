@@ -143,6 +143,16 @@ class TestCmdRun:
             cli.EXIT_ADMISSIBILITY
         assert "dt_max" in capsys.readouterr().err
 
+    def test_auto_step_capped_at_unit_interval(self, tmp_path, capsys):
+        """T_e = 0.001 gives dt_max = 4.2; "auto" takes the whole interval in one step."""
+        cfg = write_config(tmp_path, T_e=0.001)
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]
+        assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_OK
+        assert "dt_max: 4.1" in capsys.readouterr().out
+
     def test_force_overrides(self, tmp_path):
         cfg = write_config(tmp_path, dt="0.5")
         out = tmp_path / "o.csv"

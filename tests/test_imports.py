@@ -38,6 +38,16 @@ def test_package_import_leaves_oracle_unloaded():
     assert _fresh_output("import sys, firngas; print('firngas.oracle' in sys.modules)") == "False"
 
 
+def test_report_leaves_numpy_ma_unloaded(tmp_path):
+    """``numpy.ma`` costs 20-40 ms and about 1 MB to import; the report path does not need it."""
+    path = write_config(tmp_path, z_F=80.0, T_e=30.0, n=101)
+    assert _fresh_output(
+        "import sys; from firngas import analysis, cli; from firngas.model import rescale; "
+        f"c = cli.load_config({path!r}); "
+        "analysis.build_report(c.f_profile, c.d_profile, c.mesh, rescale(c.params), c_D=c.c_D); "
+        "print('numpy.ma' in sys.modules)") == "False"
+
+
 def test_report_path_never_calls_dense_eigensolver(tmp_path, monkeypatch, capsys):
     def refuse(matrix):
         raise AssertionError("dense eigensolver called on the report path")

@@ -269,6 +269,15 @@ class TestRun:
                    dt=0.5, force=True)
         assert np.all(np.isfinite(traj.interior))
 
+    @pytest.mark.parametrize("context", [
+        RescaledContext(T_e=1.0, z_F=1.0, mcoef=0.0, gcoef=0.0, fcoef=0.0),   # dt_max = inf
+        RescaledContext(T_e=0.001, z_F=1.0, mcoef=0.0, gcoef=1.0, fcoef=1.0),  # dt_max = 4.2
+    ], ids=["inf", "4.2"])
+    def test_auto_step_capped_at_unit_interval(self, context):
+        traj = run(build_uniform(11), DECAY, DECAY, context, AtmosphereSeries.ramp(), dt="auto")
+        assert traj.times.tolist() == [0.0, 1.0]
+        assert np.all(np.isfinite(traj.interior))
+
     def test_inadmissible_profile_rejected(self):
         bad = CoefficientProfile.constant(-1.0)
         from firngas.errors import AssumptionError
