@@ -7,19 +7,19 @@ dense-linear-algebra oracle for verification.
 
 from .errors import (AssumptionError, ConfigError, DomainError, FirngasError,
                      SingularMatrixError, TimeStepError, ValidationError)
-from .mesh import Mesh, build_graded, build_uniform, read_mesh_csv
+from .mesh import Mesh, build_uniform, read_mesh_csv
 from .model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                     RescaledContext, derive_coefficients, rescale)
-from .solver import Trajectory, run, solve_tridiagonal, step
+from .solver import Trajectory, run, step
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionError", "ConfigError", "DomainError", "FirngasError",
     "SingularMatrixError", "TimeStepError", "ValidationError",
-    "Mesh", "build_graded", "build_uniform", "read_mesh_csv",
+    "Mesh", "build_uniform", "read_mesh_csv",
     "AtmosphereSeries", "CoefficientProfile", "ModelParams",
     "RescaledContext", "derive_coefficients", "rescale",
-    "Trajectory", "run", "solve_tridiagonal", "step",
+    "Trajectory", "run", "step",
     "__version__",
 ]

@@ -10,7 +10,6 @@ symmetric tridiagonal part of each band matrix, with no size cap.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -25,15 +24,9 @@ __all__ = [
     "StabilityReport",
     "check_assumptions",
     "estimate_lipschitz",
-    "compute_B0",
-    "compute_hardy_B",
-    "compute_C0",
     "compute_fh",
-    "compute_KG",
     "compute_dt_max",
-    "check_pd",
     "check_pd_all",
-    "continuity_coercivity_constants",
     "build_report",
     "Plan",
     "plan_run",
@@ -92,19 +85,9 @@ def estimate_lipschitz(profile, hi: float = 1.0, grid_points: int = 4001) -> flo
     return float(np.max(np.abs(np.diff(values) / np.diff(grid))))
 
 
-def compute_hardy_B(v_weight, w_weight, z_F: float = 1.0) -> float:
-    """Grid estimate of the weighted Poincare/Hardy constant.
-
-    ``B = sup_z (int_z^{z_F} v)^{1/2} (int_0^z 1/w)^{1/2}``; weights are
-    callables on the rescaled depth [0, 1].  The reported constant carries
-    the physical scaling through ``z_F``.
-    """
-    grid, cum_inv_w, _ = _inverse_integral(w_weight, 0.0, z_F)
-    return _hardy_constant(np.asarray(v_weight(grid), dtype=float), cum_inv_w, grid, z_F)
-
-
 def _hardy_constant(v_vals: np.ndarray, cum_inv_w: np.ndarray, grid: np.ndarray,
                     z_F: float) -> float:
+    """Weighted Poincare/Hardy constant ``z_F sup_z (int_z^1 v)^{1/2} (int_0^z 1/w)^{1/2}``."""
     cum_v = _cumulative_trapezoid(v_vals, grid)
     product = (cum_v[-1] - cum_v) * cum_inv_w
     coarse_mask = grid <= 1.0 - 1e-4
@@ -114,11 +97,6 @@ def _hardy_constant(v_vals: np.ndarray, cum_inv_w: np.ndarray, grid: np.ndarray,
                                      and sup_full > 1e-12):
         raise FirngasError("condition (cond:WI) violated: weighted Poincare constant diverges")
     return z_F * math.sqrt(sup_full)
-
-
-def compute_B0(d_profile, z_F: float = 1.0) -> float:
-    """Weighted Poincare constant for the diffusivity weight."""
-    return compute_hardy_B(lambda u: np.ones_like(u), d_profile, z_F)
 
 
 def _inverse_integral(weight, bottom: float, z_F: float) -> tuple:
@@ -140,20 +118,9 @@ def _inverse_integral(weight, bottom: float, z_F: float) -> tuple:
     return grid, cum[:grid.size], (z_F * full, divergent)
 
 
-def compute_C0(f_profile, d_profile, z_F: float, lipschitz_L: float, B0: float) -> float:
-    """Trace constant bounding the weighted bottom value.
-
-    Uses the nondegenerate branch (sup ratio times the inverse-diffusivity
-    integral) when the bottom diffusivity is positive, the Lipschitz branch
-    otherwise.
-    """
-    d_bottom = float(d_profile(1.0))
-    return _trace_constant(*_body_samples(f_profile, d_profile), d_bottom, lipschitz_L, B0,
-                           *_inverse_integral(d_profile, d_bottom, z_F)[2])
-
-
 def _trace_constant(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
                     lipschitz_L: float, B0: float, integral: float, divergent: bool) -> float:
+    """Trace constant bounding the weighted bottom value."""
     if np.any(d_vals <= 0.0):
         raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
     ratio_sup = float(np.sqrt(np.max(f_vals / d_vals)))
@@ -164,36 +131,26 @@ def _trace_constant(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
     return ratio_sup * lipschitz_L * B0**2
 
 
-def compute_fh(f_profile, h: float, grid_points: int = 50001) -> float:
+def compute_fh(f_profile, h: float) -> float:
     """Minimum of the pore fraction over [0, 1 - h]."""
     if not 0.0 < h < 1.0:
         raise ValidationError("element size must lie in (0, 1)")
-    grid = np.linspace(0.0, 1.0 - h, grid_points)
+    grid = np.linspace(0.0, 1.0 - h, 50001)
     value = float(np.min(np.asarray(f_profile(grid), dtype=float)))
     if value <= 0.0:
         raise AssumptionError("(5)", "pore fraction not strictly positive away from the bottom")
     return value
 
 
-def compute_KG(d_profile, z_F: float, mcoef: float, c_D: float,
-               L_delta: float, on_divergence: str = "error") -> float:
+def _defect_constant(integral: float, divergent: bool, mcoef: float, c_D: float,
+                     L_delta: float) -> float:
     """Coercivity-defect constant of the drift-diffusion quadratic form.
 
-    ``on_divergence`` controls the divergent inverse-diffusivity integral:
-    ``"error"`` raises, ``"limit"`` uses the limiting value in which the
-    integral term vanishes (the conservative choice for the step bound).
+    A divergent ``int 1/D`` drops its term: the conservative limit for the step bound.
     """
-    inv_d = _inverse_integral(d_profile, float(d_profile(1.0)), z_F)[2]
-    return _defect_constant(*inv_d, mcoef, c_D, L_delta, on_divergence)
-
-
-def _defect_constant(integral: float, divergent: bool, mcoef: float, c_D: float,
-                     L_delta: float, on_divergence: str) -> float:
     if not 0.0 < c_D < 2.0:
         raise ValidationError(f"c_D must lie in (0, 2), got {c_D}")
     if divergent:
-        if on_divergence == "error":
-            raise FirngasError("inverse-diffusivity integral diverges; defect constant undefined")
         inv_term = 0.0
     else:
         inv_term = 1.0 / (2.0 * c_D * integral)
@@ -220,13 +177,8 @@ class PDVerdict:
     min_eigenvalue: float
 
 
-def check_pd(matrix: assembly.Tridiagonal) -> PDVerdict:
-    """Positive definiteness of the symmetric part of a band matrix."""
-    return check_pd_all({"": matrix})[""]
-
-
 def check_pd_all(matrices: dict) -> dict:
-    """:func:`check_pd` of each named band matrix of one dimension, in one batch.
+    """Positive definiteness of the symmetric part of each named band matrix of one dimension.
 
     A verdict holds when the smallest eigenvalue of the symmetric part
     exceeds ``1e-12 * max|entry|``, so an all-zero matrix is not definite.
@@ -303,15 +255,9 @@ def _has_nonpositive_pivot(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return lowest <= 0.0
 
 
-def continuity_coercivity_constants(f_profile, d_profile, context: RescaledContext,
-                                    B0: float, C0: float) -> dict:
-    """Indicative continuity and Garding-coercivity constants of the weak form."""
-    return _continuity(*_body_samples(f_profile, d_profile), float(d_profile(1.0)),
-                       context, B0, C0)
-
-
 def _continuity(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
                 context: RescaledContext, B0: float, C0: float) -> dict:
+    """Indicative continuity and Garding-coercivity constants of the weak form."""
     if np.any(f_vals <= 0.0) or np.any(d_vals <= 0.0):
         raise AssumptionError("(9)", "coefficient ratios unbounded on [0, 1)")
     sqrt_fd = float(np.sqrt(np.max(f_vals / d_vals)))
@@ -364,9 +310,6 @@ class StabilityReport:
             else:
                 lines.append(f"{key}: {value}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def build_report(f_profile, d_profile, mesh, context: RescaledContext,
@@ -466,7 +409,7 @@ def _step_bound(f_profile, d_profile, mesh, context: RescaledContext, c_D: float
     h = mesh.h_min
     f_underbar = compute_fh(f_profile, h)
     l_delta = estimate_lipschitz(d_profile, hi=1.0 - h, grid_points=4 * (mesh.n - 1) + 1)
-    k_g = _defect_constant(*inv_d, context.mcoef, c_D, l_delta, on_divergence="limit")
+    k_g = _defect_constant(*inv_d, context.mcoef, c_D, l_delta)
     dt_max = compute_dt_max(h, context.z_F, context.T_e, context.fcoef, context.gcoef,
                             f_underbar, k_g)
     return {"I_D": inv_d[0], "I_D_divergent": inv_d[1], "f_underbar_h": f_underbar,

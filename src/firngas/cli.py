@@ -108,10 +108,9 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         return fallback if value is None else value
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
         p = parser["params"]
         params = ModelParams(
             M_alpha=_get_float(p, "M_alpha"), g=_get_float(p, "g"),
@@ -131,8 +130,8 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         tsec = parser["time"] if "time" in parser else {}
         dt_raw = given("dt", tsec.get("dt", "auto"))
         dt = "auto" if str(dt_raw).lower() == "auto" else float(dt_raw)
-        if dt != "auto" and not dt > 0.0:
-            raise ConfigError(f"time step must be positive, got {dt_raw!r}")
+        if dt != "auto" and not 0.0 < dt <= 1.0:
+            raise ConfigError(f"time step must lie in (0, 1], got {dt_raw!r}")
         stride = int(given("stride", tsec.get("stride", 1)))
         if stride < 1:
             raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -141,9 +140,9 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         atmosphere = _load_atmosphere(parser["atmosphere"] if "atmosphere" in parser else {})
         asec = parser["analysis"] if "analysis" in parser else {}
         c_D = _get_float(asec, "c_D", 1.0) if asec else 1.0
-    except (KeyError, ValueError) as exc:
+        out = given("out", parser.get("output", "path", fallback=None))
+    except (KeyError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"config error in {path}: {exc}") from exc
-    out = given("out", parser.get("output", "path", fallback=None))
     return RunConfig(
         params=params, mesh=grid, f_profile=f_profile, d_profile=d_profile,
         atmosphere=atmosphere, dt=dt, out=out, stride=stride, c_D=c_D,

@@ -12,35 +12,32 @@ Index conventions (tested in tests/test_mesh.py):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["Mesh", "build_uniform", "build_graded", "read_mesh_csv"]
-
-_UNIFORM_TOL = 1e-14
+__all__ = ["Mesh", "build_uniform", "read_mesh_csv"]
 
 
 @dataclass(frozen=True)
 class Mesh:
+    """Mesh from a strictly increasing node sequence on [0, 1]; uniform or graded."""
+
     nodes: np.ndarray
-    element_lengths: np.ndarray
-    uniform: bool
+    element_lengths: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "element_lengths", np.asarray(self.element_lengths, dtype=float))
+        object.__setattr__(self, "element_lengths", np.diff(nodes))
         if len(nodes) < 3:
             raise ValidationError(f"mesh needs at least 3 nodes, got {len(nodes)}")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValidationError("mesh nodes must start at 0 and end at 1")
-        if np.any(self.element_lengths <= 0.0):
+        if not np.all(self.element_lengths > 0.0):
             raise ValidationError("mesh nodes must be strictly increasing")
-        if abs(self.element_lengths.sum() - 1.0) > 1e-12:
-            raise ValidationError("element lengths must sum to 1")
 
     @property
     def n(self) -> int:
@@ -51,32 +48,15 @@ class Mesh:
     def h_min(self) -> float:
         return float(self.element_lengths.min())
 
-    @property
-    def h(self) -> float:
-        """Common element length; only meaningful for uniform meshes."""
-        return float(self.element_lengths[0])
-
 
 def build_uniform(n: int) -> Mesh:
     """Uniform mesh with ``n`` nodes and spacing ``1/(n-1)``."""
     if n < 3:
         raise ValidationError(f"mesh needs at least 3 nodes, got {n}")
-    nodes = np.linspace(0.0, 1.0, n)
-    return Mesh(nodes, np.diff(nodes), uniform=True)
-
-
-def build_graded(nodes) -> Mesh:
-    """Mesh from an explicit, strictly increasing node sequence on [0, 1]."""
-    nodes = np.asarray(nodes, dtype=float)
-    h = np.diff(nodes)
-    if len(nodes) >= 3 and np.all(h > 0.0):
-        uniform = bool(np.max(np.abs(h - h[0])) <= _UNIFORM_TOL)
-    else:
-        uniform = False
-    return Mesh(nodes, h, uniform=uniform)
+    return Mesh(np.linspace(0.0, 1.0, n))
 
 
 def read_mesh_csv(path) -> Mesh:
     """Read a mesh from a one-column CSV of node coordinates."""
     nodes = np.loadtxt(path, delimiter=",", ndmin=1)
-    return build_graded(nodes)
+    return Mesh(nodes)

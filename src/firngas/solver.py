@@ -20,8 +20,7 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 
-__all__ = ["Trajectory", "factor_tridiagonal", "solve_tridiagonal", "step", "run",
-           "run_plan"]
+__all__ = ["Trajectory", "factor_tridiagonal", "step", "run", "run_plan"]
 
 _PIVOT_TOL = 1e-13  # relative pivot-magnitude guard for the unpivoted path
 _EPS = float(np.finfo(float).eps)
@@ -132,11 +131,6 @@ def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Elimination | _PivotedE
         return _PivotedElimination(matrix)
 
 
-def solve_tridiagonal(matrix: assembly.Tridiagonal, rhs) -> np.ndarray:
-    """Direct solve of a tridiagonal system: :func:`factor_tridiagonal` then substitution."""
-    return factor_tridiagonal(matrix).solve(rhs)
-
-
 def _check_intervals(t_k, t_k1, dt):
     """Raise unless every interval ``t_k1 - t_k`` matches its assembled step ``dt``.
 
@@ -159,7 +153,7 @@ def step(system: assembly.DiscreteSystem, lam_k, atmosphere, t_k: float,
     v3 = assembly.assemble_v3(t_k1, atmosphere, system.mesh, system.f_samples,
                               system.d_samples, system.context)
     rhs = assembly.assemble_rhs(lam_k, v1, v3, system.Mf, system.context.T_e, system.dt)
-    return solve_tridiagonal(system.V, rhs)
+    return factor_tridiagonal(system.V).solve(rhs)
 
 
 @dataclass(frozen=True)

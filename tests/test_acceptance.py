@@ -11,11 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from firngas import analysis, assembly, oracle
-from firngas.analysis import compute_B0, compute_KG, compute_dt_max, compute_fh
+from firngas import assembly
+from firngas.analysis import build_report, plan_run
 from firngas.assembly import (assemble_A, assemble_Kf, assemble_M, assemble_Mf,
-                              assemble_S, assemble_system, assemble_v1,
-                              assemble_v3)
+                              assemble_S, assemble_v1, assemble_v3)
 from firngas.mesh import build_uniform
 from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext
 from firngas.oracle import exact_inner
@@ -149,39 +148,22 @@ def test_acceptance_5_dt_theorem():
             context = ctx(mcoef=rng.uniform(0.0, 0.01),
                           gcoef=rng.uniform(0.5, 1.5),
                           fcoef=rng.uniform(0.1, 1.0))
-            h = mesh.h_min
-            f_underbar = compute_fh(f_profile, h, grid_points=2001)
-            l_delta = analysis.estimate_lipschitz(d_profile, hi=1.0 - h)
-            k_g = compute_KG(d_profile, 1.0, context.mcoef, 1.0, l_delta,
-                             on_divergence="limit")
-            dt = 0.9 * compute_dt_max(h, 1.0, context.T_e, context.fcoef,
-                                      context.gcoef, f_underbar, k_g)
-            system = assemble_system(mesh, f_profile(mesh.nodes),
-                                     d_profile(mesh.nodes), context, dt)
-            ok &= min_symmetric_eigenvalue(system.V) > 0.0
+            plan = plan_run(f_profile, d_profile, mesh, context)
+            ok &= min_symmetric_eigenvalue(plan.system(0.9 * plan.dt_max).V) > 0.0
     # witness far outside the bound: the theorem is sufficient, not necessary
-    mesh = build_uniform(50)
-    f_profile, d_profile = profiles[0], profiles[1]
-    context = ctx(mcoef=0.005, gcoef=1.5, fcoef=1.0)
-    h = mesh.h_min
-    dt_max = compute_dt_max(
-        h, 1.0, 1.0, context.fcoef, context.gcoef,
-        compute_fh(f_profile, h, grid_points=2001),
-        compute_KG(d_profile, 1.0, context.mcoef, 1.0,
-                   analysis.estimate_lipschitz(d_profile, hi=1.0 - h),
-                   on_divergence="limit"))
-    witness = assemble_system(mesh, f_profile(mesh.nodes), d_profile(mesh.nodes),
-                              context, 50.0 * dt_max)
-    eig = min_symmetric_eigenvalue(witness.V)
+    plan = plan_run(profiles[0], profiles[1], build_uniform(50),
+                    ctx(mcoef=0.005, gcoef=1.5, fcoef=1.0))
+    eig = min_symmetric_eigenvalue(plan.system(50.0 * plan.dt_max).V)
     print(f"  criterion 5 witness at 50*dt_max: min symmetric eigenvalue "
           f"{eig:.3e} ({'PD' if eig > 0 else 'not PD'})")
     verdict(5, "step matrix positive definite at 0.9*dt_max in all cases", ok)
 
 
 def test_acceptance_6_analytic_constants():
-    ok = abs(compute_B0(ONE, 1.0) - 0.5) <= 1e-6
-    ok &= abs(compute_B0(DECAY, 1.0) - math.exp(-0.5)) <= 1e-4
-    ok &= abs(compute_KG(ONE, 1.0, 0.0, 1.0, 0.0) - 0.5) <= 1e-9
+    unit = build_report(ONE, ONE, build_uniform(11), ctx())
+    ok = abs(unit.B0 - 0.5) <= 1e-6
+    ok &= abs(build_report(DECAY, DECAY, build_uniform(11), ctx()).B0 - math.exp(-0.5)) <= 1e-4
+    ok &= abs(unit.K_G - 0.5) <= 1e-9
     verdict(6, "B0 and K_G match their closed-form values", ok)
 
 

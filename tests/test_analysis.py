@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firngas import analysis, cli, oracle
-from firngas.analysis import (build_report, check_assumptions, check_pd, check_pd_all,
-                              compute_B0, compute_C0, compute_KG, compute_dt_max,
-                              compute_fh, compute_hardy_B,
-                              continuity_coercivity_constants,
-                              estimate_lipschitz, plan_run)
+from firngas.analysis import (build_report, check_assumptions, check_pd_all, compute_dt_max,
+                              compute_fh, estimate_lipschitz, plan_run)
 from firngas.assembly import Tridiagonal, assemble_M, assemble_S, assemble_system
 from firngas.errors import AssumptionError, FirngasError, ValidationError
 from firngas.mesh import build_uniform
@@ -94,6 +92,20 @@ def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0, z_F=1.0, T_e=1.0):
     return RescaledContext(T_e=T_e, z_F=z_F, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
 
 
+def report(f_profile, d_profile, context=None, c_D=1.0):
+    return build_report(f_profile, d_profile, build_uniform(11), context or ctx(), c_D)
+
+
+def hardy(v_weight, d_profile):
+    """The weighted Poincare constant on z_F = 1 from the helpers :func:`plan_run` calls."""
+    grid, cum_inv_d, _ = analysis._inverse_integral(d_profile, float(d_profile(1.0)), 1.0)
+    return analysis._hardy_constant(v_weight(grid), cum_inv_d, grid, 1.0)
+
+
+def check_pd(matrix):
+    return check_pd_all({"": matrix})[""]
+
+
 class TestCheckAssumptions:
     def test_degenerate_pair_accepted(self):
         frag = check_assumptions(DECAY, DECAY, build_uniform(11))
@@ -120,47 +132,46 @@ class TestLipschitz:
 
 class TestB0:
     def test_unit_diffusivity(self):
-        assert compute_B0(ONE, 1.0) == pytest.approx(0.5, abs=1e-6)
+        assert report(ONE, ONE).B0 == pytest.approx(0.5, abs=1e-6)
 
     def test_scaling(self):
-        assert compute_B0(CoefficientProfile.constant(4.0), 1.0) == pytest.approx(0.25, abs=1e-6)
+        assert report(ONE, CoefficientProfile.constant(4.0)).B0 == pytest.approx(0.25, abs=1e-6)
 
     def test_degenerate_affine(self):
-        assert compute_B0(DECAY, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-4)
+        assert report(DECAY, DECAY).B0 == pytest.approx(math.exp(-0.5), abs=1e-4)
 
     def test_monotone_in_diffusivity(self):
-        b_small = compute_B0(ONE, 1.0)
-        b_large = compute_B0(CoefficientProfile.constant(2.0), 1.0)
+        b_small = report(ONE, ONE).B0
+        b_large = report(ONE, CoefficientProfile.constant(2.0)).B0
         assert b_large <= b_small
 
     def test_strongly_degenerate_flagged(self):
         with pytest.raises(FirngasError, match="cond:WI"):
-            compute_B0(lambda u: (1.0 - u)**3, 1.0)
+            hardy(np.ones_like, lambda u: (1.0 - u)**3)
 
 
 class TestHardyB:
     def test_specializes_to_B0(self):
-        b = compute_hardy_B(lambda u: np.ones_like(u), DECAY, 1.0)
-        assert b == pytest.approx(compute_B0(DECAY, 1.0), abs=1e-12)
+        assert hardy(np.ones_like, DECAY) == report(DECAY, DECAY).B0
 
     def test_zero_weight(self):
-        assert compute_hardy_B(lambda u: np.zeros_like(u), ONE, 1.0) == 0.0
+        assert hardy(np.zeros_like, ONE) == 0.0
 
     def test_unit_weights(self):
-        assert compute_hardy_B(lambda u: np.ones_like(u), ONE, 1.0) == pytest.approx(0.5, abs=1e-6)
+        assert hardy(np.ones_like, ONE) == pytest.approx(0.5, abs=1e-6)
 
 
 class TestC0:
     def test_nondegenerate_branch(self):
-        assert compute_C0(ONE, ONE, 1.0, 0.0, 0.5) == pytest.approx(1.0, abs=1e-6)
+        assert report(ONE, ONE).C0 == pytest.approx(1.0, abs=1e-6)
 
     def test_degenerate_branch(self):
-        b0 = compute_B0(DECAY, 1.0)
-        got = compute_C0(DECAY, DECAY, 1.0, 1.0, b0)
-        assert got == pytest.approx(math.exp(-1.0), abs=1e-3)
+        # The Lipschitz branch: L = 1 and B0 = exp(-1/2) give C0 = exp(-1).
+        assert report(DECAY, DECAY).C0 == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_zero_numerator(self):
-        assert compute_C0(CoefficientProfile.constant(0.0), ONE, 1.0, 0.0, 0.5) == 0.0
+        got = analysis._trace_constant(np.zeros(5), np.ones(5), 1.0, 0.0, 0.5, 1.0, False)
+        assert got == 0.0
 
 
 class TestFh:
@@ -180,23 +191,20 @@ class TestFh:
 
 class TestKG:
     def test_unit_diffusivity(self):
-        assert compute_KG(ONE, 1.0, 0.0, 1.0, 0.0) == pytest.approx(0.5, abs=1e-9)
+        assert report(ONE, ONE).K_G == pytest.approx(0.5, abs=1e-9)
 
     def test_doubled_diffusivity(self):
-        assert compute_KG(CoefficientProfile.constant(2.0), 1.0, 0.0, 1.0, 0.0) == \
-            pytest.approx(1.0, abs=1e-8)
+        assert report(ONE, CoefficientProfile.constant(2.0)).K_G == pytest.approx(1.0, abs=1e-8)
 
     def test_cd_guard(self):
         with pytest.raises(ValidationError):
-            compute_KG(ONE, 1.0, 0.0, 2.5, 0.0)
-
-    def test_divergent_strict(self):
-        with pytest.raises(FirngasError):
-            compute_KG(DECAY, 1.0, 0.0, 1.0, 1.0, on_divergence="error")
+            report(ONE, ONE, c_D=2.5)
 
     def test_divergent_limit(self):
-        got = compute_KG(DECAY, 1.0, 0.02, 1.0, 1.0, on_divergence="limit")
-        assert got == pytest.approx(-0.01, abs=1e-12)
+        # The divergent integral's term vanishes; L_delta = 1 leaves -mcoef / 2.
+        got = report(DECAY, DECAY, ctx(mcoef=0.02))
+        assert got.I_D_divergent
+        assert got.K_G == pytest.approx(-0.01, abs=1e-12)
 
 
 class TestDtMax:
@@ -304,22 +312,23 @@ class TestAutoStep:
 
 
 class TestContinuityCoercivity:
+    """f = D = 1 reports B0 = 1/2 and C0 = 1, the closed forms the constants are built on."""
+
     def test_all_interactions_vanish(self):
-        got = continuity_coercivity_constants(ONE, ONE, ctx(0.0, 0.0, 0.0), 0.5, 1.0)
+        got = report(ONE, ONE, ctx(0.0, 0.0, 0.0)).continuity
         assert got["C"] == pytest.approx(1.0)
         assert got["c"] == 0.0
         assert got["C1"] == pytest.approx(1.0)
         assert got["C2"] == pytest.approx(1.0)
 
     def test_unit_example(self):
-        got = continuity_coercivity_constants(ONE, ONE, ctx(1.0, 1.0, 1.0), 0.5, 1.0)
+        got = report(ONE, ONE, ctx(1.0, 1.0, 1.0)).continuity
         assert got["C"] == pytest.approx(5.0, abs=1e-6)
         assert got["c"] == pytest.approx(2.0, abs=1e-6)
         assert got["C1"] > 0.0
 
     def test_coercivity_stays_positive(self):
-        got = continuity_coercivity_constants(DECAY, DECAY, ctx(0.5, 1.0, 2.0),
-                                              compute_B0(DECAY, 1.0), 0.4)
+        got = report(DECAY, DECAY, ctx(0.5, 1.0, 2.0)).continuity
         assert got["C1"] > 0.0
 
 
@@ -350,8 +359,7 @@ class TestBuildReport:
         assert calls.count(("f", 20001)) == calls.count(("D", 20001)) == 1
 
     def test_json_flat_map(self):
-        import json
         report = build_report(ONE, ONE, build_uniform(6), ctx())
-        flat = json.loads(report.to_json())
+        flat = json.loads(json.dumps(report.to_dict()))
         assert flat["B0"] == pytest.approx(0.5, abs=1e-6)
         assert flat["pd_M"] is True

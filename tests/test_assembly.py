@@ -7,7 +7,7 @@ from firngas.assembly import (Tridiagonal, assemble_A, assemble_B, assemble_Kf,
                               assemble_rhs, assemble_system, assemble_v1,
                               assemble_v3)
 from firngas.errors import DomainError, ValidationError
-from firngas.mesh import build_graded, build_uniform
+from firngas.mesh import Mesh, build_uniform
 from firngas.model import AtmosphereSeries, RescaledContext
 from firngas.oracle import exact_inner, mvt_inner
 
@@ -52,7 +52,7 @@ class TestExactInner:
         assert exact_inner(3, 2, "phi_phi", mesh) == pytest.approx(0.2 / 6.0, abs=1e-15)
 
     def test_diagonal_mass_interior(self):
-        mesh = build_graded([0.0, 0.1, 0.4, 1.0])
+        mesh = Mesh([0.0, 0.1, 0.4, 1.0])
         assert exact_inner(2, 2, "phi_phi", mesh) == pytest.approx((0.1 + 0.3) / 3.0)
 
     def test_derivative_pattern(self):
@@ -74,7 +74,7 @@ class TestExactInner:
 
 class TestMvtInner:
     def test_constant_weight_reduces_to_exact(self):
-        mesh = build_graded([0.0, 0.3, 0.7, 1.0])
+        mesh = Mesh([0.0, 0.3, 0.7, 1.0])
         w = np.ones(mesh.n)
         for i in range(1, mesh.n + 1):
             for j in range(max(1, i - 1), min(mesh.n, i + 1) + 1):

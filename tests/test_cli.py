@@ -71,10 +71,12 @@ class TestConfig:
         ("n = 11", "file = {table}", "0.0\n0.5\n2.0\n"),
         ("kind = ramp", "kind = file\nfile = {table}", "0.0,1.0\n1.0,2.0\n"),
         (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0\n0.5,0.5\n"),
+        ("[params]", "garbage\n[params]", None),
+        ("g = 9.81", "g = 9.81\ng = 1.0", None),
     ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
-            "sampled_short"])
+            "sampled_short", "no_section_header", "duplicate_key"])
     def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
-        """A value a model constructor rejects while the config is read exits 1."""
+        """A file the INI parser or a model constructor rejects on reading exits 1."""
         table_path = tmp_path / "table.csv"
         if table is not None:
             table_path.write_text(table)
@@ -111,6 +113,9 @@ class TestInvalidOverrides:
 
     def test_dt_zero_in_config_file(self, tmp_path, capsys):
         self.refused(tmp_path, capsys, dt="0")
+
+    def test_dt_above_unit_interval(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, "--dt", "2", "--force")
 
 
 class TestCmdRun:
@@ -180,6 +185,24 @@ class TestCmdRun:
                          "--dt", "1e-4"]) == cli.EXIT_OK
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert len(rows) == 1 + 10001  # header plus K+1 levels
+
+    def test_mesh_file(self, tmp_path):
+        """A node file of the uniform nodes reports as ``n = 11``; a graded one runs."""
+        nodes = tmp_path / "nodes.csv"
+        cfg = write_config(tmp_path)
+        reports = [tmp_path / "n.txt", tmp_path / "file.txt"]
+        assert cli.main(["--config", cfg, "--check-only", "--out", str(reports[0])]) == cli.EXIT_OK
+        nodes.write_text("".join(f"{z:.17g}\n" for z in np.linspace(0.0, 1.0, 11)))
+        edit_config(cfg, "n = 11", f"file = {nodes}")
+        assert cli.main(["--config", cfg, "--check-only", "--out", str(reports[1])]) == cli.EXIT_OK
+        assert reports[1].read_bytes() == reports[0].read_bytes()
+
+        graded = [0.0, 0.1, 0.25, 0.45, 0.7, 1.0]
+        nodes.write_text("".join(f"{z:.17g}\n" for z in graded))
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        header = next(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
+        assert [float(z) for z in header.split(",")[1:]] == graded
 
     def test_n_override(self, tmp_path):
         cfg = write_config(tmp_path, n=11)

@@ -1,4 +1,4 @@
-"""Import-time budget and the production path: no scipy, no oracle.
+"""Import-time budget, the production path (no scipy, no oracle) and the exports.
 
 scipy adds about 0.3-0.4 s and 27 MB of resident memory to ``import
 firngas.cli``, which would dominate the start-up time and the peak memory of
@@ -8,11 +8,14 @@ import checks run in a fresh interpreter so that other tests' imports cannot
 mask or cause a failure.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import firngas
 from firngas import analysis, cli, oracle
 from firngas.model import rescale
 from test_cli import write_config
@@ -32,6 +35,15 @@ def test_package_and_cli_import_without_scipy():
     assert _fresh_output("import sys, firngas, firngas.cli; "
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
                          ) == "[]"
+
+
+def test_every_export_resolves():
+    """A name left in an ``__all__`` after its definition is deleted fails here."""
+    modules = [firngas] + [importlib.import_module(f"firngas.{info.name}")
+                           for info in pkgutil.iter_modules(firngas.__path__)]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_package_import_leaves_oracle_unloaded():

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from firngas.errors import ValidationError
-from firngas.mesh import Mesh, build_graded, build_uniform, read_mesh_csv
+from firngas.mesh import Mesh, build_uniform, read_mesh_csv
 
 
 class TestBuildUniform:
     def test_basic(self):
         mesh = build_uniform(11)
         assert mesh.n == 11
-        assert mesh.uniform
-        assert mesh.h == pytest.approx(0.1)
         assert mesh.h_min == pytest.approx(0.1)
         np.testing.assert_allclose(mesh.nodes, np.linspace(0, 1, 11))
 
@@ -24,39 +22,31 @@ class TestBuildUniform:
 
 
 class TestBuildGraded:
+    """A graded mesh is ``Mesh(nodes)`` on any strictly increasing nodes from 0 to 1."""
+
     def test_nonuniform(self):
-        mesh = build_graded([0.0, 0.1, 0.4, 1.0])
-        assert not mesh.uniform
+        mesh = Mesh([0.0, 0.1, 0.4, 1.0])
         assert mesh.h_min == pytest.approx(0.1)
         np.testing.assert_allclose(mesh.element_lengths, [0.1, 0.3, 0.6])
 
-    def test_uniform_detected(self):
-        mesh = build_graded(np.linspace(0.0, 1.0, 21))
-        assert mesh.uniform
-
     def test_endpoints_enforced(self):
         with pytest.raises(ValidationError):
-            build_graded([0.0, 0.5, 0.9])
+            Mesh([0.0, 0.5, 0.9])
         with pytest.raises(ValidationError):
-            build_graded([0.1, 0.5, 1.0])
+            Mesh([0.1, 0.5, 1.0])
 
     def test_monotonicity_enforced(self):
-        with pytest.raises(ValidationError):
-            build_graded([0.0, 0.6, 0.4, 1.0])
-        with pytest.raises(ValidationError):
-            build_graded([0.0, 0.5, 0.5, 1.0])
+        for nodes in ([0.0, 0.6, 0.4, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, float("nan"), 1.0]):
+            with pytest.raises(ValidationError):
+                Mesh(nodes)
 
 
 class TestMeshInvariants:
     def test_lengths_match_nodes(self):
         nodes = np.array([0.0, 0.25, 0.5, 1.0])
-        mesh = Mesh(nodes, np.diff(nodes), uniform=False)
+        mesh = Mesh(nodes)
         assert mesh.n == 4
-
-    def test_inconsistent_lengths_rejected(self):
-        nodes = np.array([0.0, 0.5, 1.0])
-        with pytest.raises(ValidationError):
-            Mesh(nodes, np.array([0.5, 0.4]), uniform=False)
+        assert np.array_equal(mesh.element_lengths, np.diff(nodes))
 
 
 def test_read_mesh_csv(tmp_path):

@@ -7,10 +7,10 @@ from firngas import oracle
 from firngas.assembly import (Tridiagonal, assemble_Kf, assemble_M,
                               assemble_Mf, assemble_S)
 from firngas.errors import SingularMatrixError, ValidationError
-from firngas.mesh import build_graded, build_uniform
+from firngas.mesh import Mesh, build_uniform
 from firngas.oracle import (QuadratureRule, assemble_reference, dense_solve,
                             min_symmetric_eigenvalue, quad_inner)
-from firngas.solver import solve_tridiagonal
+from firngas.solver import factor_tridiagonal
 
 
 class TestQuadratureRule:
@@ -43,7 +43,7 @@ class TestQuadInner:
         assert got == pytest.approx(0.2 / 6.0, abs=1e-14)
 
     def test_partition_of_unity(self):
-        mesh = build_graded([0.0, 0.2, 0.5, 1.0])
+        mesh = Mesh([0.0, 0.2, 0.5, 1.0])
         total = sum(
             quad_inner(lambda z: np.ones_like(z), i, j, mesh)
             for i in range(1, mesh.n + 1)
@@ -130,7 +130,7 @@ class TestDenseSolve:
             band = Tridiagonal(sub, diag, sup)
             rhs = rng.normal(size=m)
             np.testing.assert_allclose(
-                solve_tridiagonal(band, rhs), dense_solve(band, rhs), atol=1e-10)
+                factor_tridiagonal(band).solve(rhs), dense_solve(band, rhs), atol=1e-10)
 
     def test_shape_guards(self):
         with pytest.raises(ValidationError):

@@ -9,8 +9,7 @@ from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
-from firngas.solver import (Trajectory, factor_tridiagonal, run, run_plan,
-                            solve_tridiagonal, step)
+from firngas.solver import Trajectory, factor_tridiagonal, run, run_plan, step
 
 ONE = CoefficientProfile.constant(1.0)
 DECAY = CoefficientProfile.affine(1.0, -1.0)
@@ -67,6 +66,10 @@ def admissible_step_matrices(draw):
     plan = analysis.plan_run(f, d, build_uniform(n), context)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return plan.system(plan.dt).V, rng.normal(size=(draw(st.integers(2, 5)), n - 1))
+
+
+def solve_tridiagonal(matrix, rhs):
+    return factor_tridiagonal(matrix).solve(rhs)
 
 
 class TestSolveTridiagonal:
