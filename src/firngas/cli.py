@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -140,6 +141,8 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         atmosphere = _load_atmosphere(parser["atmosphere"] if "atmosphere" in parser else {})
         asec = parser["analysis"] if "analysis" in parser else {}
         c_D = _get_float(asec, "c_D", 1.0) if asec else 1.0
+        if not 0.0 < c_D < 2.0:
+            raise ConfigError(f"c_D must lie in (0, 2), got {c_D}")
         out = given("out", parser.get("output", "path", fallback=None))
     except (KeyError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"config error in {path}: {exc}") from exc
@@ -167,16 +170,17 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_run(config: RunConfig) -> int:
-    """Run the simulation; write the trajectory CSV with an inline report."""
+    """Run the simulation; stream the trajectory CSV with an inline report."""
     plan = analysis.plan_run(config.f_profile, config.d_profile, config.mesh,
                              rescale(config.params), config.c_D, config.dt,
                              config.force, report=True)
-    trajectory = solver.run_plan(plan, config.atmosphere)
+    rows = solver.levels(plan, config.atmosphere, config.stride)
+    first = next(rows)  # ends the set-up, so a failed run leaves no output file
     with open(config.out or "trajectory.csv", "w", newline="\n") as handle:
         if plan.report is not None:
             for line in plan.report.to_text().splitlines():
                 handle.write(f"# {line}\n")
-        trajectory.write_csv(handle, stride=config.stride)
+        solver.write_csv(handle, plan.mesh.nodes, itertools.chain([first], rows))
     return EXIT_OK
 
 

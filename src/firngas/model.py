@@ -213,7 +213,7 @@ class CoefficientProfile:
 class AtmosphereSeries:
     """Atmospheric boundary concentration on the rescaled time axis.
 
-    Piecewise-linear between the given samples; the value at t=0 must be
+    Piecewise-linear between finite samples; the value at t=0 must be
     exactly zero and the samples must cover [0, 1].
     """
 
@@ -227,6 +227,8 @@ class AtmosphereSeries:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
             raise ValidationError("atmosphere series needs matching 1-d times and values")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValidationError("atmosphere times and values must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValidationError("atmosphere sample times must be strictly increasing")
         if times[0] != 0.0 or times[-1] < 1.0:

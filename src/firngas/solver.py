@@ -7,11 +7,12 @@ uniform step and the shortened last one; each is assembled and factored once
 per run.  The atmosphere enters only row 0 of the right-hand side, so the
 loop evaluates it once for every level and then costs one ``Mf`` product and
 one forward/back substitution per step.  :func:`step` is the one-step
-reference the loop reproduces bit for bit.
+reference that the loop, :func:`levels`, reproduces bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,11 +21,11 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 
-__all__ = ["Trajectory", "factor_tridiagonal", "step", "run", "run_plan"]
+__all__ = ["Trajectory", "factor_tridiagonal", "step", "run", "run_plan", "levels", "write_csv"]
 
 _PIVOT_TOL = 1e-13  # relative pivot-magnitude guard for the unpivoted path
 _EPS = float(np.finfo(float).eps)
-_CSV_BLOCK = 1024   # levels formatted per write: bounded memory, few calls
+_CSV_BLOCK = 1024   # rows formatted per write: bounded memory, few calls
 
 
 def _rhs_list(rhs, dim: int) -> list:
@@ -166,17 +167,13 @@ class Trajectory:
     mesh: object
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        interior = np.asarray(self.interior, dtype=float)
-        boundary = np.asarray(self.boundary, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "interior", interior)
-        object.__setattr__(self, "boundary", boundary)
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+        for name in ("times", "interior", "boundary"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0.0):
             raise ValidationError("trajectory times must increase from 0")
-        if interior.shape != (len(times), self.mesh.n - 1):
+        if self.interior.shape != (len(self.times), self.mesh.n - 1):
             raise ValidationError("trajectory shape mismatch")
-        if np.any(interior[0] != 0.0):
+        if np.any(self.interior[0] != 0.0):
             raise ValidationError("trajectory must start from the zero state")
 
     @property
@@ -188,34 +185,6 @@ class Trajectory:
         if not 0 <= k < self.n_levels:
             raise ValidationError(f"level index {k} out of range 0..{self.n_levels - 1}")
         return np.concatenate([[self.boundary[k]], self.interior[k]])
-
-    def write_csv(self, path, stride: int = 1):
-        """Header of node coordinates, one ``t, rho(z_1..z_n)`` row per level.
-
-        ``stride`` down-samples the levels; the first and last level are
-        always kept.
-        """
-        if stride < 1:
-            raise ValidationError("stride must be >= 1")
-        levels = list(range(0, self.n_levels, stride))
-        if levels[-1] != self.n_levels - 1:
-            levels.append(self.n_levels - 1)
-        row_format = ",".join(["%.17g"] * (self.mesh.n + 1)) + "\n"
-
-        def _dump(handle):
-            coords = ",".join(f"{z:.17g}" for z in self.mesh.nodes)
-            handle.write(f"t,{coords}\n")
-            for start in range(0, len(levels), _CSV_BLOCK):
-                block = levels[start:start + _CSV_BLOCK]
-                rows = np.column_stack([self.times[block], self.boundary[block],
-                                        self.interior[block]])
-                handle.write("".join([row_format % tuple(row) for row in rows.tolist()]))
-
-        if hasattr(path, "write"):
-            _dump(path)
-        else:
-            with open(path, "w", newline="\n") as handle:
-                _dump(handle)
 
 
 def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
@@ -230,20 +199,26 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
                     atmosphere)
 
 
-def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
-    """Implicit-Euler loop at the step of an admissibility plan.
-
-    The time grid is uniform; the last step is shortened to land exactly on
-    t=1, with a step matrix assembled for its own length.  Each step matrix
-    is factored once, the atmosphere is evaluated once at every level, and
-    each step then repeats :func:`step`'s arithmetic: the ``Mf`` product,
-    the row-0 forcing and one substitution.
-    """
-    dt = plan.dt
+def _step_count(dt: float) -> int:
+    """Number K of steps on the uniform grid of step ``dt``, the last one shortened."""
     if not 0.0 < dt <= 1.0:
         raise ValidationError(f"time step must lie in (0, 1], got {dt}")
+    return math.ceil(1.0 / dt - 1e-12)
 
-    n_steps = math.ceil(1.0 / dt - 1e-12)
+
+def levels(plan: analysis.Plan, atmosphere, stride: int = 1):
+    """Implicit-Euler loop at the step of an admissibility plan.
+
+    Yields ``(t, surface value, interior)``, each interior a fresh array, at
+    level 0, every ``stride``-th level and the last.  The time grid is
+    uniform; the last step is shortened to land exactly on t=1, with a step
+    matrix assembled for its own length.  All checks and factorizations run
+    before level 0; each step then repeats :func:`step`'s arithmetic.
+    """
+    if stride < 1:
+        raise ValidationError("stride must be >= 1")
+    dt = plan.dt
+    n_steps = _step_count(dt)
     times = np.minimum(dt * np.arange(n_steps + 1), 1.0)
     times[-1] = 1.0
     system = plan.system(dt)
@@ -262,9 +237,31 @@ def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
     last = uniform if last_system is system else factor_tridiagonal(last_system.V)
 
     Mf = system.Mf  # independent of the step length
-    interior = np.zeros((n_steps + 1, plan.mesh.n - 1))
+    interior = np.zeros(plan.mesh.n - 1)
+    yield float(times[0]), float(boundary[0]), interior
     for k in range(n_steps):
-        rhs = Mf.matvec(interior[k])
+        rhs = Mf.matvec(interior)
         rhs[0] = (rhs[0] - v1[k]) - v3_scaled[k]
-        interior[k + 1] = (last if k == n_steps - 1 else uniform).solve(rhs)
+        interior = (last if k == n_steps - 1 else uniform).solve(rhs)
+        if (k + 1) % stride == 0 or k + 1 == n_steps:
+            yield float(times[k + 1]), float(boundary[k + 1]), interior
+
+
+def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
+    """Every level of :func:`levels`, stored in one preallocated trajectory."""
+    n_levels = _step_count(plan.dt) + 1
+    times, boundary = np.empty(n_levels), np.empty(n_levels)
+    interior = np.empty((n_levels, plan.mesh.n - 1))
+    for k, level in enumerate(levels(plan, atmosphere)):
+        times[k], boundary[k], interior[k] = level
     return Trajectory(times=times, interior=interior, boundary=boundary, mesh=plan.mesh)
+
+
+def write_csv(handle, nodes, rows):
+    """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``."""
+    handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
+    row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _CSV_BLOCK)):
+        handle.write("".join([row_format % (t, surface, *interior.tolist())
+                              for t, surface, interior in block]))

@@ -19,7 +19,8 @@ w_air = 0.1
 
 
 def write_config(tmp_path, f_kind="affine", d_kind="affine", atmosphere="ramp",
-                 dt="auto", n=11, f_value=None, f_intercept=1.0, z_F=1.0, T_e=1.0):
+                 dt="auto", n=11, f_value=None, f_intercept=1.0, z_F=1.0, T_e=1.0,
+                 c_D=1.0):
     if f_kind == "affine":
         f_section = f"[profile.f]\nkind = affine\nintercept = {f_intercept}\nslope = -1.0\n"
     else:
@@ -32,7 +33,7 @@ def write_config(tmp_path, f_kind="affine", d_kind="affine", atmosphere="ramp",
             + f"[mesh]\nn = {n}\n[time]\ndt = {dt}\n"
             + f_section + d_section
             + f"[atmosphere]\nkind = {atmosphere}\namplitude = 1.0\n"
-            + "[analysis]\nc_D = 1.0\n")
+            + f"[analysis]\nc_D = {c_D}\n")
     path = tmp_path / "run.ini"
     path.write_text(text)
     return str(path)
@@ -73,8 +74,11 @@ class TestConfig:
         (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0\n0.5,0.5\n"),
         ("[params]", "garbage\n[params]", None),
         ("g = 9.81", "g = 9.81\ng = 1.0", None),
+        ("amplitude = 1.0", "amplitude = nan", None),
+        ("kind = ramp", "kind = file\nfile = {table}", "0.0,0.0\n0.5,nan\n1.0,1.0\n"),
     ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
-            "sampled_short", "no_section_header", "duplicate_key"])
+            "sampled_short", "no_section_header", "duplicate_key", "nan_amplitude",
+            "atmosphere_file_nan"])
     def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
         """A file the INI parser or a model constructor rejects on reading exits 1."""
         table_path = tmp_path / "table.csv"
@@ -89,9 +93,10 @@ class TestInvalidOverrides:
     """Invalid values exit 1 before any solve, even when they are zero."""
 
     @staticmethod
-    def refused(tmp_path, capsys, *flags, dt="auto"):
+    def refused(tmp_path, capsys, *flags, **config):
         out = tmp_path / "o.csv"
-        code = cli.main(["--config", write_config(tmp_path, dt=dt), "--out", str(out), *flags])
+        code = cli.main(["--config", write_config(tmp_path, **config), "--out", str(out),
+                         *flags])
         assert code == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
@@ -116,6 +121,11 @@ class TestInvalidOverrides:
 
     def test_dt_above_unit_interval(self, tmp_path, capsys):
         self.refused(tmp_path, capsys, "--dt", "2", "--force")
+
+    @pytest.mark.parametrize("flags", [(), ("--force", "--dt", "0.001")],
+                             ids=["plain", "forced"])
+    def test_c_D_outside_open_interval(self, tmp_path, capsys, flags):
+        self.refused(tmp_path, capsys, *flags, c_D=5.0)
 
 
 class TestCmdRun:
@@ -157,6 +167,15 @@ class TestCmdRun:
         assert [row.split(",")[0] for row in rows] == ["0", "1"]
         assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_OK
         assert "dt_max: 4.1" in capsys.readouterr().out
+
+    def test_failed_set_up_leaves_no_file(self, tmp_path, capsys):
+        """A NaN profile fails in assembly, before the first level is written."""
+        cfg = write_config(tmp_path, f_intercept="nan")
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", cfg, "--out", str(out), "--force", "--dt", "0.01"]) == \
+            cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists()
 
     def test_force_overrides(self, tmp_path):
         cfg = write_config(tmp_path, dt="0.5")

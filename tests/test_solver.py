@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,8 @@ from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
-from firngas.solver import Trajectory, factor_tridiagonal, run, run_plan, step
+from firngas.solver import (Trajectory, factor_tridiagonal, levels, run, run_plan, step,
+                            write_csv)
 
 ONE = CoefficientProfile.constant(1.0)
 DECAY = CoefficientProfile.affine(1.0, -1.0)
@@ -193,8 +197,10 @@ class TestTrajectory:
     def test_csv_stride(self, tmp_path):
         mesh = build_uniform(5)
         traj = run(mesh, ONE, ONE, ctx(), AtmosphereSeries.ramp(), dt=0.02)
+        plan = analysis.plan_run(ONE, ONE, mesh, ctx(), dt=0.02)
         path = tmp_path / "traj.csv"
-        traj.write_csv(path, stride=10)
+        with open(path, "w", newline="\n") as handle:
+            write_csv(handle, mesh.nodes, levels(plan, AtmosphereSeries.ramp(), stride=10))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("t,0,")
         # down-sampled but the final level is always kept
@@ -209,15 +215,17 @@ class TestTrajectory:
                    1e-5, 123456789.12345678, 1e16, np.inf, -np.inf, np.nan]
         rng = np.random.default_rng(3)
         mesh = build_uniform(6)
-        levels = 2500
-        interior = rng.choice(special, size=(levels, 5)) * rng.choice([1.0, 1.7], (levels, 5))
+        n_levels = 2500
+        interior = rng.choice(special, size=(n_levels, 5)) * rng.choice([1.0, 1.7], (n_levels, 5))
         interior[0] = 0.0
-        traj = Trajectory(times=np.cumsum(np.r_[0.0, rng.uniform(1e-9, 1.0, levels - 1)]),
-                          interior=interior, boundary=rng.choice(special, levels), mesh=mesh)
+        traj = Trajectory(times=np.cumsum(np.r_[0.0, rng.uniform(1e-9, 1.0, n_levels - 1)]),
+                          interior=interior, boundary=rng.choice(special, n_levels), mesh=mesh)
+        kept = list(range(0, n_levels, stride))
+        kept += [n_levels - 1] if kept[-1] != n_levels - 1 else []
         path = tmp_path / "traj.csv"
-        traj.write_csv(path, stride=stride)
-        kept = list(range(0, levels, stride))
-        kept += [levels - 1] if kept[-1] != levels - 1 else []
+        with open(path, "w", newline="\n") as handle:
+            write_csv(handle, mesh.nodes,
+                      [(traj.times[k], traj.boundary[k], traj.interior[k]) for k in kept])
         want = "t," + ",".join(f"{z:.17g}" for z in mesh.nodes) + "\n" + "".join(
             f"{traj.times[k]:.17g}," + ",".join(f"{v:.17g}" for v in traj.reconstruct_full(k))
             + "\n" for k in kept)
@@ -340,3 +348,37 @@ def test_run_plan_bitwise_equals_step_loop(case, atm_name):
     assert traj.n_levels == n_steps + 1
     assert np.array_equal(traj.boundary, atmosphere(traj.times))
     assert np.array_equal(traj.interior, step_by_step(plan, atmosphere, traj.times))
+
+
+@pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
+@pytest.mark.parametrize("case", sorted(BIT_CASES))
+def test_levels_thin_the_full_loop(case, atm_name):
+    # Rows 0, stride, 2*stride, ... and K of the stored trajectory, bit for bit.
+    n, context, dt, force, n_steps = BIT_CASES[case]
+    atmosphere = ATMOSPHERES[atm_name]
+    plan = analysis.plan_run(DECAY, DECAY, build_uniform(n), context, dt=dt, force=force)
+    traj = run_plan(plan, atmosphere)
+    for stride in (1, 7, n_steps + 5):
+        kept = sorted({*range(0, n_steps + 1, stride), n_steps})
+        times, boundary, interior = zip(*levels(plan, atmosphere, stride))
+        assert np.array(times).tobytes() == traj.times[kept].tobytes()
+        assert np.array(boundary).tobytes() == traj.boundary[kept].tobytes()
+        assert np.array(interior).tobytes() == traj.interior[kept].tobytes()
+    with pytest.raises(ValidationError):
+        next(levels(plan, atmosphere, 0))
+
+
+def test_streamed_levels_do_not_grow_with_step_count():
+    # K = 1,250 and then 12,500 at stride 100: only the per-step scalars grow.
+    mesh = build_uniform(51)
+    peaks = []
+    for dt in (8e-4, 8e-5):
+        plan = analysis.plan_run(DECAY, DECAY, mesh, UNIT_CONTEXT, dt=dt)
+        with open(os.devnull, "w") as handle:
+            tracemalloc.start()
+            try:
+                write_csv(handle, mesh.nodes, levels(plan, AtmosphereSeries.ramp(), stride=100))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1.5e6
