@@ -11,7 +11,7 @@ symmetric tridiagonal part of each band matrix, with no size cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,10 +107,12 @@ def _inverse_integral(weight, bottom: float, z_F: float) -> tuple:
     The graded grid stops at ``1 - 1e-8``; when the weight's ``bottom``
     value at ``z = 1`` is positive the last sliver is integrable and enters
     the total, so regular profiles are not short-changed by the truncation.
+    A weight that vanishes at a grid point makes the integral infinite.
     """
     grid = _tail_grid()
     points = np.append(grid, 1.0) if bottom > 0.0 else grid
-    inv = 1.0 / np.maximum(np.asarray(weight(points), dtype=float), 1e-300)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / np.maximum(np.asarray(weight(points), dtype=float), 0.0)
     cum = _cumulative_trapezoid(inv, points)
     coarse = float(cum[:grid.size][grid <= 1.0 - 1e-4][-1])
     full = float(cum[-1])
@@ -264,8 +266,11 @@ def _continuity(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
     sqrt_df = float(np.sqrt(np.max(d_vals / f_vals)))
     sqrt_d_sup = float(np.sqrt(max(np.max(d_vals), d_bottom)))
     c_p = 2.0 * B0
-    big_c = (1.0 + c_p * context.mcoef * sqrt_d_sup + context.gcoef * c_p**2
-             + context.fcoef * sqrt_fd + context.fcoef * C0**2)
+    try:
+        big_c = (1.0 + c_p * context.mcoef * sqrt_d_sup + context.gcoef * c_p**2
+                 + context.fcoef * sqrt_fd + context.fcoef * C0**2)
+    except OverflowError:  # float ** raises where * gives inf: the constant is unbounded
+        big_c = math.inf
     small_c = context.mcoef * sqrt_df + context.fcoef * sqrt_fd
     eps = 0.5 * min(1.0 / small_c, 1.0) if small_c > 0.0 else 0.5
     c1 = 1.0 - small_c * eps / 2.0
@@ -330,20 +335,20 @@ class Plan:
     """
 
     mesh: object
-    context: RescaledContext
-    f_nodes: np.ndarray
-    d_nodes: np.ndarray
+    context: InitVar[RescaledContext]
+    f_nodes: InitVar[np.ndarray]
+    d_nodes: InitVar[np.ndarray]
     dt: float
     dt_max: float | None = None
     report: StabilityReport | None = None
-    _systems: dict = field(default_factory=dict, repr=False)
+    operators: assembly.DiscreteSystem = field(init=False, repr=False)
+
+    def __post_init__(self, context, f_nodes, d_nodes):
+        self.operators = assembly.assemble_system(self.mesh, f_nodes, d_nodes, context, self.dt)
 
     def system(self, dt: float) -> assembly.DiscreteSystem:
-        """Operators and step matrix for the step ``dt``, assembled once per step."""
-        if dt not in self._systems:
-            self._systems[dt] = assembly.assemble_system(self.mesh, self.f_nodes, self.d_nodes,
-                                                         self.context, dt)
-        return self._systems[dt]
+        """The plan's operators with the step matrix of ``dt``; another step derives only ``V``."""
+        return self.operators if dt == self.operators.dt else replace(self.operators, dt=dt)
 
 
 def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 1.0,
@@ -366,6 +371,8 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
     try:
         assumptions = check_assumptions(f_profile, d_profile, mesh)
+        if math.isinf(inv_d[0]):
+            raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
         if report:
             b0 = _hardy_constant(np.ones_like(grid), cum_inv_d, grid, context.z_F)
             f_vals, d_vals = _body_samples(f_profile, d_profile)
@@ -393,8 +400,7 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
             raise
     dt_max = (_step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)["dt_max"]
               if auto else None)
-    return Plan(mesh, context, np.asarray(f_profile(mesh.nodes), dtype=float),
-                np.asarray(d_profile(mesh.nodes), dtype=float),
+    return Plan(mesh, context, f_profile(mesh.nodes), d_profile(mesh.nodes),
                 _auto_step(dt_max) if auto else float(dt), dt_max)
 
 

@@ -16,7 +16,7 @@ both O(h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,7 +181,12 @@ class DiscreteSystem:
     S: Tridiagonal
     B: Tridiagonal
     C: Tridiagonal
-    V: Tridiagonal
+    V: Tridiagonal = field(init=False)  # Mf + T_e * dt * C, the one step-dependent operator
+
+    def __post_init__(self):
+        if self.dt < 0.0:
+            raise ValidationError("time step must be nonnegative")
+        object.__setattr__(self, "V", self.Mf + self.C.scale(self.context.T_e * self.dt))
 
 
 def assemble_system(mesh, f_samples, d_samples, context: RescaledContext,
@@ -192,8 +197,6 @@ def assemble_system(mesh, f_samples, d_samples, context: RescaledContext,
     advection and the bottom boundary term; the step matrix adds the
     weighted mass matrix.
     """
-    if dt < 0.0:
-        raise ValidationError("time step must be nonnegative")
     f = np.asarray(f_samples, dtype=float)
     d = np.asarray(d_samples, dtype=float)
     if len(f) != mesh.n or len(d) != mesh.n:
@@ -209,9 +212,7 @@ def assemble_system(mesh, f_samples, d_samples, context: RescaledContext,
          + S.scale(1.0 / z_F**2)
          - A.scale(context.mcoef / z_F)
          + (B - Kf).scale(1.0 / z_F))
-    V = Mf + C.scale(context.T_e * dt)
-    return DiscreteSystem(mesh=mesh, f_samples=f, d_samples=d, context=context, dt=dt,
-                          M=M, Mf=Mf, Kf=Kf, A=A, S=S, B=B, C=C, V=V)
+    return DiscreteSystem(mesh, f, d, context, dt, M, Mf, Kf, A, S, B, C)
 
 
 def surface_v1(rho_k, rho_k1, mesh, f_samples):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, assembly, mesh as mesh_mod, oracle, solver
+from . import analysis, assembly, mesh as mesh_mod, solver
 from .errors import AssumptionError, ConfigError, FirngasError, TimeStepError
 from .model import AtmosphereSeries, CoefficientProfile, ModelParams, rescale
 
@@ -192,6 +192,7 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     verdicts.  Succeeds iff each observed order sits within 0.5 of the
     documented one (or the deviation is at rounding level).
     """
+    from . import oracle  # verification only, kept off the run path
     fcoef = rescale(config.params).fcoef
     # kind -> (band assembler of node samples, weight profile, expected order).
     # The expected orders are those of the max entry deviation under mesh

@@ -2,12 +2,12 @@
 
 The homogenized unknown carries the interior-plus-bottom coefficients; the
 Dirichlet surface value is re-attached when reconstructing the full node
-vector.  A run's uniform time grid has at most two step matrices, the
-uniform step and the shortened last one; each is assembled and factored once
-per run.  The atmosphere enters only row 0 of the right-hand side, so the
-loop evaluates it once for every level and then costs one ``Mf`` product and
-one forward/back substitution per step.  :func:`step` is the one-step
-reference that the loop, :func:`levels`, reproduces bit for bit.
+vector.  A run's uniform time grid has at most two step matrices, the uniform
+step and the shortened last one, each derived from the plan's operators and
+factored once per run.  The atmosphere enters only row 0 of the right-hand
+side, so the loop evaluates it once for every level and then costs one ``Mf``
+product and one forward/back substitution per step.  :func:`step` is the
+one-step reference that the loop, :func:`levels`, reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import SingularMatrixError, ValidationError
 
 __all__ = ["Trajectory", "factor_tridiagonal", "step", "run", "run_plan", "levels", "write_csv"]
 
-_PIVOT_TOL = 1e-13  # relative pivot-magnitude guard for the unpivoted path
+_PIVOT_TOL = 1e-13  # pivot-magnitude guard relative to max|entry|, unpivoted path
 _EPS = float(np.finfo(float).eps)
 _CSV_BLOCK = 1024   # rows formatted per write: bounded memory, few calls
 
@@ -46,7 +46,7 @@ class _Elimination:
 
     def __init__(self, matrix: assembly.Tridiagonal):
         m = matrix.dim
-        guard = _PIVOT_TOL * max(matrix.max_abs(), 1.0)
+        guard = _PIVOT_TOL * matrix.max_abs()
         diag, sub, sup = matrix.diag.tolist(), matrix.sub.tolist(), matrix.sup.tolist()
         pivots, c = [], []
         for k in range(m):
@@ -76,7 +76,7 @@ class _PivotedElimination:
 
     def __init__(self, matrix: assembly.Tridiagonal):
         m = matrix.dim
-        guard = _PIVOT_TOL * 1e-3 * max(matrix.max_abs(), 1.0)
+        guard = _PIVOT_TOL * 1e-3 * matrix.max_abs()
         diag = matrix.diag.tolist()
         sub = matrix.sub.tolist()
         sup1 = matrix.sup.tolist() + [0.0]
@@ -171,7 +171,8 @@ class Trajectory:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0.0):
             raise ValidationError("trajectory times must increase from 0")
-        if self.interior.shape != (len(self.times), self.mesh.n - 1):
+        if (self.interior.shape != (len(self.times), self.mesh.n - 1)
+                or self.boundary.shape != self.times.shape):
             raise ValidationError("trajectory shape mismatch")
         if np.any(self.interior[0] != 0.0):
             raise ValidationError("trajectory must start from the zero state")
@@ -212,7 +213,7 @@ def levels(plan: analysis.Plan, atmosphere, stride: int = 1):
     Yields ``(t, surface value, interior)``, each interior a fresh array, at
     level 0, every ``stride``-th level and the last.  The time grid is
     uniform; the last step is shortened to land exactly on t=1, with a step
-    matrix assembled for its own length.  All checks and factorizations run
+    matrix derived for its own length.  All checks and factorizations run
     before level 0; each step then repeats :func:`step`'s arithmetic.
     """
     if stride < 1:

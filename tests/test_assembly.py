@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from firngas import assembly
-from firngas.assembly import (Tridiagonal, assemble_A, assemble_B, assemble_Kf,
+from firngas.assembly import (DiscreteSystem, Tridiagonal, assemble_A, assemble_B, assemble_Kf,
                               assemble_M, assemble_Mf, assemble_S,
                               assemble_rhs, assemble_system, assemble_v1,
                               assemble_v3)
@@ -177,6 +179,29 @@ class TestSystem:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValidationError):
             assemble_system(MESH3, F3, F3, unit_context(), -0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, 1e-7, 0.003, 1.0 / 3.0, 0.7, 1.0])
+    def test_replaced_step_matches_assembly(self, dt):
+        """``replace(system, dt=x)`` derives bitwise step ``x``'s matrix and shares the rest."""
+        ctx = RescaledContext(T_e=30.0, z_F=80.0, mcoef=0.2, gcoef=0.7, fcoef=1.3)
+        mesh = build_uniform(9)
+        f, d = 1.0 - mesh.nodes, 1.0 - mesh.nodes**2
+        system = assemble_system(mesh, f, d, ctx, 0.01)
+        derived, fresh = replace(system, dt=dt), assemble_system(mesh, f, d, ctx, dt)
+        for band in ("sub", "diag", "sup"):
+            assert getattr(derived.V, band).tobytes() == getattr(fresh.V, band).tobytes()
+        for name in ("mesh", "f_samples", "d_samples", "context", "M", "Mf", "Kf", "A", "S",
+                     "B", "C"):
+            assert getattr(derived, name) is getattr(system, name)
+        with pytest.raises(ValidationError):
+            replace(system, dt=-dt - 0.1)
+
+    def test_step_matrix_not_an_argument(self):
+        system = assemble_system(MESH3, F3, F3, unit_context(), 0.01)
+        with pytest.raises(TypeError):
+            DiscreteSystem(**{name: getattr(system, name) for name in
+                              ("mesh", "f_samples", "d_samples", "context", "dt", "M", "Mf",
+                               "Kf", "A", "S", "B", "C", "V")})
 
 
 class TestRhs:

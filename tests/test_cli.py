@@ -3,7 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firngas import cli
+import firngas
+from firngas import assembly, cli
+from firngas.model import rescale
 
 BASE_PARAMS = """\
 [params]
@@ -50,6 +52,27 @@ def edit_config(path, old, new):
     return path
 
 
+def vanishing_d_config(tmp_path, dip):
+    """Unit config with f = 1 and a sampled D that dips to ``dip`` at z = 0.5049, between nodes."""
+    table = tmp_path / "d.csv"
+    table.write_text(f"0,1\n0.5,1\n0.5049,{dip}\n0.51,1\n1,1\n")
+    return edit_config(write_config(tmp_path, f_kind="constant", f_value=1.0), AFFINE,
+                       f"kind = sampled\nfile = {table}")
+
+
+def count_assemblies(monkeypatch):
+    """Count the calls of ``assembly.assemble_system`` from now on."""
+    calls = []
+    assemble = assembly.assemble_system
+
+    def counting(*args):
+        calls.append(args[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(assembly, "assemble_system", counting)
+    return calls
+
+
 class TestConfig:
     def test_missing_file(self, capsys):
         assert cli.main(["--config", "/nonexistent/run.ini"]) == cli.EXIT_IO
@@ -59,6 +82,23 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text("[params]\ng = 9.81\n")
         assert cli.main(["--config", str(path)]) == cli.EXIT_IO
+
+    def test_firn_diffusion_profile(self, tmp_path):
+        """``kind = firn_diffusion`` reads its two tables; D is continuous at z_eddy = 0.5."""
+        eddy, co2 = tmp_path / "eddy.csv", tmp_path / "co2.csv"
+        eddy.write_text("0,0.3\n1,0.1\n")
+        co2.write_text("0,1\n1,0\n")
+        cfg = edit_config(write_config(tmp_path, d_kind="constant"), "kind = constant\nvalue = 1.0",
+                          "kind = firn_diffusion\nz_eddy = 0.5\nr_alpha = 0.8\nc_f = 0.5\n"
+                          f"d_eddy_file = {eddy}\nd_co2_air_file = {co2}")
+        z = np.array([0.0, 0.2, 0.45, 0.5, 0.55, 0.8, 1.0])
+        d_eddy, d_co2 = 0.3 - 0.2 * z, 1.0 - z
+        expected = np.where(z <= 0.5, d_eddy + 0.8 * 0.5 * d_co2, 0.8 * d_co2)
+        np.testing.assert_allclose(cli.load_config(cfg).d_profile(z), expected,
+                                   rtol=1e-15, atol=1e-15)
+        assert cli.main(["--config", cfg, "--check-only",
+                         "--out", str(tmp_path / "r.txt")]) == cli.EXIT_OK
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == cli.EXIT_OK
 
     def test_load_roundtrip(self, tmp_path):
         config = cli.load_config(write_config(tmp_path))
@@ -76,9 +116,13 @@ class TestConfig:
         ("g = 9.81", "g = 9.81\ng = 1.0", None),
         ("amplitude = 1.0", "amplitude = nan", None),
         ("kind = ramp", "kind = file\nfile = {table}", "0.0,0.0\n0.5,nan\n1.0,1.0\n"),
+        ("M_alpha = 0.04", "M_alpha = abc", None),
+        (AFFINE, "kind = quadratic", None),
+        ("kind = ramp", "kind = sine", None),
     ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
             "sampled_short", "no_section_header", "duplicate_key", "nan_amplitude",
-            "atmosphere_file_nan"])
+            "atmosphere_file_nan", "bad_float", "unknown_profile_kind",
+            "unknown_atmosphere_kind"])
     def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
         """A file the INI parser or a model constructor rejects on reading exits 1."""
         table_path = tmp_path / "table.csv"
@@ -176,6 +220,30 @@ class TestCmdRun:
             cli.EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--check-only"], cli.EXIT_ADMISSIBILITY),
+        ([], cli.EXIT_ADMISSIBILITY),
+        (["--force"], cli.EXIT_OK),
+    ], ids=["check_only", "run", "forced"])
+    def test_diffusivity_vanishing_between_nodes(self, tmp_path, capsys, flags, code):
+        """D = 0 at z = 0.5049, a point of the analysis grid but not a node, is assumption (6)."""
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", vanishing_d_config(tmp_path, "0"), "--out", str(out),
+                         *flags]) == code
+        if code == cli.EXIT_ADMISSIBILITY:
+            assert capsys.readouterr().err == ("admissibility failure: assumption (6) violated: "
+                                               "diffusivity vanishes inside [0, 1)\n")
+            assert not out.exists()
+        else:  # the forced fallback runs on the node samples, without a report
+            assert not out.read_text().startswith("#")
+
+    def test_diffusivity_tiny_between_nodes(self, tmp_path):
+        """D = 1e-200 there passes; the continuity constant overflows to inf in the report."""
+        cfg = vanishing_d_config(tmp_path, "1e-200")
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        assert "# continuity_C: inf\n" in out.read_text()
 
     def test_force_overrides(self, tmp_path):
         cfg = write_config(tmp_path, dt="0.5")
@@ -303,3 +371,28 @@ class TestCmdOracleCompare:
         cfg = write_config(tmp_path, f_intercept="nan")
         assert cli.main(["--config", cfg, "--oracle-compare"]) == cli.EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+class TestOneAssemblyPerPlan:
+    """A run assembles its operators once; every other step matrix is derived from them."""
+
+    @pytest.mark.parametrize("flags", [[], ["--dt", "0.003"], ["--force", "--dt", "0.5"],
+                                       ["--check-only"]],
+                             ids=["auto", "user_dt", "forced_dt", "check_only"])
+    def test_cli(self, tmp_path, monkeypatch, flags):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o.csv"
+        calls = count_assemblies(monkeypatch)
+        assert cli.main(["--config", cfg, "--out", str(out), *flags]) == cli.EXIT_OK
+        assert len(calls) == 1
+        if flags[:1] == ["--dt"] or not flags:  # both runs end on a shortened step
+            times = [float(ln.split(",")[0]) for ln in out.read_text().splitlines()
+                     if not ln.startswith(("#", "t,"))]
+            assert times[-1] - times[-2] < times[1] - times[0]
+
+    def test_library_run(self, tmp_path, monkeypatch):
+        config = cli.load_config(write_config(tmp_path))
+        calls = count_assemblies(monkeypatch)
+        firngas.run(config.mesh, config.f_profile, config.d_profile, rescale(config.params),
+                    config.atmosphere)
+        assert len(calls) == 1

@@ -47,7 +47,9 @@ def test_every_export_resolves():
 
 
 def test_package_import_leaves_oracle_unloaded():
-    assert _fresh_output("import sys, firngas; print('firngas.oracle' in sys.modules)") == "False"
+    for module in ("firngas", "firngas.cli"):
+        assert _fresh_output(f"import sys, {module}; print('firngas.oracle' in sys.modules)"
+                             ) == "False", module
 
 
 def test_report_leaves_numpy_ma_unloaded(tmp_path):

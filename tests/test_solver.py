@@ -194,6 +194,11 @@ class TestTrajectory:
                        interior=np.array([[0.1, 0.0], [0.3, 0.7]]),
                        boundary=np.array([0.0, 1.0]), mesh=mesh)
 
+    def test_boundary_must_match_times(self):
+        with pytest.raises(ValidationError):
+            Trajectory(times=np.array([0.0, 1.0]), interior=np.zeros((2, 2)),
+                       boundary=np.array([0.0]), mesh=build_uniform(3))
+
     def test_csv_stride(self, tmp_path):
         mesh = build_uniform(5)
         traj = run(mesh, ONE, ONE, ctx(), AtmosphereSeries.ramp(), dt=0.02)
@@ -275,6 +280,11 @@ class TestRun:
             run(build_uniform(11), ONE, ONE, ctx(), AtmosphereSeries.ramp(), dt=0.9)
         assert info.value.dt_max > 0.0
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_negative_dt_refused_by_plan(self, force):
+        with pytest.raises(ValidationError):
+            analysis.plan_run(DECAY, DECAY, build_uniform(5), ctx(), dt=-0.1, force=force)
+
     def test_force_overrides_bound(self):
         traj = run(build_uniform(11), ONE, ONE, ctx(), AtmosphereSeries.ramp(),
                    dt=0.5, force=True)
@@ -300,6 +310,21 @@ class TestRun:
                    dt="auto")
         assert np.all(np.isfinite(traj.interior))
         assert traj.times[-1] == 1.0
+
+    @pytest.mark.parametrize("exponent", [30, 60, 70])
+    def test_power_of_two_scale_gives_bitwise_trajectory(self, exponent):
+        """f = D = s(1 - z) and gcoef = s scale every operator and forcing term by s exactly.
+
+        The pivot guard is relative to max|V|, so a step matrix with entries
+        near 2**-70 solves as it does at s = 1.
+        """
+        def interior(s):
+            context = RescaledContext(T_e=1.0, z_F=1.0, mcoef=0.5, gcoef=s, fcoef=0.6)
+            profile = CoefficientProfile.affine(s, -s)
+            return run(build_uniform(51), profile, profile, context, AtmosphereSeries.ramp(),
+                       dt=1e-3).interior
+
+        assert interior(2.0**-exponent).tobytes() == interior(1.0).tobytes()
 
     def test_long_run_at_readme_scale(self):
         # 10,000 steps: dt * k drifts from t_k by up to an ulp of t_k, which
