@@ -11,7 +11,7 @@ symmetric tridiagonal part of each band matrix, with no size cap.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -103,32 +103,34 @@ def _inverse_integral(weight, bottom: float, z_F: float) -> tuple:
     """Running trapezoid integral of ``1/weight`` along the tail grid.
 
     Returns the grid, the running integral on it, and the pair of
-    ``z_F * int_0^1 1/weight`` and a truncation-growth divergence flag.
-    The graded grid stops at ``1 - 1e-8``; when the weight's ``bottom``
-    value at ``z = 1`` is positive the last sliver is integrable and enters
-    the total, so regular profiles are not short-changed by the truncation.
-    A weight that vanishes at a grid point makes the integral infinite.
+    ``z_F * int_0^1 1/weight`` and a divergence flag.  The graded grid
+    stops at ``1 - 1e-8``.  When the weight's ``bottom`` value at ``z = 1``
+    is positive the last sliver is integrable and enters the total, so the
+    integral diverges only if it is not finite.  Otherwise it is flagged
+    divergent when it is not finite or grows by more than 1% from
+    ``1 - 1e-4`` to ``1 - 1e-8``.  A weight that vanishes at a grid point
+    makes the integral infinite.
     """
     grid = _tail_grid()
-    points = np.append(grid, 1.0) if bottom > 0.0 else grid
+    closed = bottom > 0.0
+    points = np.append(grid, 1.0) if closed else grid
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / np.maximum(np.asarray(weight(points), dtype=float), 0.0)
     cum = _cumulative_trapezoid(inv, points)
     coarse = float(cum[:grid.size][grid <= 1.0 - 1e-4][-1])
     full = float(cum[-1])
-    divergent = (not np.isfinite(full)) or full > (1.0 + _DIVERGENCE_GROWTH) * max(coarse, 1e-300)
+    divergent = not np.isfinite(full) or (
+        not closed and full > (1.0 + _DIVERGENCE_GROWTH) * max(coarse, 1e-300))
     return grid, cum[:grid.size], (z_F * full, divergent)
 
 
 def _trace_constant(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
-                    lipschitz_L: float, B0: float, integral: float, divergent: bool) -> float:
-    """Trace constant bounding the weighted bottom value."""
+                    lipschitz_L: float, B0: float, integral: float) -> float:
+    """Trace constant bounding the weighted bottom value; ``integral`` is ``z_F int 1/D``."""
     if np.any(d_vals <= 0.0):
         raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
     ratio_sup = float(np.sqrt(np.max(f_vals / d_vals)))
     if d_bottom > 0.0:
-        if divergent:
-            raise FirngasError("inverse-diffusivity integral diverges in the nondegenerate branch")
         return ratio_sup * max(float(np.max(d_vals)), d_bottom) * integral
     return ratio_sup * lipschitz_L * B0**2
 
@@ -330,21 +332,16 @@ def build_report(f_profile, d_profile, mesh, context: RescaledContext,
 class Plan:
     """Everything a run derives before its first step, each quantity once.
 
-    A forced run past a failed check runs on raw node samples and knows the
-    step bound ``dt_max`` only if it had to pick the step.
+    A record of the ``operators`` that :func:`plan_run` assembled.  A
+    forced run past a failed check has no report, and knows ``dt_max``
+    only if the bound was computed before the failure or picked the step.
     """
 
     mesh: object
-    context: InitVar[RescaledContext]
-    f_nodes: InitVar[np.ndarray]
-    d_nodes: InitVar[np.ndarray]
+    operators: assembly.DiscreteSystem = field(repr=False)
     dt: float
     dt_max: float | None = None
     report: StabilityReport | None = None
-    operators: assembly.DiscreteSystem = field(init=False, repr=False)
-
-    def __post_init__(self, context, f_nodes, d_nodes):
-        self.operators = assembly.assemble_system(self.mesh, f_nodes, d_nodes, context, self.dt)
 
     def system(self, dt: float) -> assembly.DiscreteSystem:
         """The plan's operators with the step matrix of ``dt``; another step derives only ``V``."""
@@ -353,55 +350,57 @@ class Plan:
 
 def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 1.0,
              dt="auto", force: bool = False, report: bool = False) -> Plan:
-    """Admissibility plan of one run.
+    """Admissibility plan of one run: every check, the step bound, then one assembly.
 
-    ``dt = "auto"`` becomes ``min(0.9 * dt_max, 1)``; a step above
-    ``dt_max`` raises :class:`TimeStepError` unless ``force``.  With
-    ``report`` the plan carries the :class:`StabilityReport`, its
-    step-matrix verdict at the auto step; checks then fail in the report's
-    order, the step bound last.
-    The inverse-diffusivity integral is computed once, before the checks,
-    and also gives the report's B0; C0 and the continuity constants share
-    one sample of f and D.  Under ``force`` a failed check drops the report
-    and falls back to raw node samples, with the bound computed only to
-    pick an ``"auto"`` step.
+    Every caller runs every check that can refuse a config, in this order:
+    assumptions (5) and (6), condition (cond:WI) through ``B0``, the trace
+    constant ``C0``, the step bound, continuity (9), and last a step above
+    ``dt_max`` (:class:`TimeStepError`).  ``dt = "auto"`` becomes
+    ``min(0.9 * dt_max, 1)``.  ``report`` adds only the PD verdicts at the
+    auto step and the :class:`StabilityReport` that records them with the
+    checks' constants.  The integral of ``1/D`` is computed once and also
+    gives ``B0``; ``C0`` and the continuity constants share one sample of
+    f and D.  Under ``force`` a failed check drops the report and the run
+    goes on with the node samples; the step bound is computed after the
+    failure only to pick an ``"auto"`` step.
     """
     auto = dt is None or dt == "auto"
     d_bottom = float(d_profile(1.0))
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
+    nodes = bound = constants = None
     try:
         assumptions = check_assumptions(f_profile, d_profile, mesh)
+        nodes = assumptions["f_nodes"], assumptions["d_nodes"]
         if math.isinf(inv_d[0]):
             raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
-        if report:
-            b0 = _hardy_constant(np.ones_like(grid), cum_inv_d, grid, context.z_F)
-            f_vals, d_vals = _body_samples(f_profile, d_profile)
-            c0 = _trace_constant(f_vals, d_vals, d_bottom, assumptions["lipschitz_L"], b0, *inv_d)
+        b0 = _hardy_constant(np.ones_like(grid), cum_inv_d, grid, context.z_F)
         del grid, cum_inv_d
+        f_vals, d_vals = _body_samples(f_profile, d_profile)
+        c0 = _trace_constant(f_vals, d_vals, d_bottom, assumptions["lipschitz_L"], b0, inv_d[0])
         bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)
-        auto_dt = _auto_step(bound["dt_max"])
-        plan = Plan(mesh, context, assumptions["f_nodes"], assumptions["d_nodes"],
-                    auto_dt if auto else float(dt), bound["dt_max"])
-        if report:
-            system = plan.system(auto_dt)
-            verdicts = check_pd_all({name: getattr(system, name)
-                                    for name in ("M", "Mf", "Kf", "A", "S", "B", "V")})
-            plan.report = StabilityReport(
-                B0=b0, C0=c0, pd_verdicts=verdicts,
-                continuity=_continuity(f_vals, d_vals, d_bottom, context, b0, c0),
-                **{key: assumptions[key]
-                   for key in ("lipschitz_L", "ratio_sup_Df", "ratio_sup_fD")},
-                **bound)
-        if not (auto or force) and plan.dt > plan.dt_max:
-            raise TimeStepError(plan.dt, plan.dt_max)
-        return plan
+        constants = dict(
+            B0=b0, C0=c0, continuity=_continuity(f_vals, d_vals, d_bottom, context, b0, c0),
+            **{key: assumptions[key] for key in ("lipschitz_L", "ratio_sup_Df", "ratio_sup_fD")},
+            **bound)
     except FirngasError:
         if not force:
             raise
-    dt_max = (_step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)["dt_max"]
-              if auto else None)
-    return Plan(mesh, context, f_profile(mesh.nodes), d_profile(mesh.nodes),
-                _auto_step(dt_max) if auto else float(dt), dt_max)
+    if bound is None and auto:
+        bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)
+    dt_max = bound["dt_max"] if bound else None
+    step = _auto_step(dt_max) if auto else float(dt)
+    if not (auto or force) and step > dt_max:
+        raise TimeStepError(step, dt_max)
+    f_nodes, d_nodes = nodes or (f_profile(mesh.nodes), d_profile(mesh.nodes))
+    plan = Plan(mesh, assembly.assemble_system(mesh, f_nodes, d_nodes, context, step),
+                step, dt_max)
+    if report and constants:
+        system = plan.system(_auto_step(dt_max))
+        plan.report = StabilityReport(
+            pd_verdicts=check_pd_all({name: getattr(system, name)
+                                      for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}),
+            **constants)
+    return plan
 
 
 def _auto_step(dt_max: float) -> float:

@@ -260,6 +260,3 @@ class AtmosphereSeries:
             raise DomainError("atmosphere series evaluated outside its time range")
         out = np.interp(t, self.times, self.values)
         return out if out.ndim else float(out)
-
-    def scaled(self, factor: float) -> "AtmosphereSeries":
-        return AtmosphereSeries(self.times.copy(), self.values * factor)

@@ -177,7 +177,7 @@ def test_acceptance_7_solver_invariants():
     ok &= all(base.reconstruct_full(k)[0] == atm(base.times[k])
               for k in range(base.n_levels))
 
-    scaled = run(mesh, ONE, ONE, ctx(), atm.scaled(3.7), dt="auto")
+    scaled = run(mesh, ONE, ONE, ctx(), AtmosphereSeries.ramp(3.7), dt="auto")
     denom = np.maximum(np.abs(3.7 * base.interior), 1e-300)
     mask = np.abs(base.interior) > 1e-13
     rel = np.max(np.abs(scaled.interior - 3.7 * base.interior)[mask] / denom[mask])

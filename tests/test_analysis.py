@@ -170,7 +170,7 @@ class TestC0:
         assert report(DECAY, DECAY).C0 == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_zero_numerator(self):
-        got = analysis._trace_constant(np.zeros(5), np.ones(5), 1.0, 0.0, 0.5, 1.0, False)
+        got = analysis._trace_constant(np.zeros(5), np.ones(5), 1.0, 0.0, 0.5, 1.0)
         assert got == 0.0
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import firngas
-from firngas import assembly, cli
+from firngas import analysis, assembly, cli
+from firngas.errors import AssumptionError, FirngasError, TimeStepError
 from firngas.model import rescale
 
 BASE_PARAMS = """\
@@ -22,13 +23,13 @@ w_air = 0.1
 
 def write_config(tmp_path, f_kind="affine", d_kind="affine", atmosphere="ramp",
                  dt="auto", n=11, f_value=None, f_intercept=1.0, z_F=1.0, T_e=1.0,
-                 c_D=1.0):
+                 c_D=1.0, d_slope=-1.0):
     if f_kind == "affine":
         f_section = f"[profile.f]\nkind = affine\nintercept = {f_intercept}\nslope = -1.0\n"
     else:
         f_section = f"[profile.f]\nkind = constant\nvalue = {f_value}\n"
     if d_kind == "affine":
-        d_section = "[profile.D]\nkind = affine\nintercept = 1.0\nslope = -1.0\n"
+        d_section = f"[profile.D]\nkind = affine\nintercept = 1.0\nslope = {d_slope}\n"
     else:
         d_section = "[profile.D]\nkind = constant\nvalue = 1.0\n"
     text = (BASE_PARAMS + f"z_F = {z_F}\nT_e = {T_e}\n"
@@ -60,16 +61,38 @@ def vanishing_d_config(tmp_path, dip):
                        f"kind = sampled\nfile = {table}")
 
 
-def count_assemblies(monkeypatch):
-    """Count the calls of ``assembly.assemble_system`` from now on."""
+def continuity_failure_config(tmp_path):
+    """Unit config with a sampled f that is 0 past z = 0.9999, so positive at every interior node.
+
+    It passes every check up to the step bound and fails continuity (9).
+    """
+    table = tmp_path / "f.csv"
+    table.write_text("0,1\n0.9999,0\n1,0\n")
+    return edit_config(write_config(tmp_path), AFFINE, f"kind = sampled\nfile = {table}")
+
+
+def strongly_degenerate_d_config(tmp_path):
+    """Unit config with f = 1 and a sampled D = (1 - z)^3, graded towards z = 1.
+
+    The weighted Poincare constant diverges: condition (cond:WI) fails.
+    """
+    z = np.concatenate([np.linspace(0.0, 0.9, 10), 1.0 - np.logspace(-1.25, -10.0, 36), [1.0]])
+    table = tmp_path / "d.csv"
+    table.write_text("".join(f"{x:.17g},{(1.0 - x) ** 3:.17g}\n" for x in z))
+    return edit_config(write_config(tmp_path, f_kind="constant", f_value=1.0), AFFINE,
+                       f"kind = sampled\nfile = {table}")
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from now on."""
     calls = []
-    assemble = assembly.assemble_system
+    function = getattr(module, name)
 
     def counting(*args):
-        calls.append(args[-1])
-        return assemble(*args)
+        calls.append(args)
+        return function(*args)
 
-    monkeypatch.setattr(assembly, "assemble_system", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -324,12 +347,18 @@ class TestCmdCheck:
         ("2002", cli.EXIT_ADMISSIBILITY, "assumption (9)"),
     ])
     def test_error_order(self, tmp_path, capsys, n, code, message):
-        """The (9) check runs after the PD verdicts, which have no size cap."""
-        table = tmp_path / "f.csv"
-        table.write_text("0,1\n0.9999,0\n1,0\n")  # f > 0 at interior nodes, 0 past 0.9999
-        cfg = edit_config(write_config(tmp_path), AFFINE, f"kind = sampled\nfile = {table}")
+        """The (9) check runs after the step bound and before the PD verdicts, at any size."""
+        cfg = continuity_failure_config(tmp_path)
         assert cli.main(["--config", cfg, "--check-only", "--n", n]) == code
         assert message in capsys.readouterr().err
+
+    def test_finite_inverse_integral_with_positive_bottom(self, tmp_path, capsys):
+        """D = 1 - 0.999999 z has D(1) > 0 and the finite int 1/D = -ln(1e-6) / 0.999999."""
+        cfg = write_config(tmp_path, d_slope=-0.999999)
+        assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_OK
+        report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert report["I_D_divergent"] == "false"
+        assert float(report["I_D"]) == pytest.approx(-np.log(1e-6) / 0.999999, rel=1e-5)
 
     def test_readme_config_past_dense_size(self, tmp_path, capsys):
         """n = 5001 certifies all seven matrices; only B, which vanishes as f(1) = 0, fails."""
@@ -382,7 +411,7 @@ class TestOneAssemblyPerPlan:
     def test_cli(self, tmp_path, monkeypatch, flags):
         cfg = write_config(tmp_path)
         out = tmp_path / "o.csv"
-        calls = count_assemblies(monkeypatch)
+        calls = count_calls(monkeypatch, assembly, "assemble_system")
         assert cli.main(["--config", cfg, "--out", str(out), *flags]) == cli.EXIT_OK
         assert len(calls) == 1
         if flags[:1] == ["--dt"] or not flags:  # both runs end on a shortened step
@@ -392,7 +421,52 @@ class TestOneAssemblyPerPlan:
 
     def test_library_run(self, tmp_path, monkeypatch):
         config = cli.load_config(write_config(tmp_path))
-        calls = count_assemblies(monkeypatch)
+        calls = count_calls(monkeypatch, assembly, "assemble_system")
         firngas.run(config.mesh, config.f_profile, config.d_profile, rescale(config.params),
                     config.atmosphere)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("make_config", [
+        continuity_failure_config,
+        lambda tmp_path: edit_config(write_config(tmp_path, T_e=0.001), AFFINE,
+                                     AFFINE + "\nupper_bound = 0.5"),  # f fails (5)
+    ], ids=["continuity", "capped_f"])
+    def test_forced_past_failed_check(self, tmp_path, monkeypatch, make_config):
+        """A forced run past a failed check computes the step bound at most once, and assembles once."""
+        cfg = make_config(tmp_path)
+        assemblies = count_calls(monkeypatch, assembly, "assemble_system")
+        bounds = count_calls(monkeypatch, analysis, "_step_bound")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o.csv"), "--force"]) == \
+            cli.EXIT_OK
+        assert len(assemblies) == 1
+        assert len(bounds) <= 1
+
+
+# Configs that every caller refuses, with the exit code the CLI gives them.
+REFUSED = {
+    "continuity": (continuity_failure_config, cli.EXIT_ADMISSIBILITY),
+    "cond_WI": (strongly_degenerate_d_config, cli.EXIT_NUMERICAL),
+    "vanishing_d": (lambda tmp_path: vanishing_d_config(tmp_path, "0"), cli.EXIT_ADMISSIBILITY),
+    "dt_above_bound": (lambda tmp_path: write_config(tmp_path, dt="0.5"), cli.EXIT_ADMISSIBILITY),
+}
+
+
+class TestLibraryParity:
+    """``firngas.run`` refuses exactly what the CLI refuses, and ``force`` runs both."""
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_refused_alike(self, tmp_path, name):
+        make_config, code = REFUSED[name]
+        cfg = make_config(tmp_path)
+        out = str(tmp_path / "o.csv")
+        config = cli.load_config(cfg)
+        args = (config.mesh, config.f_profile, config.d_profile, rescale(config.params),
+                config.atmosphere, config.dt)
+        assert cli.main(["--config", cfg, "--out", out]) == code
+        with pytest.raises(FirngasError) as refused:
+            firngas.run(*args, c_D=config.c_D)
+        admissibility = isinstance(refused.value, (AssumptionError, TimeStepError))
+        assert code == (cli.EXIT_ADMISSIBILITY if admissibility else cli.EXIT_NUMERICAL)
+
+        assert cli.main(["--config", cfg, "--out", out, "--force"]) == cli.EXIT_OK
+        assert firngas.run(*args, force=True, c_D=config.c_D).times[-1] == 1.0

@@ -142,10 +142,6 @@ class TestAtmosphereSeries:
         atm = AtmosphereSeries.from_callable(lambda t: t**2)
         assert atm(0.5) == pytest.approx(0.25, abs=1e-5)
 
-    def test_scaled(self):
-        atm = AtmosphereSeries.ramp().scaled(3.0)
-        assert atm(1.0) == pytest.approx(3.0)
-
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             AtmosphereSeries.ramp()(1.5)

@@ -258,7 +258,7 @@ class TestRun:
     def test_linearity_in_forcing(self):
         mesh = build_uniform(21)
         base = run(mesh, ONE, ONE, ctx(), AtmosphereSeries.ramp(), dt="auto")
-        scaled = run(mesh, ONE, ONE, ctx(), AtmosphereSeries.ramp().scaled(3.7), dt="auto")
+        scaled = run(mesh, ONE, ONE, ctx(), AtmosphereSeries.ramp(3.7), dt="auto")
         np.testing.assert_allclose(scaled.interior, 3.7 * base.interior,
                                    rtol=1e-12, atol=1e-14)
 
