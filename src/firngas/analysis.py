@@ -56,6 +56,12 @@ def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
+def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """``max(num / den)`` over positive samples; a ratio that overflows gives ``inf``."""
+    with np.errstate(over="ignore"):
+        return float(np.max(num / den))
+
+
 def check_assumptions(f_profile, d_profile, mesh) -> dict:
     """Verify node-wise admissibility of the coefficient pair.
 
@@ -71,8 +77,8 @@ def check_assumptions(f_profile, d_profile, mesh) -> dict:
         "f_nodes": f_nodes,
         "d_nodes": d_nodes,
         "lipschitz_L": lipschitz,
-        "ratio_sup_Df": float(np.max(interior_d / interior_f)),
-        "ratio_sup_fD": float(np.max(interior_f / interior_d)),
+        "ratio_sup_Df": _sup_ratio(interior_d, interior_f),
+        "ratio_sup_fD": _sup_ratio(interior_f, interior_d),
     }
 
 
@@ -129,7 +135,7 @@ def _trace_constant(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
     """Trace constant bounding the weighted bottom value; ``integral`` is ``z_F int 1/D``."""
     if np.any(d_vals <= 0.0):
         raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
-    ratio_sup = float(np.sqrt(np.max(f_vals / d_vals)))
+    ratio_sup = math.sqrt(_sup_ratio(f_vals, d_vals))
     if d_bottom > 0.0:
         return ratio_sup * max(float(np.max(d_vals)), d_bottom) * integral
     return ratio_sup * lipschitz_L * B0**2
@@ -264,8 +270,10 @@ def _continuity(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
     """Indicative continuity and Garding-coercivity constants of the weak form."""
     if np.any(f_vals <= 0.0) or np.any(d_vals <= 0.0):
         raise AssumptionError("(9)", "coefficient ratios unbounded on [0, 1)")
-    sqrt_fd = float(np.sqrt(np.max(f_vals / d_vals)))
-    sqrt_df = float(np.sqrt(np.max(d_vals / f_vals)))
+    sqrt_fd = math.sqrt(_sup_ratio(f_vals, d_vals))
+    sqrt_df = math.sqrt(_sup_ratio(d_vals, f_vals))
+    if math.isinf(sqrt_fd) or math.isinf(sqrt_df):
+        raise AssumptionError("(9)", "coefficient ratios overflow on [0, 1)")
     sqrt_d_sup = float(np.sqrt(max(np.max(d_vals), d_bottom)))
     c_p = 2.0 * B0
     try:

@@ -202,16 +202,17 @@ def assemble_system(mesh, f_samples, d_samples, context: RescaledContext,
     if len(f) != mesh.n or len(d) != mesh.n:
         raise ValidationError("coefficient samples must be given at every node")
     z_F = context.z_F
-    M = assemble_M(mesh)
-    Mf = assemble_Mf(mesh, f)
-    Kf = assemble_Kf(mesh, f, context.fcoef)
-    A = assemble_A(mesh, d)
-    S = assemble_S(mesh, d)
-    B = assemble_B(mesh, f, context.fcoef)
-    C = (M.scale(context.gcoef)
-         + S.scale(1.0 / z_F**2)
-         - A.scale(context.mcoef / z_F)
-         + (B - Kf).scale(1.0 / z_F))
+    with np.errstate(over="ignore", invalid="ignore"):  # Tridiagonal refuses what overflows
+        M = assemble_M(mesh)
+        Mf = assemble_Mf(mesh, f)
+        Kf = assemble_Kf(mesh, f, context.fcoef)
+        A = assemble_A(mesh, d)
+        S = assemble_S(mesh, d)
+        B = assemble_B(mesh, f, context.fcoef)
+        C = (M.scale(context.gcoef)
+             + S.scale(1.0 / z_F**2)
+             - A.scale(context.mcoef / z_F)
+             + (B - Kf).scale(1.0 / z_F))
     return DiscreteSystem(mesh, f, d, context, dt, M, Mf, Kf, A, S, B, C)
 
 

@@ -60,6 +60,14 @@ def _get_float(section, key, default=None):
         raise ConfigError(f"bad value for {key!r} in [{section.name}]: {section[key]!r}") from exc
 
 
+def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a comma-separated table file."""
+    table = np.loadtxt(path, delimiter=",", ndmin=2)
+    if table.shape[1] != 2:
+        raise ConfigError(f"table file {path} needs exactly two columns, got {table.shape[1]}")
+    return table[:, 0], table[:, 1]
+
+
 def _load_profile(section) -> CoefficientProfile:
     kind = section.get("kind", "constant")
     upper = _get_float(section, "upper_bound", math.inf)
@@ -70,19 +78,12 @@ def _load_profile(section) -> CoefficientProfile:
         return CoefficientProfile.affine(_get_float(section, "intercept"),
                                          _get_float(section, "slope"), upper)
     if kind == "sampled":
-        table = np.loadtxt(section["file"], delimiter=",", ndmin=2)
-        return CoefficientProfile.sampled(table[:, 0], table[:, 1], upper)
+        return CoefficientProfile.sampled(*_read_table(section["file"]), upper)
     if kind == "firn_diffusion":
-        d_eddy = np.loadtxt(section["d_eddy_file"], delimiter=",", ndmin=2)
-        d_co2 = np.loadtxt(section["d_co2_air_file"], delimiter=",", ndmin=2)
-        return CoefficientProfile.firn_diffusion(
-            _get_float(section, "z_eddy"),
-            _get_float(section, "r_alpha"),
-            _get_float(section, "c_f"),
-            CoefficientProfile.sampled(d_eddy[:, 0], d_eddy[:, 1]),
-            CoefficientProfile.sampled(d_co2[:, 0], d_co2[:, 1]),
-            upper,
-        )
+        scalars = [_get_float(section, key) for key in ("z_eddy", "r_alpha", "c_f")]
+        tables = [CoefficientProfile.sampled(*_read_table(section[key]))
+                  for key in ("d_eddy_file", "d_co2_air_file")]
+        return CoefficientProfile.firn_diffusion(*scalars, *tables, upper)
     raise ConfigError(f"unknown profile kind {kind!r} in [{section.name}]")
 
 
@@ -93,8 +94,7 @@ def _load_atmosphere(section) -> AtmosphereSeries:
     if kind == "zero":
         return AtmosphereSeries.zero()
     if kind == "file":
-        table = np.loadtxt(section["file"], delimiter=",", ndmin=2)
-        return AtmosphereSeries(table[:, 0], table[:, 1])
+        return AtmosphereSeries(*_read_table(section["file"]))
     raise ConfigError(f"unknown atmosphere kind {kind!r}")
 
 

@@ -9,7 +9,9 @@ profiles are therefore functions of the rescaled depth.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from functools import partial
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +25,13 @@ __all__ = [
     "derive_coefficients",
     "rescale",
 ]
+
+
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,12 +75,12 @@ class RescaledContext:
     fcoef: float  # total advection speed, m/yr
 
     def __post_init__(self):
-        for name in ("T_e", "z_F"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"RescaledContext.{name} must be strictly positive")
-        for name in ("mcoef", "gcoef", "fcoef"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"RescaledContext.{name} must be nonnegative")
+        for item in fields(self):
+            value = _finite(f"RescaledContext.{item.name}", getattr(self, item.name))
+            positive = item.name in ("T_e", "z_F")
+            if value < 0.0 or (positive and value == 0.0):
+                sign = "strictly positive" if positive else "nonnegative"
+                raise ValidationError(f"RescaledContext.{item.name} must be {sign}")
 
 
 def derive_coefficients(params: ModelParams) -> tuple[float, float, float]:
@@ -92,61 +101,71 @@ def rescale(params: ModelParams) -> RescaledContext:
     return RescaledContext(T_e=params.T_e, z_F=params.z_F, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
 
 
-_PROFILE_KINDS = ("constant", "affine", "firn_diffusion", "sampled")
+def _sample_table(x, y, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A piecewise-linear sample table: 1-d, finite, strictly increasing ``x`` covering [0, 1]."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+        raise ValidationError(f"{what} needs matching 1-d sample arrays of length >= 2")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValidationError(f"{what} samples must be finite")
+    if np.any(np.diff(x) <= 0.0):
+        raise ValidationError(f"{what} sample points must be strictly increasing")
+    if x[0] > 0.0 or x[-1] < 1.0:
+        raise ValidationError(f"{what} samples must cover [0, 1]")
+    return x, y
+
+
+def _affine(intercept: float, slope: float, z):
+    return intercept + slope * z
+
+
+def _firn_diffusion(z_eddy: float, r_alpha: float, c_f: float, d_eddy, d_co2_air, z):
+    air = d_co2_air(z)
+    return np.where(z <= z_eddy, d_eddy(z) + r_alpha * c_f * air, r_alpha * air)
 
 
 @dataclass(frozen=True)
 class CoefficientProfile:
     """A nonnegative coefficient function on the rescaled depth ``[0, 1]``.
 
-    Supported kinds:
+    Built by one of the constructors, each of which refuses non-finite
+    arguments:
 
-    ``constant``        value
-    ``affine``          intercept + slope * z
-    ``firn_diffusion``  d_eddy(z) + r_alpha*c_f*d_co2_air(z) for z <= z_eddy,
-                        r_alpha*d_co2_air(z) for z > z_eddy
-    ``sampled``         piecewise-linear interpolation of (z, value) samples
+    :meth:`constant`        value
+    :meth:`affine`          intercept + slope * z
+    :meth:`sampled`         piecewise-linear interpolation of (z, value) samples
+    :meth:`firn_diffusion`  d_eddy(z) + r_alpha*c_f*d_co2_air(z) for z <= z_eddy,
+                            r_alpha*d_co2_air(z) for z > z_eddy
 
+    ``evaluate`` maps an array of depths in ``[0, 1]`` to the values; the
+    constructors build it from module-level functions, so profiles pickle.
     ``upper_bound``, when set, caps admissible values; evaluation above the
     cap is an assumption failure, reported by :func:`node_samples`.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     upper_bound: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _PROFILE_KINDS:
-            raise ValidationError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "sampled":
-            z = np.asarray(self.params["z"], dtype=float)
-            if z.ndim != 1 or len(z) < 2 or np.any(np.diff(z) <= 0.0):
-                raise ValidationError("sampled profile needs strictly increasing z samples")
-            if z[0] > 0.0 or z[-1] < 1.0:
-                raise ValidationError("sampled profile must cover [0, 1]")
-        if self.kind == "firn_diffusion":
-            for key in ("z_eddy", "r_alpha", "c_f", "d_eddy", "d_co2_air"):
-                if key not in self.params:
-                    raise ValidationError(f"firn_diffusion profile missing {key!r}")
-
-    # -- constructors ------------------------------------------------------
+        if self.upper_bound is not None:
+            object.__setattr__(self, "upper_bound", _finite("profile upper_bound", self.upper_bound))
 
     @classmethod
     def constant(cls, value: float, upper_bound: float | None = None) -> "CoefficientProfile":
-        return cls("constant", {"value": float(value)}, upper_bound)
+        value = _finite("constant profile value", value)
+        return cls(partial(np.full_like, fill_value=value), upper_bound)
 
     @classmethod
     def affine(cls, intercept: float, slope: float,
                upper_bound: float | None = None) -> "CoefficientProfile":
-        return cls("affine", {"intercept": float(intercept), "slope": float(slope)}, upper_bound)
+        intercept = _finite("affine profile intercept", intercept)
+        slope = _finite("affine profile slope", slope)
+        return cls(partial(_affine, intercept, slope), upper_bound)
 
     @classmethod
     def sampled(cls, z, values, upper_bound: float | None = None) -> "CoefficientProfile":
-        z = np.asarray(z, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if z.shape != values.shape:
-            raise ValidationError("sampled profile needs matching z and value arrays")
-        return cls("sampled", {"z": z, "values": values}, upper_bound)
+        z, values = _sample_table(z, values, "sampled profile")
+        return cls(partial(np.interp, xp=z, fp=values), upper_bound)
 
     @classmethod
     def firn_diffusion(cls, z_eddy: float, r_alpha: float, c_f: float,
@@ -158,36 +177,19 @@ class CoefficientProfile:
         ``d_co2_air`` are profiles (tabulated or closed-form) for the eddy
         and free-air diffusivities.
         """
-        return cls(
-            "firn_diffusion",
-            {
-                "z_eddy": float(z_eddy),
-                "r_alpha": float(r_alpha),
-                "c_f": float(c_f),
-                "d_eddy": d_eddy,
-                "d_co2_air": d_co2_air,
-            },
-            upper_bound,
-        )
-
-    # -- evaluation --------------------------------------------------------
+        z_eddy = _finite("firn_diffusion z_eddy", z_eddy)
+        r_alpha = _finite("firn_diffusion r_alpha", r_alpha)
+        c_f = _finite("firn_diffusion c_f", c_f)
+        if not (isinstance(d_eddy, cls) and isinstance(d_co2_air, cls)):
+            raise ValidationError("firn_diffusion needs profiles for d_eddy and d_co2_air")
+        return cls(partial(_firn_diffusion, z_eddy, r_alpha, c_f, d_eddy, d_co2_air), upper_bound)
 
     def __call__(self, z):
         """Evaluate the profile at rescaled depths ``z`` in ``[0, 1]``."""
         z = np.asarray(z, dtype=float)
         if np.any(z < 0.0) or np.any(z > 1.0):
             raise DomainError("profile evaluated outside [0, 1]")
-        p = self.params
-        if self.kind == "constant":
-            out = np.full_like(z, p["value"])
-        elif self.kind == "affine":
-            out = p["intercept"] + p["slope"] * z
-        elif self.kind == "sampled":
-            out = np.interp(z, p["z"], p["values"])
-        else:  # firn_diffusion
-            open_layer = p["d_eddy"](z) + p["r_alpha"] * p["c_f"] * p["d_co2_air"](z)
-            deep = p["r_alpha"] * p["d_co2_air"](z)
-            out = np.where(z <= p["z_eddy"], open_layer, deep)
+        out = self.evaluate(z)
         return out if out.ndim else float(out)
 
     def node_samples(self, mesh, assumption: str = "(5)") -> np.ndarray:
@@ -221,20 +223,11 @@ class AtmosphereSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times, values = _sample_table(self.times, self.values, "atmosphere series")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
-            raise ValidationError("atmosphere series needs matching 1-d times and values")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValidationError("atmosphere times and values must be finite")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValidationError("atmosphere sample times must be strictly increasing")
-        if times[0] != 0.0 or times[-1] < 1.0:
-            raise ValidationError("atmosphere samples must cover [0, 1] starting at t=0")
-        if values[0] != 0.0:
-            raise ValidationError("atmosphere value at t=0 must be exactly zero")
+        if times[0] != 0.0 or values[0] != 0.0:
+            raise ValidationError("atmosphere samples must start at t=0 with the value exactly 0")
 
     @classmethod
     def ramp(cls, amplitude: float = 1.0) -> "AtmosphereSeries":
@@ -249,10 +242,7 @@ class AtmosphereSeries:
     def from_callable(cls, fn, n_samples: int = 1001) -> "AtmosphereSeries":
         """Tabulate a closed-form signal; ``fn(0)`` must evaluate to zero."""
         t = np.linspace(0.0, 1.0, n_samples)
-        values = np.asarray([fn(tk) for tk in t], dtype=float)
-        if values[0] != 0.0:
-            raise ValidationError("atmosphere signal must vanish at t=0")
-        return cls(t, values)
+        return cls(t, np.asarray([fn(tk) for tk in t], dtype=float))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

@@ -16,10 +16,11 @@ from firngas.analysis import build_report, plan_run
 from firngas.assembly import (assemble_A, assemble_Kf, assemble_M, assemble_Mf,
                               assemble_S, assemble_v1, assemble_v3)
 from firngas.mesh import build_uniform
-from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext
+from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
+                           RescaledContext, rescale)
 from firngas.oracle import exact_inner
 from firngas.oracle import assemble_reference, min_symmetric_eigenvalue
-from firngas.solver import run
+from firngas.solver import levels, run
 
 ONE = CoefficientProfile.constant(1.0)
 DECAY = CoefficientProfile.affine(1.0, -1.0)
@@ -217,3 +218,27 @@ def test_acceptance_9_degenerate_run():
     ok &= traj.times[-1] == 1.0
     ok &= bool(np.all(np.isfinite(traj.boundary)))
     verdict(9, "degenerate f=D=1-z run completes with finite output", ok)
+
+
+def test_degenerate_pair_spatial_order():
+    """Spatial order 2 on the paper's degenerate pair f = D = 1 - z at the README scale.
+
+    z_F = 80, T_e = 30, a ``sin 6 pi t`` atmosphere and dt = 2e-4 (forced past
+    ``dt_max``); nodal error at t = 1 against n = 801, relative to max|rho|.
+    """
+    context = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3, lam=0.7,
+                                  v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
+    atm = AtmosphereSeries.from_callable(lambda t: math.sin(6.0 * math.pi * t), 4001)
+
+    def final_level(n):
+        plan = plan_run(DECAY, DECAY, build_uniform(n), context, dt=2e-4, force=True)
+        *_, (t, surface, interior) = levels(plan, atm, stride=10**9)
+        assert t == 1.0
+        return np.concatenate([[surface], interior])
+
+    ref = final_level(801)
+    errs = [np.max(np.abs(final_level(n) - ref[::800 // (n - 1)])) / np.max(np.abs(ref))
+            for n in (51, 101, 201)]
+    orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
+    print(f"  degenerate pair: relative errors {errs}, spatial orders {orders}")
+    assert all(abs(order - 2.0) <= 0.4 for order in orders), orders

@@ -83,6 +83,20 @@ def strongly_degenerate_d_config(tmp_path):
                        f"kind = sampled\nfile = {table}")
 
 
+def constant_d_config(tmp_path, value, **config):
+    """Unit config with f = 1 - z and a constant D = ``value``."""
+    return edit_config(write_config(tmp_path, d_kind="constant", **config), "value = 1.0",
+                       f"value = {value}")
+
+
+def overflowing_ratio_config(tmp_path):
+    """Unit config with f = 1 - z and D = 1e305: D/f overflows near z = 1, so continuity (9) fails.
+
+    Its step bound is below 1e-300, so the config sets ``dt = 0.01`` for the forced run.
+    """
+    return constant_d_config(tmp_path, "1e305", dt="0.01")
+
+
 def count_calls(monkeypatch, module, name):
     """Count the calls of ``module.name`` from now on."""
     calls = []
@@ -123,6 +137,11 @@ class TestConfig:
                          "--out", str(tmp_path / "r.txt")]) == cli.EXIT_OK
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == cli.EXIT_OK
 
+    def test_upper_bound_inf_means_no_cap(self, tmp_path):
+        """The model refuses an infinite bound; the INI's ``inf`` reads as no bound at all."""
+        cfg = edit_config(write_config(tmp_path), AFFINE, AFFINE + "\nupper_bound = inf")
+        assert cli.load_config(cfg).f_profile.upper_bound is None
+
     def test_load_roundtrip(self, tmp_path):
         config = cli.load_config(write_config(tmp_path))
         assert config.mesh.n == 11
@@ -142,10 +161,16 @@ class TestConfig:
         ("M_alpha = 0.04", "M_alpha = abc", None),
         (AFFINE, "kind = quadratic", None),
         ("kind = ramp", "kind = sine", None),
+        (AFFINE, "kind = sampled\nfile = {table}", "0.0\n1.0\n"),
+        ("kind = ramp", "kind = file\nfile = {table}", "0.0\n1.0\n"),
+        (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0,5.0\n1.0,0.0,5.0\n"),
+        ("intercept = 1.0", "intercept = nan", None),
+        (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0\n0.5,nan\n1.0,0.0\n"),
     ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
             "sampled_short", "no_section_header", "duplicate_key", "nan_amplitude",
             "atmosphere_file_nan", "bad_float", "unknown_profile_kind",
-            "unknown_atmosphere_kind"])
+            "unknown_atmosphere_kind", "sampled_one_column", "atmosphere_file_one_column",
+            "sampled_three_columns", "nan_intercept", "sampled_file_nan"])
     def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
         """A file the INI parser or a model constructor rejects on reading exits 1."""
         table_path = tmp_path / "table.csv"
@@ -236,8 +261,8 @@ class TestCmdRun:
         assert "dt_max: 4.1" in capsys.readouterr().out
 
     def test_failed_set_up_leaves_no_file(self, tmp_path, capsys):
-        """A NaN profile fails in assembly, before the first level is written."""
-        cfg = write_config(tmp_path, f_intercept="nan")
+        """D = 1e308 overflows the stiffness entries in assembly, before the first level is written."""
+        cfg = constant_d_config(tmp_path, "1e308")
         out = tmp_path / "o.csv"
         assert cli.main(["--config", cfg, "--out", str(out), "--force", "--dt", "0.01"]) == \
             cli.EXIT_NUMERICAL
@@ -396,11 +421,6 @@ class TestCmdOracleCompare:
         mf = [ln for ln in out.read_text().splitlines() if ln.startswith("Mf,")][0]
         assert float(mf.split(",")[1]) <= 1e-13
 
-    def test_non_finite_profile_exit_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, f_intercept="nan")
-        assert cli.main(["--config", cfg, "--oracle-compare"]) == cli.EXIT_NUMERICAL
-        assert capsys.readouterr().err.startswith("numerical failure:")
-
 
 class TestOneAssemblyPerPlan:
     """A run assembles its operators once; every other step matrix is derived from them."""
@@ -448,6 +468,7 @@ REFUSED = {
     "cond_WI": (strongly_degenerate_d_config, cli.EXIT_NUMERICAL),
     "vanishing_d": (lambda tmp_path: vanishing_d_config(tmp_path, "0"), cli.EXIT_ADMISSIBILITY),
     "dt_above_bound": (lambda tmp_path: write_config(tmp_path, dt="0.5"), cli.EXIT_ADMISSIBILITY),
+    "overflowing_ratio": (overflowing_ratio_config, cli.EXIT_ADMISSIBILITY),
 }
 
 

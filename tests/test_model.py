@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ class TestModelParams:
         with pytest.raises(ValidationError):
             RescaledContext(T_e=1.0, z_F=1.0, mcoef=-1.0, gcoef=0.0, fcoef=0.0)
 
+    @pytest.mark.parametrize("name", ["T_e", "z_F", "mcoef", "gcoef", "fcoef"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_context_refuses_non_finite(self, name, bad):
+        fields = dict(T_e=1.0, z_F=1.0, mcoef=0.0, gcoef=0.0, fcoef=0.0)
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            RescaledContext(**{**fields, name: bad})
+
+
+ONE = CoefficientProfile.constant(1.0)
+
 
 class TestCoefficientProfile:
     def test_constant(self):
@@ -87,9 +99,36 @@ class TestCoefficientProfile:
         with pytest.raises(DomainError):
             p(np.array([-0.1, 0.5]))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            CoefficientProfile("quadratic", {})
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", [
+        lambda x: CoefficientProfile.constant(x),
+        lambda x: CoefficientProfile.constant(1.0, upper_bound=x),
+        lambda x: CoefficientProfile.affine(x, -1.0),
+        lambda x: CoefficientProfile.affine(1.0, x),
+        lambda x: CoefficientProfile.sampled([0.0, 0.5, 1.0], [1.0, x, 0.0]),
+        lambda x: CoefficientProfile.sampled([0.0, x, 1.0], [1.0, 0.5, 0.0]),
+        lambda x: CoefficientProfile.firn_diffusion(x, 0.5, 1.0, ONE, ONE),
+        lambda x: CoefficientProfile.firn_diffusion(0.4, x, 1.0, ONE, ONE),
+        lambda x: CoefficientProfile.firn_diffusion(0.4, 0.5, x, ONE, ONE),
+    ], ids=["constant", "upper_bound", "intercept", "slope", "sampled_value", "sampled_z",
+            "z_eddy", "r_alpha", "c_f"])
+    def test_constructors_refuse_non_finite(self, build, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            build(bad)
+
+    def test_pickle_round_trip(self):
+        """Profiles cross process boundaries, as an ensemble over worker processes needs."""
+        z = np.linspace(0.0, 1.0, 9)
+        for profile in (ONE, CoefficientProfile.affine(1.0, -1.0, upper_bound=2.0),
+                        CoefficientProfile.sampled([0.0, 0.5, 1.0], [1.0, 0.6, 0.0]),
+                        CoefficientProfile.firn_diffusion(0.4, 0.5, 1.0, ONE, ONE)):
+            copy = pickle.loads(pickle.dumps(profile))
+            assert copy.upper_bound == profile.upper_bound
+            np.testing.assert_array_equal(copy(z), profile(z))
+
+    def test_firn_diffusion_needs_profiles(self):
+        with pytest.raises(ValidationError, match="profiles"):
+            CoefficientProfile.firn_diffusion(0.4, 0.5, 1.0, lambda z: z, ONE)
 
     def test_node_samples_degenerate_bottom_ok(self):
         mesh = build_uniform(5)
@@ -115,6 +154,26 @@ class TestCoefficientProfile:
         p = CoefficientProfile.constant(2.0, upper_bound=1.0)
         with pytest.raises(AssumptionError, match="upper bound"):
             p.node_samples(mesh)
+
+
+# Tables that both sampled profiles and atmosphere series refuse, as (x, y).
+BAD_TABLES = {
+    "two_dimensional": ([[0.0, 1.0]], [[0.0, 1.0]]),
+    "length_mismatch": ([0.0, 0.5, 1.0], [0.0, 1.0]),
+    "single_sample": ([0.0], [0.0]),
+    "nan_value": ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
+    "inf_point": ([0.0, np.inf], [0.0, 1.0]),
+    "not_increasing": ([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 1.0]),
+    "short_of_one": ([0.0, 0.5], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TABLES)
+@pytest.mark.parametrize("build", [CoefficientProfile.sampled, AtmosphereSeries],
+                         ids=["sampled", "atmosphere"])
+def test_one_table_check(build, name):
+    with pytest.raises(ValidationError):
+        build(*BAD_TABLES[name])
 
 
 class TestAtmosphereSeries:
