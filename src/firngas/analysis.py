@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -333,44 +334,52 @@ def build_report(f_profile, d_profile, mesh, context: RescaledContext,
 
     The step-matrix verdict is taken at the auto-selected ``min(0.9 * dt_max, 1)``.
     """
-    return plan_run(f_profile, d_profile, mesh, context, c_D, report=True).report
+    return plan_run(f_profile, d_profile, mesh, context, c_D).report
 
 
 @dataclass
 class Plan:
     """Everything a run derives before its first step, each quantity once.
 
-    A record of the ``operators`` that :func:`plan_run` assembled.  A
-    forced run past a failed check has no report, and knows ``dt_max``
-    only if the bound was computed before the failure or picked the step.
+    The ``operators`` and the checks' ``constants`` of :func:`plan_run`.  A
+    forced run past a failed check has neither constants nor report, and
+    knows ``dt_max`` only if the bound came before the failure or picked the step.
     """
 
     mesh: object
     operators: assembly.DiscreteSystem = field(repr=False)
     dt: float
     dt_max: float | None = None
-    report: StabilityReport | None = None
+    constants: dict | None = field(default=None, repr=False)
 
     def system(self, dt: float) -> assembly.DiscreteSystem:
         """The plan's operators with the step matrix of ``dt``; another step derives only ``V``."""
         return self.operators if dt == self.operators.dt else replace(self.operators, dt=dt)
 
+    @cached_property
+    def report(self) -> StabilityReport | None:
+        """The constants and the seven PD verdicts at the auto step, built on first read."""
+        if self.constants is None:
+            return None
+        system = self.system(_auto_step(self.dt_max))
+        matrices = {name: getattr(system, name) for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}
+        return StabilityReport(pd_verdicts=check_pd_all(matrices), **self.constants)
+
 
 def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 1.0,
-             dt="auto", force: bool = False, report: bool = False) -> Plan:
+             dt="auto", force: bool = False) -> Plan:
     """Admissibility plan of one run: every check, the step bound, then one assembly.
 
     Every caller runs every check that can refuse a config, in this order:
     assumptions (5) and (6), condition (cond:WI) through ``B0``, the trace
     constant ``C0``, the step bound, continuity (9), and last a step above
     ``dt_max`` (:class:`TimeStepError`).  ``dt = "auto"`` becomes
-    ``min(0.9 * dt_max, 1)``.  ``report`` adds only the PD verdicts at the
-    auto step and the :class:`StabilityReport` that records them with the
-    checks' constants.  The integral of ``1/D`` is computed once and also
-    gives ``B0``; ``C0`` and the continuity constants share one sample of
-    f and D.  Under ``force`` a failed check drops the report and the run
-    goes on with the node samples; the step bound is computed after the
-    failure only to pick an ``"auto"`` step.
+    ``min(0.9 * dt_max, 1)``.  Only reading :attr:`Plan.report` adds the PD
+    verdicts.  The integral of ``1/D`` is computed once and also gives
+    ``B0``; ``C0`` and the continuity constants share one sample of f and D.
+    Under ``force`` a failed check drops the constants and the run goes on
+    with the node samples; the step bound is computed after the failure
+    only to pick an ``"auto"`` step.
     """
     auto = dt is None or dt == "auto"
     d_bottom = float(d_profile(1.0))
@@ -400,15 +409,8 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     if not (auto or force) and step > dt_max:
         raise TimeStepError(step, dt_max)
     f_nodes, d_nodes = nodes or (f_profile(mesh.nodes), d_profile(mesh.nodes))
-    plan = Plan(mesh, assembly.assemble_system(mesh, f_nodes, d_nodes, context, step),
-                step, dt_max)
-    if report and constants:
-        system = plan.system(_auto_step(dt_max))
-        plan.report = StabilityReport(
-            pd_verdicts=check_pd_all({name: getattr(system, name)
-                                      for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}),
-            **constants)
-    return plan
+    return Plan(mesh, assembly.assemble_system(mesh, f_nodes, d_nodes, context, step),
+                step, dt_max, constants)
 
 
 def _auto_step(dt_max: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, assembly, mesh as mesh_mod, solver
 from .errors import AssumptionError, ConfigError, FirngasError, TimeStepError
-from .model import AtmosphereSeries, CoefficientProfile, ModelParams, rescale
+from .model import AtmosphereSeries, CoefficientProfile, ModelParams, RescaledContext, rescale
 
 __all__ = ["RunConfig", "load_config", "cmd_run", "cmd_check",
            "cmd_oracle_compare", "main"]
@@ -38,6 +38,7 @@ _EXACT_FLOOR = 1e-13
 @dataclass
 class RunConfig:
     params: ModelParams
+    context: RescaledContext  # derived once from ``params``
     mesh: object
     f_profile: CoefficientProfile
     d_profile: CoefficientProfile
@@ -120,6 +121,7 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
             v=_get_float(p, "v"), w_air=_get_float(p, "w_air"),
             z_F=_get_float(p, "z_F"), T_e=_get_float(p, "T_e"),
         )
+        context = rescale(params)
         msec = parser["mesh"] if "mesh" in parser else {}
         n = int(given("n", msec.get("n", 0)))
         if "file" in msec and given("n", None) is None:
@@ -147,7 +149,7 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
     except (KeyError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"config error in {path}: {exc}") from exc
     return RunConfig(
-        params=params, mesh=grid, f_profile=f_profile, d_profile=d_profile,
+        params=params, context=context, mesh=grid, f_profile=f_profile, d_profile=d_profile,
         atmosphere=atmosphere, dt=dt, out=out, stride=stride, c_D=c_D,
         force=bool(given("force", False)),
     )
@@ -164,22 +166,20 @@ def _emit(text: str, out: str | None):
 def cmd_check(config: RunConfig) -> int:
     """Emit the stability report without solving."""
     report = analysis.build_report(config.f_profile, config.d_profile, config.mesh,
-                                   rescale(config.params), c_D=config.c_D)
+                                   config.context, c_D=config.c_D)
     _emit(report.to_text(), config.out)
     return EXIT_OK
 
 
 def cmd_run(config: RunConfig) -> int:
     """Run the simulation; stream the trajectory CSV with an inline report."""
-    plan = analysis.plan_run(config.f_profile, config.d_profile, config.mesh,
-                             rescale(config.params), config.c_D, config.dt,
-                             config.force, report=True)
+    plan = analysis.plan_run(config.f_profile, config.d_profile, config.mesh, config.context,
+                             config.c_D, config.dt, config.force)
+    report = plan.report.to_text() if plan.report else ""
     rows = solver.levels(plan, config.atmosphere, config.stride)
     first = next(rows)  # ends the set-up, so a failed run leaves no output file
     with open(config.out or "trajectory.csv", "w", newline="\n") as handle:
-        if plan.report is not None:
-            for line in plan.report.to_text().splitlines():
-                handle.write(f"# {line}\n")
+        handle.writelines(f"# {line}\n" for line in report.splitlines())
         solver.write_csv(handle, plan.mesh.nodes, itertools.chain([first], rows))
     return EXIT_OK
 
@@ -193,7 +193,7 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     documented one (or the deviation is at rounding level).
     """
     from . import oracle  # verification only, kept off the run path
-    fcoef = rescale(config.params).fcoef
+    fcoef = config.context.fcoef
     # kind -> (band assembler of node samples, weight profile, expected order).
     # The expected orders are those of the max entry deviation under mesh
     # halving, as observed on smooth weights.  The weighted mass matrix gains
@@ -224,8 +224,7 @@ def cmd_oracle_compare(config: RunConfig) -> int:
         ok = ok and passed
         lines.append(f"{kind},{devs[0]:.17g},{devs[1]:.17g},{order:.17g},"
                      f"{expected:g},{str(passed).lower()}")
-    f_nodes = config.f_profile(config.mesh.nodes)
-    d_nodes = config.d_profile(config.mesh.nodes)
+    f_nodes, d_nodes = config.f_profile(config.mesh.nodes), config.d_profile(config.mesh.nodes)
     verdicts = analysis.check_pd_all({"M": assembly.assemble_M(config.mesh),
                                       "Mf": assembly.assemble_Mf(config.mesh, f_nodes),
                                       "S": assembly.assemble_S(config.mesh, d_nodes)})

@@ -26,6 +26,7 @@ __all__ = ["Trajectory", "factor_tridiagonal", "step", "run", "run_plan", "level
 _PIVOT_TOL = 1e-13  # pivot-magnitude guard relative to max|entry|, unpivoted path
 _EPS = float(np.finfo(float).eps)
 _CSV_BLOCK = 1024   # rows formatted per write: bounded memory, few calls
+_MAX_STEPS = 10**7  # step count K above which no run is started, see the README
 
 
 def _rhs_list(rhs, dim: int) -> list:
@@ -201,10 +202,19 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
 
 
 def _step_count(dt: float) -> int:
-    """Number K of steps on the uniform grid of step ``dt``, the last one shortened."""
+    """Number K of steps on the uniform grid of step ``dt``, the last one shortened.
+
+    A K above ``_MAX_STEPS`` is refused before anything is allocated.  The
+    limit is compared before rounding, so a step whose reciprocal overflows
+    is refused too.
+    """
     if not 0.0 < dt <= 1.0:
         raise ValidationError(f"time step must lie in (0, 1], got {dt}")
-    return math.ceil(1.0 / dt - 1e-12)
+    steps = 1.0 / float(dt) - 1e-12
+    if steps > _MAX_STEPS:
+        raise ValidationError(f"time step {dt:.17g} needs {steps:.6g} steps, more than the "
+                              f"limit of {_MAX_STEPS:,}")
+    return math.ceil(steps)
 
 
 def levels(plan: analysis.Plan, atmosphere, stride: int = 1):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from firngas import assembly
-from firngas.analysis import build_report, plan_run
+from firngas.analysis import build_report, check_pd_all, plan_run
 from firngas.assembly import (assemble_A, assemble_Kf, assemble_M, assemble_Mf,
                               assemble_S, assemble_v1, assemble_v3)
 from firngas.mesh import build_uniform
@@ -220,15 +220,19 @@ def test_acceptance_9_degenerate_run():
     verdict(9, "degenerate f=D=1-z run completes with finite output", ok)
 
 
+# The README's physical config (80 m of firn, 30 years) and a fast-varying atmosphere.
+README_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3, lam=0.7,
+                                     v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
+SINE = AtmosphereSeries.from_callable(lambda t: math.sin(6.0 * math.pi * t), 4001)
+
+
 def test_degenerate_pair_spatial_order():
     """Spatial order 2 on the paper's degenerate pair f = D = 1 - z at the README scale.
 
     z_F = 80, T_e = 30, a ``sin 6 pi t`` atmosphere and dt = 2e-4 (forced past
     ``dt_max``); nodal error at t = 1 against n = 801, relative to max|rho|.
     """
-    context = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3, lam=0.7,
-                                  v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
-    atm = AtmosphereSeries.from_callable(lambda t: math.sin(6.0 * math.pi * t), 4001)
+    context, atm = README_CONTEXT, SINE
 
     def final_level(n):
         plan = plan_run(DECAY, DECAY, build_uniform(n), context, dt=2e-4, force=True)
@@ -242,3 +246,30 @@ def test_degenerate_pair_spatial_order():
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
     print(f"  degenerate pair: relative errors {errs}, spatial orders {orders}")
     assert all(abs(order - 2.0) <= 0.4 for order in orders), orders
+
+
+def test_degenerate_pair_time_order():
+    """Time order 1 on the paper's degenerate pair f = D = 1 - z at the README scale, n = 51.
+
+    dt = 1/K for K = 100 ... 800 against K = 6400, forced past ``dt_max``
+    (about 2.8e-5, so the auto step would take K = 40,000).  Each ``V(1/K)``
+    is certified positive definite, so every step is uniquely solvable.  The
+    sine atmosphere, not the ramp: implicit Euler reproduces solutions
+    linear in t, so the ramp's differences at t = 1 are at rounding level.
+    """
+    mesh = build_uniform(51)
+    admitted = plan_run(DECAY, DECAY, mesh, README_CONTEXT)
+    assert admitted.dt_max < 1.0 / 6400
+
+    def final_level(K):
+        plan = plan_run(DECAY, DECAY, mesh, README_CONTEXT, dt=1.0 / K, force=True)
+        assert check_pd_all({"V": plan.system(plan.dt).V})["V"].positive_definite
+        *_, (t, surface, interior) = levels(plan, SINE, stride=10**9)
+        assert t == 1.0
+        return np.concatenate([[surface], interior])
+
+    ref = final_level(6400)
+    diffs = [np.max(np.abs(final_level(K) - ref)) for K in (100, 200, 400, 800)]
+    orders = [math.log2(diffs[k] / diffs[k + 1]) for k in range(len(diffs) - 1)]
+    print(f"  degenerate pair: differences {diffs}, time orders {orders}")
+    assert all(abs(order - 1.0) <= 0.3 for order in orders), orders

@@ -5,7 +5,7 @@ import pytest
 
 import firngas
 from firngas import analysis, assembly, cli
-from firngas.errors import AssumptionError, FirngasError, TimeStepError
+from firngas.errors import AssumptionError, FirngasError, TimeStepError, ValidationError
 from firngas.model import rescale
 
 BASE_PARAMS = """\
@@ -97,6 +97,13 @@ def overflowing_ratio_config(tmp_path):
     return constant_d_config(tmp_path, "1e305", dt="0.01")
 
 
+def huge_d_config(tmp_path):
+    """Unit config with f = 1 and D = 1e200: it passes every check, and dt_max is about 8e-202."""
+    return edit_config(write_config(tmp_path, f_kind="constant", f_value=1.0, d_kind="constant"),
+                       "[profile.D]\nkind = constant\nvalue = 1.0",
+                       "[profile.D]\nkind = constant\nvalue = 1e200")
+
+
 def count_calls(monkeypatch, module, name):
     """Count the calls of ``module.name`` from now on."""
     calls = []
@@ -166,11 +173,13 @@ class TestConfig:
         (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0,5.0\n1.0,0.0,5.0\n"),
         ("intercept = 1.0", "intercept = nan", None),
         (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0\n0.5,nan\n1.0,0.0\n"),
+        ("M_alpha = 0.04\ng = 9.81", "M_alpha = 1e300\ng = 1e300", None),
     ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
             "sampled_short", "no_section_header", "duplicate_key", "nan_amplitude",
             "atmosphere_file_nan", "bad_float", "unknown_profile_kind",
             "unknown_atmosphere_kind", "sampled_one_column", "atmosphere_file_one_column",
-            "sampled_three_columns", "nan_intercept", "sampled_file_nan"])
+            "sampled_three_columns", "nan_intercept", "sampled_file_nan",
+            "overflowing_params"])
     def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
         """A file the INI parser or a model constructor rejects on reading exits 1."""
         table_path = tmp_path / "table.csv"
@@ -285,6 +294,20 @@ class TestCmdRun:
             assert not out.exists()
         else:  # the forced fallback runs on the node samples, without a report
             assert not out.read_text().startswith("#")
+
+    def test_step_count_above_limit_exit_3(self, tmp_path, capsys):
+        """K = ceil(1/dt) of about 1.3e201 is refused before the output file opens."""
+        cfg = huge_d_config(tmp_path)
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: time step")
+        assert not out.exists()
+        config = cli.load_config(cfg)
+        with pytest.raises(ValidationError, match="limit"):
+            firngas.run(config.mesh, config.f_profile, config.d_profile, config.context,
+                        config.atmosphere)
+        assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_OK
+        assert "dt_max: 8.3333333333309605e-202\n" in capsys.readouterr().out
 
     def test_diffusivity_tiny_between_nodes(self, tmp_path):
         """D = 1e-200 there passes; the continuity constant overflows to inf in the report."""
@@ -423,7 +446,10 @@ class TestCmdOracleCompare:
 
 
 class TestOneAssemblyPerPlan:
-    """A run assembles its operators once; every other step matrix is derived from them."""
+    """A run assembles its operators once; every other step matrix is derived from them.
+
+    The PD verdicts are derived when the report is read: once per CLI run, never by ``firngas.run``.
+    """
 
     @pytest.mark.parametrize("flags", [[], ["--dt", "0.003"], ["--force", "--dt", "0.5"],
                                        ["--check-only"]],
@@ -432,8 +458,9 @@ class TestOneAssemblyPerPlan:
         cfg = write_config(tmp_path)
         out = tmp_path / "o.csv"
         calls = count_calls(monkeypatch, assembly, "assemble_system")
+        verdicts = count_calls(monkeypatch, analysis, "check_pd_all")
         assert cli.main(["--config", cfg, "--out", str(out), *flags]) == cli.EXIT_OK
-        assert len(calls) == 1
+        assert len(calls) == len(verdicts) == 1
         if flags[:1] == ["--dt"] or not flags:  # both runs end on a shortened step
             times = [float(ln.split(",")[0]) for ln in out.read_text().splitlines()
                      if not ln.startswith(("#", "t,"))]
@@ -442,9 +469,11 @@ class TestOneAssemblyPerPlan:
     def test_library_run(self, tmp_path, monkeypatch):
         config = cli.load_config(write_config(tmp_path))
         calls = count_calls(monkeypatch, assembly, "assemble_system")
-        firngas.run(config.mesh, config.f_profile, config.d_profile, rescale(config.params),
+        verdicts = count_calls(monkeypatch, analysis, "check_pd_all")
+        firngas.run(config.mesh, config.f_profile, config.d_profile, config.context,
                     config.atmosphere)
         assert len(calls) == 1
+        assert not verdicts
 
     @pytest.mark.parametrize("make_config", [
         continuity_failure_config,
