@@ -46,12 +46,6 @@ def _tail_grid() -> np.ndarray:
     return np.concatenate([body, tail[tail > body[-1]]])
 
 
-def _body_samples(f_profile, d_profile) -> tuple[np.ndarray, np.ndarray]:
-    """f and D on the uniform grid of [0, 1 - 1e-8] behind C0 and the continuity constants."""
-    grid = np.linspace(0.0, 1.0 - _TRUNC, 20001)
-    return np.asarray(f_profile(grid), dtype=float), np.asarray(d_profile(grid), dtype=float)
-
-
 def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     steps = np.diff(grid) * (values[:-1] + values[1:]) / 2.0
     return np.concatenate([[0.0], np.cumsum(steps)])
@@ -92,10 +86,9 @@ def estimate_lipschitz(profile, hi: float = 1.0, grid_points: int = 4001) -> flo
     return float(np.max(np.abs(np.diff(values) / np.diff(grid))))
 
 
-def _hardy_constant(v_vals: np.ndarray, cum_inv_w: np.ndarray, grid: np.ndarray,
-                    z_F: float) -> float:
-    """Weighted Poincare/Hardy constant ``z_F sup_z (int_z^1 v)^{1/2} (int_0^z 1/w)^{1/2}``."""
-    cum_v = _cumulative_trapezoid(v_vals, grid)
+def _hardy_constant(cum_inv_w: np.ndarray, grid: np.ndarray, z_F: float) -> float:
+    """Weighted Poincare/Hardy constant ``z_F sup_z (1 - z)^{1/2} (int_0^z 1/w)^{1/2}``."""
+    cum_v = _cumulative_trapezoid(np.ones_like(grid), grid)
     product = (cum_v[-1] - cum_v) * cum_inv_w
     coarse_mask = grid <= 1.0 - 1e-4
     sup_coarse = float(np.max(product[coarse_mask]))
@@ -131,15 +124,12 @@ def _inverse_integral(weight, bottom: float, z_F: float) -> tuple:
     return grid, cum[:grid.size], (z_F * full, divergent)
 
 
-def _trace_constant(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
-                    lipschitz_L: float, B0: float, integral: float) -> float:
+def _trace_constant(sqrt_fd: float, d_sup: float, d_bottom: float, lipschitz_L: float,
+                    B0: float, integral: float) -> float:
     """Trace constant bounding the weighted bottom value; ``integral`` is ``z_F int 1/D``."""
-    if np.any(d_vals <= 0.0):
-        raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
-    ratio_sup = math.sqrt(_sup_ratio(f_vals, d_vals))
     if d_bottom > 0.0:
-        return ratio_sup * max(float(np.max(d_vals)), d_bottom) * integral
-    return ratio_sup * lipschitz_L * B0**2
+        return sqrt_fd * d_sup * integral
+    return sqrt_fd * lipschitz_L * B0**2
 
 
 def compute_fh(f_profile, h: float) -> float:
@@ -266,16 +256,15 @@ def _has_nonpositive_pivot(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return lowest <= 0.0
 
 
-def _continuity(f_vals: np.ndarray, d_vals: np.ndarray, d_bottom: float,
+def _continuity(f_vals: np.ndarray, d_vals: np.ndarray, sqrt_fd: float, d_sup: float,
                 context: RescaledContext, B0: float, C0: float) -> dict:
     """Indicative continuity and Garding-coercivity constants of the weak form."""
-    if np.any(f_vals <= 0.0) or np.any(d_vals <= 0.0):
+    if np.any(f_vals <= 0.0):
         raise AssumptionError("(9)", "coefficient ratios unbounded on [0, 1)")
-    sqrt_fd = math.sqrt(_sup_ratio(f_vals, d_vals))
     sqrt_df = math.sqrt(_sup_ratio(d_vals, f_vals))
     if math.isinf(sqrt_fd) or math.isinf(sqrt_df):
         raise AssumptionError("(9)", "coefficient ratios overflow on [0, 1)")
-    sqrt_d_sup = float(np.sqrt(max(np.max(d_vals), d_bottom)))
+    sqrt_d_sup = math.sqrt(d_sup)
     c_p = 2.0 * B0
     try:
         big_c = (1.0 + c_p * context.mcoef * sqrt_d_sup + context.gcoef * c_p**2
@@ -341,14 +330,13 @@ def build_report(f_profile, d_profile, mesh, context: RescaledContext,
 class Plan:
     """Everything a run derives before its first step, each quantity once.
 
-    The ``operators`` and the checks' ``constants`` of :func:`plan_run`.  A
-    forced run past a failed check has neither constants nor report, and
-    knows ``dt_max`` only if the bound came before the failure or picked the step.
+    The ``operators`` at the run's step, with their mesh and ``dt``, and the
+    checks' ``constants`` of :func:`plan_run`.  A forced run past a failed
+    check has neither constants nor report, and knows ``dt_max`` only if the
+    bound came before the failure or picked the step.
     """
 
-    mesh: object
     operators: assembly.DiscreteSystem = field(repr=False)
-    dt: float
     dt_max: float | None = None
     constants: dict | None = field(default=None, repr=False)
 
@@ -373,15 +361,15 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     Every caller runs every check that can refuse a config, in this order:
     assumptions (5) and (6), condition (cond:WI) through ``B0``, the trace
     constant ``C0``, the step bound, continuity (9), and last a step above
-    ``dt_max`` (:class:`TimeStepError`).  ``dt = "auto"`` becomes
-    ``min(0.9 * dt_max, 1)``.  Only reading :attr:`Plan.report` adds the PD
-    verdicts.  The integral of ``1/D`` is computed once and also gives
-    ``B0``; ``C0`` and the continuity constants share one sample of f and D.
-    Under ``force`` a failed check drops the constants and the run goes on
-    with the node samples; the step bound is computed after the failure
-    only to pick an ``"auto"`` step.
+    ``dt_max`` (:class:`TimeStepError`).  ``dt`` is a number or ``"auto"``,
+    which becomes ``min(0.9 * dt_max, 1)``.  Only reading :attr:`Plan.report`
+    adds the PD verdicts.  The integral of ``1/D`` is computed once and also
+    gives ``B0``; ``C0`` and the continuity constants share one sample of f
+    and D, and its ``sup f/D`` and ``sup D``.  Under ``force`` a failed check
+    drops the constants and the run goes on with the node samples; the step
+    bound is computed after the failure only to pick an ``"auto"`` step.
     """
-    auto = dt is None or dt == "auto"
+    auto = dt == "auto"
     d_bottom = float(d_profile(1.0))
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
     nodes = bound = constants = None
@@ -390,13 +378,18 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
         nodes = assumptions["f_nodes"], assumptions["d_nodes"]
         if math.isinf(inv_d[0]):
             raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
-        b0 = _hardy_constant(np.ones_like(grid), cum_inv_d, grid, context.z_F)
+        b0 = _hardy_constant(cum_inv_d, grid, context.z_F)
         del grid, cum_inv_d
-        f_vals, d_vals = _body_samples(f_profile, d_profile)
-        c0 = _trace_constant(f_vals, d_vals, d_bottom, assumptions["lipschitz_L"], b0, inv_d[0])
+        body = np.linspace(0.0, 1.0 - _TRUNC, 20001)  # one sample for C0 and continuity (9)
+        f_vals, d_vals = (np.asarray(p(body), dtype=float) for p in (f_profile, d_profile))
+        if np.any(d_vals <= 0.0):
+            raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
+        sqrt_fd = math.sqrt(_sup_ratio(f_vals, d_vals))
+        d_sup = max(float(np.max(d_vals)), d_bottom)
+        c0 = _trace_constant(sqrt_fd, d_sup, d_bottom, assumptions["lipschitz_L"], b0, inv_d[0])
         bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)
         constants = dict(
-            B0=b0, C0=c0, continuity=_continuity(f_vals, d_vals, d_bottom, context, b0, c0),
+            B0=b0, C0=c0, continuity=_continuity(f_vals, d_vals, sqrt_fd, d_sup, context, b0, c0),
             **{key: assumptions[key] for key in ("lipschitz_L", "ratio_sup_Df", "ratio_sup_fD")},
             **bound)
     except FirngasError:
@@ -409,8 +402,8 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     if not (auto or force) and step > dt_max:
         raise TimeStepError(step, dt_max)
     f_nodes, d_nodes = nodes or (f_profile(mesh.nodes), d_profile(mesh.nodes))
-    return Plan(mesh, assembly.assemble_system(mesh, f_nodes, d_nodes, context, step),
-                step, dt_max, constants)
+    return Plan(assembly.assemble_system(mesh, f_nodes, d_nodes, context, step), dt_max,
+                constants)
 
 
 def _auto_step(dt_max: float) -> float:

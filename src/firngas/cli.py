@@ -176,11 +176,11 @@ def cmd_run(config: RunConfig) -> int:
     plan = analysis.plan_run(config.f_profile, config.d_profile, config.mesh, config.context,
                              config.c_D, config.dt, config.force)
     report = plan.report.to_text() if plan.report else ""
-    rows = solver.levels(plan, config.atmosphere, config.stride)
+    rows = solver.levels(plan.operators, config.atmosphere, config.stride)
     first = next(rows)  # ends the set-up, so a failed run leaves no output file
     with open(config.out or "trajectory.csv", "w", newline="\n") as handle:
         handle.writelines(f"# {line}\n" for line in report.splitlines())
-        solver.write_csv(handle, plan.mesh.nodes, itertools.chain([first], rows))
+        solver.write_csv(handle, config.mesh.nodes, itertools.chain([first], rows))
     return EXIT_OK
 
 

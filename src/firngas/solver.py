@@ -3,7 +3,7 @@
 The homogenized unknown carries the interior-plus-bottom coefficients; the
 Dirichlet surface value is re-attached when reconstructing the full node
 vector.  A run's uniform time grid has at most two step matrices, the uniform
-step and the shortened last one, each derived from the plan's operators and
+step and the shortened last one, each derived from one system's operators and
 factored once per run.  The atmosphere enters only row 0 of the right-hand
 side, so the loop evaluates it once for every level and then costs one ``Mf``
 product and one forward/back substitution per step.  :func:`step` is the
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,8 +217,8 @@ def _step_count(dt: float) -> int:
     return math.ceil(steps)
 
 
-def levels(plan: analysis.Plan, atmosphere, stride: int = 1):
-    """Implicit-Euler loop at the step of an admissibility plan.
+def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
+    """Implicit-Euler loop at the step ``system.dt`` of a discrete system.
 
     Yields ``(t, surface value, interior)``, each interior a fresh array, at
     level 0, every ``stride``-th level and the last.  The time grid is
@@ -228,27 +228,26 @@ def levels(plan: analysis.Plan, atmosphere, stride: int = 1):
     """
     if stride < 1:
         raise ValidationError("stride must be >= 1")
-    dt = plan.dt
+    dt, mesh = system.dt, system.mesh
     n_steps = _step_count(dt)
     times = np.minimum(dt * np.arange(n_steps + 1), 1.0)
     times[-1] = 1.0
-    system = plan.system(dt)
     last_dt = times[-1] - times[-2]
-    last_system = plan.system(last_dt) if abs(last_dt - dt) > 1e-12 * dt else system
-    steps = np.full(n_steps, system.dt)
+    last_system = replace(system, dt=last_dt) if abs(last_dt - dt) > 1e-12 * dt else system
+    steps = np.full(n_steps, dt)
     steps[-1] = last_system.dt
     _check_intervals(times[:-1], times[1:], steps)
 
     boundary = np.asarray(atmosphere(times), dtype=float)
-    v1 = assembly.surface_v1(boundary[:-1], boundary[1:], plan.mesh, system.f_samples)
-    v3 = assembly.surface_v3(boundary[1:], plan.mesh, system.f_samples, system.d_samples,
+    v1 = assembly.surface_v1(boundary[:-1], boundary[1:], mesh, system.f_samples)
+    v3 = assembly.surface_v3(boundary[1:], mesh, system.f_samples, system.d_samples,
                              system.context)
     v3_scaled = system.context.T_e * steps * v3  # T_e * dt_k * v3[k]
     uniform = factor_tridiagonal(system.V)
     last = uniform if last_system is system else factor_tridiagonal(last_system.V)
 
     Mf = system.Mf  # independent of the step length
-    interior = np.zeros(plan.mesh.n - 1)
+    interior = np.zeros(mesh.n - 1)
     yield float(times[0]), float(boundary[0]), interior
     for k in range(n_steps):
         rhs = Mf.matvec(interior)
@@ -259,13 +258,14 @@ def levels(plan: analysis.Plan, atmosphere, stride: int = 1):
 
 
 def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
-    """Every level of :func:`levels`, stored in one preallocated trajectory."""
-    n_levels = _step_count(plan.dt) + 1
+    """Every level of :func:`levels` on the plan's operators, in one preallocated trajectory."""
+    system = plan.operators
+    n_levels = _step_count(system.dt) + 1
     times, boundary = np.empty(n_levels), np.empty(n_levels)
-    interior = np.empty((n_levels, plan.mesh.n - 1))
-    for k, level in enumerate(levels(plan, atmosphere)):
+    interior = np.empty((n_levels, system.mesh.n - 1))
+    for k, level in enumerate(levels(system, atmosphere)):
         times[k], boundary[k], interior[k] = level
-    return Trajectory(times=times, interior=interior, boundary=boundary, mesh=plan.mesh)
+    return Trajectory(times=times, interior=interior, boundary=boundary, mesh=system.mesh)
 
 
 def write_csv(handle, nodes, rows):

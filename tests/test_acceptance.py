@@ -236,7 +236,7 @@ def test_degenerate_pair_spatial_order():
 
     def final_level(n):
         plan = plan_run(DECAY, DECAY, build_uniform(n), context, dt=2e-4, force=True)
-        *_, (t, surface, interior) = levels(plan, atm, stride=10**9)
+        *_, (t, surface, interior) = levels(plan.operators, atm, stride=10**9)
         assert t == 1.0
         return np.concatenate([[surface], interior])
 
@@ -262,9 +262,9 @@ def test_degenerate_pair_time_order():
     assert admitted.dt_max < 1.0 / 6400
 
     def final_level(K):
-        plan = plan_run(DECAY, DECAY, mesh, README_CONTEXT, dt=1.0 / K, force=True)
-        assert check_pd_all({"V": plan.system(plan.dt).V})["V"].positive_definite
-        *_, (t, surface, interior) = levels(plan, SINE, stride=10**9)
+        system = admitted.system(1.0 / K)
+        assert check_pd_all({"V": system.V})["V"].positive_definite
+        *_, (t, surface, interior) = levels(system, SINE, stride=10**9)
         assert t == 1.0
         return np.concatenate([[surface], interior])
 

@@ -117,10 +117,10 @@ def report(f_profile, d_profile, context=None, c_D=1.0):
     return build_report(f_profile, d_profile, build_uniform(11), context or ctx(), c_D)
 
 
-def hardy(v_weight, d_profile):
+def hardy(d_profile):
     """The weighted Poincare constant on z_F = 1 from the helpers :func:`plan_run` calls."""
     grid, cum_inv_d, _ = analysis._inverse_integral(d_profile, float(d_profile(1.0)), 1.0)
-    return analysis._hardy_constant(v_weight(grid), cum_inv_d, grid, 1.0)
+    return analysis._hardy_constant(cum_inv_d, grid, 1.0)
 
 
 def check_pd(matrix):
@@ -168,18 +168,15 @@ class TestB0:
 
     def test_strongly_degenerate_flagged(self):
         with pytest.raises(FirngasError, match="cond:WI"):
-            hardy(np.ones_like, lambda u: (1.0 - u)**3)
+            hardy(lambda u: (1.0 - u)**3)
 
 
 class TestHardyB:
     def test_specializes_to_B0(self):
-        assert hardy(np.ones_like, DECAY) == report(DECAY, DECAY).B0
-
-    def test_zero_weight(self):
-        assert hardy(np.zeros_like, ONE) == 0.0
+        assert hardy(DECAY) == report(DECAY, DECAY).B0
 
     def test_unit_weights(self):
-        assert hardy(np.ones_like, ONE) == pytest.approx(0.5, abs=1e-6)
+        assert hardy(ONE) == pytest.approx(0.5, abs=1e-6)
 
 
 class TestC0:
@@ -191,7 +188,7 @@ class TestC0:
         assert report(DECAY, DECAY).C0 == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_zero_numerator(self):
-        got = analysis._trace_constant(np.zeros(5), np.ones(5), 1.0, 0.0, 0.5, 1.0)
+        got = analysis._trace_constant(0.0, 1.0, 1.0, 0.0, 0.5, 1.0)
         assert got == 0.0
 
 
@@ -300,7 +297,7 @@ class TestCheckPd:
         config = cli.load_config(write_config(tmp_path, z_F=80.0, T_e=30.0, n=513))
         plan = plan_run(config.f_profile, config.d_profile, config.mesh,
                         rescale(config.params), config.c_D)
-        system = plan.system(plan.dt)
+        system = plan.operators
         matrices = {name: getattr(system, name) for name in SEVEN}
         assert system.V.dim == 512
         assert_matches_dense(check_pd_all(matrices), matrices)
@@ -316,7 +313,7 @@ class TestAutoStep:
     @pytest.mark.parametrize("name", LARGE_BOUND)
     def test_checked_plan(self, name):
         plan = plan_run(DECAY, DECAY, build_uniform(11), LARGE_BOUND[name])
-        assert plan.dt == 1.0
+        assert plan.operators.dt == 1.0
         assert plan.report.dt_max == plan.dt_max > 1.0 / 0.9
         assert plan.report.pd_verdicts["V"].positive_definite
 
@@ -326,7 +323,7 @@ class TestAutoStep:
         with pytest.raises(AssumptionError):
             plan_run(capped, DECAY, build_uniform(11), LARGE_BOUND[name])
         plan = plan_run(capped, DECAY, build_uniform(11), LARGE_BOUND[name], force=True)
-        assert plan.dt == 1.0
+        assert plan.operators.dt == 1.0
         assert plan.dt_max > 1.0 / 0.9
 
 
@@ -345,16 +342,16 @@ class TestWholePlans:
             plan = plan_run(f_profile, d_profile, mesh, context)
         except FirngasError:  # (5), (6) and (9) exit 2; cond:WI exits 3
             return
-        system = plan.system(plan.dt)
+        system = plan.operators
         assert check_pd_all({"V": system.V})["V"].positive_definite
         before = np.zeros(mesh.n - 1)
-        times = [k * plan.dt for k in range(3) if k * plan.dt <= 1.0]
+        times = [k * system.dt for k in range(3) if k * system.dt <= 1.0]
         for t_k, t_k1 in zip(times, times[1:]):
             after = step(system, before, atmosphere, t_k, t_k1)
             v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, mesh, system.f_samples)
             v3 = assembly.assemble_v3(t_k1, atmosphere, mesh, system.f_samples,
                                       system.d_samples, context)
-            rhs = assembly.assemble_rhs(before, v1, v3, system.Mf, context.T_e, plan.dt)
+            rhs = assembly.assemble_rhs(before, v1, v3, system.Mf, context.T_e, system.dt)
             scale = max(abs(atmosphere(t_k)), abs(atmosphere(t_k1)),
                         np.max(np.abs(before)), np.max(np.abs(after)))
             assert np.max(np.abs(after - oracle.dense_solve(system.V, rhs))) <= \
@@ -408,6 +405,19 @@ class TestBuildReport:
         build_report(f, d, build_uniform(11), ctx())
         assert calls.count(("D", analysis._tail_grid().size)) == 1
         assert calls.count(("f", 20001)) == calls.count(("D", 20001)) == 1
+
+    def test_body_ratios_computed_once(self, monkeypatch):
+        """C0 and the continuity constants share sup f/D: one f/D and one D/f on the body grid."""
+        ratios = []
+        sup_ratio = analysis._sup_ratio
+
+        def recording(num, den):
+            ratios.append((num.size, den.size))
+            return sup_ratio(num, den)
+
+        monkeypatch.setattr(analysis, "_sup_ratio", recording)
+        plan_run(DECAY, DECAY, build_uniform(11), ctx())
+        assert ratios.count((20001, 20001)) == 2
 
     def test_json_flat_map(self):
         report = build_report(ONE, ONE, build_uniform(6), ctx())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from firngas import analysis, oracle
+from firngas import analysis, assembly, oracle
 from firngas.assembly import Tridiagonal, assemble_system
 from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import build_uniform
@@ -14,6 +14,7 @@ from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
 from firngas.solver import (_MAX_STEPS, Trajectory, _step_count, factor_tridiagonal, levels, run,
                             run_plan, step, write_csv)
+from test_cli import count_calls
 
 ONE = CoefficientProfile.constant(1.0)
 DECAY = CoefficientProfile.affine(1.0, -1.0)
@@ -66,7 +67,7 @@ def admissible_step_matrices(draw):
                               fcoef=draw(st.floats(0.0, 2.0)))
     plan = analysis.plan_run(f, d, build_uniform(n), context)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return plan.system(plan.dt).V, rng.normal(size=(draw(st.integers(2, 5)), n - 1))
+    return plan.operators.V, rng.normal(size=(draw(st.integers(2, 5)), n - 1))
 
 
 def solve_tridiagonal(matrix, rhs):
@@ -200,7 +201,8 @@ class TestTrajectory:
         plan = analysis.plan_run(ONE, ONE, mesh, ctx(), dt=0.02)
         path = tmp_path / "traj.csv"
         with open(path, "w", newline="\n") as handle:
-            write_csv(handle, mesh.nodes, levels(plan, AtmosphereSeries.ramp(), stride=10))
+            write_csv(handle, mesh.nodes,
+                      levels(plan.operators, AtmosphereSeries.ramp(), stride=10))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("t,0,")
         # down-sampled but the final level is always kept
@@ -286,7 +288,7 @@ class TestRun:
         assert _step_count(1.0 / _MAX_STEPS) == _MAX_STEPS
         plan = analysis.plan_run(ONE, ONE, build_uniform(5), ctx(), dt=dt, force=True)
         with pytest.raises(ValidationError, match="limit"):
-            next(levels(plan, AtmosphereSeries.ramp()))
+            next(levels(plan.operators, AtmosphereSeries.ramp()))
         with pytest.raises(ValidationError, match="limit"):
             run_plan(plan, AtmosphereSeries.ramp())
 
@@ -343,11 +345,12 @@ class TestRun:
 
 def step_by_step(plan, atmosphere, times):
     """The reference loop: the public :func:`step` applied once per interval."""
+    dt = plan.operators.dt
     last_dt = times[-1] - times[-2]
-    last = plan.system(last_dt) if abs(last_dt - plan.dt) > 1e-12 * plan.dt else None
-    interior = np.zeros((len(times), plan.mesh.n - 1))
+    last = plan.system(last_dt) if abs(last_dt - dt) > 1e-12 * dt else None
+    interior = np.zeros((len(times), plan.operators.mesh.n - 1))
     for k in range(len(times) - 1):
-        system = last if last is not None and k == len(times) - 2 else plan.system(plan.dt)
+        system = last if last is not None and k == len(times) - 2 else plan.system(dt)
         interior[k + 1] = step(system, interior[k], atmosphere, times[k], times[k + 1])
     return interior
 
@@ -390,12 +393,41 @@ def test_levels_thin_the_full_loop(case, atm_name):
     traj = run_plan(plan, atmosphere)
     for stride in (1, 7, n_steps + 5):
         kept = sorted({*range(0, n_steps + 1, stride), n_steps})
-        times, boundary, interior = zip(*levels(plan, atmosphere, stride))
+        times, boundary, interior = zip(*levels(plan.operators, atmosphere, stride))
         assert np.array(times).tobytes() == traj.times[kept].tobytes()
         assert np.array(boundary).tobytes() == traj.boundary[kept].tobytes()
         assert np.array(interior).tobytes() == traj.interior[kept].tobytes()
     with pytest.raises(ValidationError):
-        next(levels(plan, atmosphere, 0))
+        next(levels(plan.operators, atmosphere, 0))
+
+
+@pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
+@pytest.mark.parametrize("case", sorted(BIT_CASES))
+def test_half_step_levels_share_one_assembly(case, atm_name, monkeypatch):
+    # Step doubling on one operator set: every second level at dt / 2 falls on the dt grid.
+    n, context, dt, force, n_steps = BIT_CASES[case]
+    atmosphere = ATMOSPHERES[atm_name]
+    assemblies = count_calls(monkeypatch, assembly, "assemble_system")
+    plan = analysis.plan_run(DECAY, DECAY, build_uniform(n), context, dt=dt, force=force)
+    full = [t for t, _, _ in levels(plan.operators, atmosphere)]
+    half = [t for t, _, _ in levels(plan.system(plan.operators.dt / 2), atmosphere, stride=2)]
+    assert len(full) == n_steps + 1
+    assert np.array(half).tobytes() == np.array(full).tobytes()
+    assert len(assemblies) == 1
+
+
+@pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
+@pytest.mark.parametrize("case", sorted(BIT_CASES))
+def test_levels_of_a_bare_system_match_the_plan(case, atm_name):
+    # levels needs no plan: the operators assembled by hand at the plan's step, bit for bit.
+    n, context, dt, force, n_steps = BIT_CASES[case]
+    atmosphere = ATMOSPHERES[atm_name]
+    mesh = build_uniform(n)
+    plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
+    bare = assemble_system(mesh, DECAY(mesh.nodes), DECAY(mesh.nodes), context,
+                           plan.operators.dt)
+    for got, want in zip(zip(*levels(bare, atmosphere)), zip(*levels(plan.operators, atmosphere))):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_streamed_levels_do_not_grow_with_step_count():
@@ -407,7 +439,8 @@ def test_streamed_levels_do_not_grow_with_step_count():
         with open(os.devnull, "w") as handle:
             tracemalloc.start()
             try:
-                write_csv(handle, mesh.nodes, levels(plan, AtmosphereSeries.ramp(), stride=100))
+                write_csv(handle, mesh.nodes,
+                          levels(plan.operators, AtmosphereSeries.ramp(), stride=100))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
