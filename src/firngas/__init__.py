@@ -10,7 +10,7 @@ from .errors import (AssumptionError, ConfigError, DomainError, FirngasError,
 from .mesh import Mesh, build_uniform, read_mesh_csv
 from .model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                     RescaledContext, derive_coefficients, rescale)
-from .solver import Trajectory, run, step
+from .solver import Trajectory, run
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,6 @@ __all__ = [
     "Mesh", "build_uniform", "read_mesh_csv",
     "AtmosphereSeries", "CoefficientProfile", "ModelParams",
     "RescaledContext", "derive_coefficients", "rescale",
-    "Trajectory", "run", "step",
+    "Trajectory", "run",
     "__version__",
 ]

@@ -241,6 +241,8 @@ def surface_v3(rho_k1, mesh, f_samples, d_samples, context: RescaledContext):
     return rho_k1 * c1
 
 
+# Full-length forms of one step's forcing and right-hand side, for verification;
+# the time loop applies the row-0 forms above.
 def assemble_v1(t_k: float, t_k1: float, atmosphere, mesh, f_samples) -> np.ndarray:
     """Boundary forcing from the change of the atmospheric signal."""
     out = np.zeros(mesh.n - 1)

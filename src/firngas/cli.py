@@ -187,10 +187,11 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_oracle_compare(config: RunConfig) -> int:
     """Compare band assembly against the quadrature oracle at two meshes.
 
-    Reports the max entry deviation per matrix kind at the configured mesh
-    and at one halving, plus the observed convergence order and PD
-    verdicts.  Succeeds iff each observed order sits within 0.5 of the
-    documented one (or the deviation is at rounding level).
+    Reports the max entry deviation per matrix kind on the uniform meshes of
+    the configured node count n and of 2n - 1 nodes (a mesh file sets only
+    n), the observed convergence order, and PD verdicts of ``M``, ``Mf`` and
+    ``S`` on the configured mesh.  Succeeds iff each observed order sits
+    within 0.5 of the documented one (or the deviation is at rounding level).
     """
     from . import oracle  # verification only, kept off the run path
     fcoef = config.context.fcoef

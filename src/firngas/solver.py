@@ -5,9 +5,8 @@ Dirichlet surface value is re-attached when reconstructing the full node
 vector.  A run's uniform time grid has at most two step matrices, the uniform
 step and the shortened last one, each derived from one system's operators and
 factored once per run.  The atmosphere enters only row 0 of the right-hand
-side, so the loop evaluates it once for every level and then costs one ``Mf``
-product and one forward/back substitution per step.  :func:`step` is the
-one-step reference that the loop, :func:`levels`, reproduces bit for bit.
+side, so the loop, :func:`levels`, evaluates it once for every level and then
+costs one ``Mf`` product and one forward/back substitution per step.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 
-__all__ = ["Trajectory", "factor_tridiagonal", "step", "run", "run_plan", "levels", "write_csv"]
+__all__ = ["Trajectory", "factor_tridiagonal", "run", "run_plan", "levels", "write_csv"]
 
 _PIVOT_TOL = 1e-13  # pivot-magnitude guard relative to max|entry|, unpivoted path
 _EPS = float(np.finfo(float).eps)
@@ -137,25 +136,11 @@ def _check_intervals(t_k, t_k1, dt):
     """Raise unless every interval ``t_k1 - t_k`` matches its assembled step ``dt``.
 
     On a grid ``t_k = dt * k`` the interval carries up to about one ulp of
-    ``t_k1`` of rounding, which the tolerance admits.  Scalars or arrays.
+    ``t_k1`` of rounding, which the tolerance admits.  Arrays, one entry per step.
     """
     tol = 1e-12 * np.maximum(dt, 1e-300) + 4 * _EPS * np.abs(t_k1)
     if np.any(np.abs((t_k1 - t_k) - dt) > tol):
         raise ValidationError("step interval does not match the assembled step size")
-
-
-def step(system: assembly.DiscreteSystem, lam_k, atmosphere, t_k: float,
-         t_k1: float) -> np.ndarray:
-    """Advance the interior coefficients over one implicit step.
-
-    The interval must match the assembled step, see :func:`_check_intervals`.
-    """
-    _check_intervals(t_k, t_k1, system.dt)
-    v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, system.mesh, system.f_samples)
-    v3 = assembly.assemble_v3(t_k1, atmosphere, system.mesh, system.f_samples,
-                              system.d_samples, system.context)
-    rhs = assembly.assemble_rhs(lam_k, v1, v3, system.Mf, system.context.T_e, system.dt)
-    return factor_tridiagonal(system.V).solve(rhs)
 
 
 @dataclass(frozen=True)
@@ -224,7 +209,10 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     level 0, every ``stride``-th level and the last.  The time grid is
     uniform; the last step is shortened to land exactly on t=1, with a step
     matrix derived for its own length.  All checks and factorizations run
-    before level 0; each step then repeats :func:`step`'s arithmetic.
+    before level 0.  This is the package's one implicit-Euler step: it solves
+    ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k`` (``assembly.assemble_rhs``)
+    with only row 0 of the forcing (``surface_v1``/``surface_v3``), bitwise
+    as a fresh solve of that right-hand side would.
     """
     if stride < 1:
         raise ValidationError("stride must be >= 1")

@@ -444,6 +444,21 @@ class TestCmdOracleCompare:
         mf = [ln for ln in out.read_text().splitlines() if ln.startswith("Mf,")][0]
         assert float(mf.split(",")[1]) <= 1e-13
 
+    def test_deviations_on_uniform_meshes_of_the_node_count(self, tmp_path):
+        """A mesh file sets only n for the deviation rows; the PD lines use its nodes."""
+        cfg = write_config(tmp_path)
+        uniform, graded = tmp_path / "uniform.csv", tmp_path / "graded.csv"
+        assert cli.main(["--config", cfg, "--oracle-compare", "--out", str(uniform)]) == cli.EXIT_OK
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("".join(f"{z:.17g}\n" for z in np.linspace(0.0, 1.0, 11) ** 2))
+        edit_config(cfg, "n = 11", f"file = {nodes}")
+        assert cli.main(["--config", cfg, "--oracle-compare", "--out", str(graded)]) == cli.EXIT_OK
+        lines = uniform.read_text().splitlines(), graded.read_text().splitlines()
+        deviations = [[ln for ln in out if not ln.startswith("#")] for out in lines]
+        verdicts = [[ln for ln in out if ln.startswith("# pd_")] for out in lines]
+        assert deviations[0] == deviations[1]
+        assert verdicts[0] != verdicts[1]
+
 
 class TestOneAssemblyPerPlan:
     """A run assembles its operators once; every other step matrix is derived from them.

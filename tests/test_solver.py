@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from firngas import analysis, assembly, oracle
 from firngas.assembly import Tridiagonal, assemble_system
 from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
-from firngas.mesh import build_uniform
+from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
 from firngas.solver import (_MAX_STEPS, Trajectory, _step_count, factor_tridiagonal, levels, run,
-                            run_plan, step, write_csv)
+                            run_plan, write_csv)
 from test_cli import count_calls
 
 ONE = CoefficientProfile.constant(1.0)
@@ -144,32 +144,6 @@ class TestFactorTridiagonal:
             x = factor.solve(rhs)
             np.testing.assert_allclose(x, oracle.dense_solve(band, rhs), rtol=1e-12,
                                        atol=1e-12)
-
-
-class TestStep:
-    def test_zero_forcing_preserves_zero(self):
-        mesh = build_uniform(6)
-        sys_ = assemble_system(mesh, np.ones(6), np.ones(6), ctx(), 0.01)
-        lam = step(sys_, np.zeros(5), AtmosphereSeries.zero(), 0.0, 0.01)
-        np.testing.assert_array_equal(lam, np.zeros(5))
-
-    def test_matches_dense_oracle(self):
-        mesh = build_uniform(4)
-        sys_ = assemble_system(mesh, np.ones(4), np.ones(4), ctx(), 0.01)
-        atm = AtmosphereSeries.ramp()
-        lam0 = np.array([0.1, 0.2, 0.3])
-        from firngas.assembly import assemble_rhs, assemble_v1, assemble_v3
-        v1 = assemble_v1(0.0, 0.01, atm, mesh, sys_.f_samples)
-        v3 = assemble_v3(0.01, atm, mesh, sys_.f_samples, sys_.d_samples, ctx())
-        rhs = assemble_rhs(lam0, v1, v3, sys_.Mf, 1.0, 0.01)
-        np.testing.assert_allclose(step(sys_, lam0, atm, 0.0, 0.01),
-                                   oracle.dense_solve(sys_.V, rhs), atol=1e-12)
-
-    def test_interval_must_match_system(self):
-        mesh = build_uniform(4)
-        sys_ = assemble_system(mesh, np.ones(4), np.ones(4), ctx(), 0.01)
-        with pytest.raises(ValidationError):
-            step(sys_, np.zeros(3), AtmosphereSeries.zero(), 0.0, 0.02)
 
 
 class TestTrajectory:
@@ -344,23 +318,30 @@ class TestRun:
 
 
 def step_by_step(plan, atmosphere, times):
-    """The reference loop: the public :func:`step` applied once per interval."""
+    """The reference loop: a fresh solve of the public assembled right-hand side per interval."""
     dt = plan.operators.dt
     last_dt = times[-1] - times[-2]
     last = plan.system(last_dt) if abs(last_dt - dt) > 1e-12 * dt else None
     interior = np.zeros((len(times), plan.operators.mesh.n - 1))
     for k in range(len(times) - 1):
         system = last if last is not None and k == len(times) - 2 else plan.system(dt)
-        interior[k + 1] = step(system, interior[k], atmosphere, times[k], times[k + 1])
+        mesh, f, d = system.mesh, system.f_samples, system.d_samples
+        v1 = assembly.assemble_v1(times[k], times[k + 1], atmosphere, mesh, f)
+        v3 = assembly.assemble_v3(times[k + 1], atmosphere, mesh, f, d, system.context)
+        rhs = assembly.assemble_rhs(interior[k], v1, v3, system.Mf, system.context.T_e,
+                                    system.dt)
+        interior[k + 1] = factor_tridiagonal(system.V).solve(rhs)
     return interior
 
 
-# name -> (n, context, dt, force, expected step count K)
+# name -> (mesh, context, dt, force, expected step count K)
 BIT_CASES = {
-    "unit_auto": (11, UNIT_CONTEXT, "auto", False, 267),
-    "unit_dt0.003_short_last": (11, UNIT_CONTEXT, 0.003, False, 334),
-    "readme_n5_dt1e-4": (5, README_CONTEXT, 1e-4, False, 10000),
-    "unit_forced_dt0.5": (11, UNIT_CONTEXT, 0.5, True, 2),
+    "unit_auto": (build_uniform(11), UNIT_CONTEXT, "auto", False, 267),
+    "unit_dt0.003_short_last": (build_uniform(11), UNIT_CONTEXT, 0.003, False, 334),
+    "readme_n5_dt1e-4": (build_uniform(5), README_CONTEXT, 1e-4, False, 10000),
+    "unit_forced_dt0.5": (build_uniform(11), UNIT_CONTEXT, 0.5, True, 2),
+    # graded to the surface: the row-0 forcing reads the short first element
+    "unit_s2_auto": (Mesh(np.linspace(0.0, 1.0, 11) ** 2), UNIT_CONTEXT, "auto", False, 2667),
 }
 ATMOSPHERES = {
     "ramp": AtmosphereSeries.ramp(),
@@ -372,11 +353,11 @@ ATMOSPHERES = {
 @pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
 @pytest.mark.parametrize("case", sorted(BIT_CASES))
 def test_run_plan_bitwise_equals_step_loop(case, atm_name):
-    # The fast loop repeats step()'s arithmetic exactly; the golden CSVs in
-    # tests/data pin that arithmetic itself.
-    n, context, dt, force, n_steps = BIT_CASES[case]
+    # The loop is bitwise K fresh solves of the assembled right-hand side; the
+    # golden CSVs in tests/data pin that arithmetic itself.
+    mesh, context, dt, force, n_steps = BIT_CASES[case]
     atmosphere = ATMOSPHERES[atm_name]
-    plan = analysis.plan_run(DECAY, DECAY, build_uniform(n), context, dt=dt, force=force)
+    plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
     traj = run_plan(plan, atmosphere)
     assert traj.n_levels == n_steps + 1
     assert np.array_equal(traj.boundary, atmosphere(traj.times))
@@ -387,9 +368,9 @@ def test_run_plan_bitwise_equals_step_loop(case, atm_name):
 @pytest.mark.parametrize("case", sorted(BIT_CASES))
 def test_levels_thin_the_full_loop(case, atm_name):
     # Rows 0, stride, 2*stride, ... and K of the stored trajectory, bit for bit.
-    n, context, dt, force, n_steps = BIT_CASES[case]
+    mesh, context, dt, force, n_steps = BIT_CASES[case]
     atmosphere = ATMOSPHERES[atm_name]
-    plan = analysis.plan_run(DECAY, DECAY, build_uniform(n), context, dt=dt, force=force)
+    plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
     traj = run_plan(plan, atmosphere)
     for stride in (1, 7, n_steps + 5):
         kept = sorted({*range(0, n_steps + 1, stride), n_steps})
@@ -405,10 +386,10 @@ def test_levels_thin_the_full_loop(case, atm_name):
 @pytest.mark.parametrize("case", sorted(BIT_CASES))
 def test_half_step_levels_share_one_assembly(case, atm_name, monkeypatch):
     # Step doubling on one operator set: every second level at dt / 2 falls on the dt grid.
-    n, context, dt, force, n_steps = BIT_CASES[case]
+    mesh, context, dt, force, n_steps = BIT_CASES[case]
     atmosphere = ATMOSPHERES[atm_name]
     assemblies = count_calls(monkeypatch, assembly, "assemble_system")
-    plan = analysis.plan_run(DECAY, DECAY, build_uniform(n), context, dt=dt, force=force)
+    plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
     full = [t for t, _, _ in levels(plan.operators, atmosphere)]
     half = [t for t, _, _ in levels(plan.system(plan.operators.dt / 2), atmosphere, stride=2)]
     assert len(full) == n_steps + 1
@@ -420,9 +401,8 @@ def test_half_step_levels_share_one_assembly(case, atm_name, monkeypatch):
 @pytest.mark.parametrize("case", sorted(BIT_CASES))
 def test_levels_of_a_bare_system_match_the_plan(case, atm_name):
     # levels needs no plan: the operators assembled by hand at the plan's step, bit for bit.
-    n, context, dt, force, n_steps = BIT_CASES[case]
+    mesh, context, dt, force, n_steps = BIT_CASES[case]
     atmosphere = ATMOSPHERES[atm_name]
-    mesh = build_uniform(n)
     plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
     bare = assemble_system(mesh, DECAY(mesh.nodes), DECAY(mesh.nodes), context,
                            plan.operators.dt)
