@@ -11,6 +11,7 @@ symmetric tridiagonal part of each band matrix, with no size cap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -149,8 +150,6 @@ def _defect_constant(integral: float, divergent: bool, mcoef: float, c_D: float,
 
     A divergent ``int 1/D`` drops its term: the conservative limit for the step bound.
     """
-    if not 0.0 < c_D < 2.0:
-        raise ValidationError(f"c_D must lie in (0, 2), got {c_D}")
     if divergent:
         inv_term = 0.0
     else:
@@ -367,9 +366,15 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     gives ``B0``; ``C0`` and the continuity constants share one sample of f
     and D, and its ``sup f/D`` and ``sup D``.  Under ``force`` a failed check
     drops the constants and the run goes on with the node samples; the step
-    bound is computed after the failure only to pick an ``"auto"`` step.
+    bound is computed after the failure only to pick an ``"auto"`` step.  A
+    ``c_D`` outside (0, 2) or a ``dt`` that is neither a real number nor
+    ``"auto"`` raises :class:`ValidationError` first, ``force`` or not.
     """
-    auto = dt == "auto"
+    if not 0.0 < c_D < 2.0:
+        raise ValidationError(f"c_D must lie in (0, 2), got {c_D}")
+    auto = isinstance(dt, str) and dt == "auto"
+    if not auto and (isinstance(dt, bool) or not isinstance(dt, numbers.Real)):
+        raise ValidationError(f"time step must be a number or 'auto', got {dt!r}")
     d_bottom = float(d_profile(1.0))
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
     nodes = bound = constants = None

@@ -30,6 +30,8 @@ class Mesh:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
+        if nodes.ndim != 1:
+            raise ValidationError(f"mesh nodes must be a 1-d array, got shape {nodes.shape}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "element_lengths", np.diff(nodes))
         if len(nodes) < 3:

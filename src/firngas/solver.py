@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,6 @@ from .errors import SingularMatrixError, ValidationError
 __all__ = ["Trajectory", "factor_tridiagonal", "run", "run_plan", "levels", "write_csv"]
 
 _PIVOT_TOL = 1e-13  # pivot-magnitude guard relative to max|entry|, unpivoted path
-_EPS = float(np.finfo(float).eps)
 _CSV_BLOCK = 1024   # rows formatted per write: bounded memory, few calls
 _MAX_STEPS = 10**7  # step count K above which no run is started, see the README
 
@@ -132,17 +132,6 @@ def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Elimination | _PivotedE
         return _PivotedElimination(matrix)
 
 
-def _check_intervals(t_k, t_k1, dt):
-    """Raise unless every interval ``t_k1 - t_k`` matches its assembled step ``dt``.
-
-    On a grid ``t_k = dt * k`` the interval carries up to about one ulp of
-    ``t_k1`` of rounding, which the tolerance admits.  Arrays, one entry per step.
-    """
-    tol = 1e-12 * np.maximum(dt, 1e-300) + 4 * _EPS * np.abs(t_k1)
-    if np.any(np.abs((t_k1 - t_k) - dt) > tol):
-        raise ValidationError("step interval does not match the assembled step size")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Discrete solution: interior coefficients plus boundary values per level."""
@@ -214,23 +203,21 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     with only row 0 of the forcing (``surface_v1``/``surface_v3``), bitwise
     as a fresh solve of that right-hand side would.
     """
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
     dt, mesh = system.dt, system.mesh
     n_steps = _step_count(dt)
     times = np.minimum(dt * np.arange(n_steps + 1), 1.0)
     times[-1] = 1.0
     last_dt = times[-1] - times[-2]
     last_system = replace(system, dt=last_dt) if abs(last_dt - dt) > 1e-12 * dt else system
-    steps = np.full(n_steps, dt)
-    steps[-1] = last_system.dt
-    _check_intervals(times[:-1], times[1:], steps)
 
     boundary = np.asarray(atmosphere(times), dtype=float)
     v1 = assembly.surface_v1(boundary[:-1], boundary[1:], mesh, system.f_samples)
     v3 = assembly.surface_v3(boundary[1:], mesh, system.f_samples, system.d_samples,
                              system.context)
-    v3_scaled = system.context.T_e * steps * v3  # T_e * dt_k * v3[k]
+    v3[:-1] *= system.context.T_e * dt  # in place: T_e * dt_k * v3[k]
+    v3[-1] *= system.context.T_e * last_system.dt
     uniform = factor_tridiagonal(system.V)
     last = uniform if last_system is system else factor_tridiagonal(last_system.V)
 
@@ -239,7 +226,7 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     yield float(times[0]), float(boundary[0]), interior
     for k in range(n_steps):
         rhs = Mf.matvec(interior)
-        rhs[0] = (rhs[0] - v1[k]) - v3_scaled[k]
+        rhs[0] = (rhs[0] - v1[k]) - v3[k]
         interior = (last if k == n_steps - 1 else uniform).solve(rhs)
         if (k + 1) % stride == 0 or k + 1 == n_steps:
             yield float(times[k + 1]), float(boundary[k + 1]), interior

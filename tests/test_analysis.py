@@ -327,6 +327,25 @@ class TestAutoStep:
         assert plan.dt_max > 1.0 / 0.9
 
 
+class TestPlanArguments:
+    """An argument the plan cannot take is refused whether or not ``force`` is set."""
+
+    @pytest.mark.parametrize("dt", ["auto", 0.01])
+    def test_c_D_outside_open_interval_under_force(self, dt):
+        with pytest.raises(ValidationError, match="c_D"):
+            plan_run(DECAY, DECAY, build_uniform(11), ctx(), c_D=5.0, dt=dt, force=True)
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("dt", ["abc", None, True, "0.01", [0.01]])
+    def test_dt_neither_a_number_nor_auto(self, dt, force):
+        with pytest.raises(ValidationError, match="time step"):
+            plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=dt, force=force)
+
+    def test_numpy_dt_taken(self):
+        plan = plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=np.float64(0.004))
+        assert plan.operators.dt == 0.004
+
+
 class TestWholePlans:
     @given(power_law_runs())
     def test_refused_or_certified_and_matching_the_oracle(self, case):

@@ -362,6 +362,16 @@ class TestCmdRun:
         header = next(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
         assert [float(z) for z in header.split(",")[1:]] == graded
 
+    def test_two_column_mesh_file_exit_1(self, tmp_path, capsys):
+        """A mesh file with more than one column exits 1, naming the shape it read."""
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("0.0,0.0\n0.5,0.5\n1.0,1.0\n")
+        cfg = edit_config(write_config(tmp_path), "n = 11", f"file = {nodes}")
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", cfg, "--out", str(out), "--force"]) == cli.EXIT_IO
+        assert "(3, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_n_override(self, tmp_path):
         cfg = write_config(tmp_path, n=11)
         out = tmp_path / "o.csv"
@@ -535,3 +545,10 @@ class TestLibraryParity:
 
         assert cli.main(["--config", cfg, "--out", out, "--force"]) == cli.EXIT_OK
         assert firngas.run(*args, force=True, c_D=config.c_D).times[-1] == 1.0
+
+    @pytest.mark.parametrize("dt", ["auto", 0.01])
+    def test_c_D_refused_under_force(self, tmp_path, dt):
+        config = cli.load_config(write_config(tmp_path))
+        with pytest.raises(ValidationError, match="c_D"):
+            firngas.run(config.mesh, config.f_profile, config.d_profile, config.context,
+                        config.atmosphere, dt, force=True, c_D=5.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ class TestBuildGraded:
         for nodes in ([0.0, 0.6, 0.4, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, float("nan"), 1.0]):
             with pytest.raises(ValidationError):
                 Mesh(nodes)
+
+
+    @pytest.mark.parametrize("nodes", [np.zeros((3, 2)), np.linspace(0.0, 1.0, 3)[:, None], 0.5],
+                             ids=["two_columns", "one_column_2d", "scalar"])
+    def test_nodes_must_be_one_dimensional(self, nodes):
+        shape = np.shape(nodes)
+        with pytest.raises(ValidationError, match=re.escape(str(shape))):
+            Mesh(nodes)
+
+    def test_two_column_file_refused(self, tmp_path):
+        path = tmp_path / "mesh.csv"
+        path.write_text("0.0,0.0\n0.5,0.5\n1.0,1.0\n")
+        with pytest.raises(ValidationError, match=re.escape("(3, 2)")):
+            read_mesh_csv(path)
 
 
 class TestMeshInvariants:

@@ -76,7 +76,8 @@ class TestAssembleReference:
 
     @pytest.mark.parametrize("weight", [lambda z: 1.0 - z,
                                         lambda z: 1.0 - z**2,
-                                        lambda z: np.exp(-z)])
+                                        lambda z: np.exp(-z)],
+                             ids=["1-z", "1-z^2", "exp(-z)"])
     def test_mvt_mass_second_order(self, weight):
         devs = []
         for n in (11, 21, 41):

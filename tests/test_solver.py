@@ -12,8 +12,8 @@ from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
-from firngas.solver import (_MAX_STEPS, Trajectory, _step_count, factor_tridiagonal, levels, run,
-                            run_plan, write_csv)
+from firngas.solver import (_MAX_STEPS, Trajectory, _PivotedElimination, _step_count,
+                            factor_tridiagonal, levels, run, run_plan, write_csv)
 from test_cli import count_calls
 
 ONE = CoefficientProfile.constant(1.0)
@@ -334,6 +334,16 @@ def step_by_step(plan, atmosphere, times):
     return interior
 
 
+# Drift only, at physical scale: the step that zeroes V[0, 0] forces a pivoted factor.
+DRIFT_CONTEXT = RescaledContext(T_e=30.0, z_F=80.0, mcoef=10.0, gcoef=0.0, fcoef=0.0)
+
+
+def zero_corner_step(mesh, context):
+    """The ``dt`` at which ``V[0, 0] = Mf[0, 0] + T_e dt C[0, 0]`` is exactly 0."""
+    system = assemble_system(mesh, DECAY(mesh.nodes), DECAY(mesh.nodes), context, 0.0)
+    return float(-system.Mf.diag[0] / (context.T_e * system.C.diag[0]))
+
+
 # name -> (mesh, context, dt, force, expected step count K)
 BIT_CASES = {
     "unit_auto": (build_uniform(11), UNIT_CONTEXT, "auto", False, 267),
@@ -342,6 +352,8 @@ BIT_CASES = {
     "unit_forced_dt0.5": (build_uniform(11), UNIT_CONTEXT, 0.5, True, 2),
     # graded to the surface: the row-0 forcing reads the short first element
     "unit_s2_auto": (Mesh(np.linspace(0.0, 1.0, 11) ** 2), UNIT_CONTEXT, "auto", False, 2667),
+    "drift_pivoted_forced": (build_uniform(11), DRIFT_CONTEXT,
+                             zero_corner_step(build_uniform(11), DRIFT_CONTEXT), True, 2),
 }
 ATMOSPHERES = {
     "ramp": AtmosphereSeries.ramp(),
@@ -372,14 +384,15 @@ def test_levels_thin_the_full_loop(case, atm_name):
     atmosphere = ATMOSPHERES[atm_name]
     plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
     traj = run_plan(plan, atmosphere)
-    for stride in (1, 7, n_steps + 5):
+    for stride in (1, np.int64(7), n_steps + 5):
         kept = sorted({*range(0, n_steps + 1, stride), n_steps})
         times, boundary, interior = zip(*levels(plan.operators, atmosphere, stride))
         assert np.array(times).tobytes() == traj.times[kept].tobytes()
         assert np.array(boundary).tobytes() == traj.boundary[kept].tobytes()
         assert np.array(interior).tobytes() == traj.interior[kept].tobytes()
-    with pytest.raises(ValidationError):
-        next(levels(plan.operators, atmosphere, 0))
+    for stride in (0, 2.5, 1.5, 2.0, True, "2", None):
+        with pytest.raises(ValidationError):
+            next(levels(plan.operators, atmosphere, stride))
 
 
 @pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
@@ -408,6 +421,30 @@ def test_levels_of_a_bare_system_match_the_plan(case, atm_name):
                            plan.operators.dt)
     for got, want in zip(zip(*levels(bare, atmosphere)), zip(*levels(plan.operators, atmosphere))):
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_pivoted_case_steps_on_a_pivoted_factor():
+    mesh, context, dt, force, _ = BIT_CASES["drift_pivoted_forced"]
+    plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
+    assert plan.operators.V.diag[0] == 0.0
+    assert isinstance(factor_tridiagonal(plan.operators.V), _PivotedElimination)
+
+
+def test_loop_holds_four_doubles_per_step():
+    # Before level 0 the loop holds the times, the surface values and the two
+    # row-0 forcings, K + O(1) doubles each, and nothing else that grows with K.
+    mesh = build_uniform(11)
+    system = assemble_system(mesh, DECAY(mesh.nodes), DECAY(mesh.nodes), UNIT_CONTEXT, 1e-5)
+    n_steps = _step_count(system.dt)
+    assert n_steps == 100_000
+    tracemalloc.start()
+    try:
+        loop = levels(system, AtmosphereSeries.ramp())
+        next(loop)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 4.25 * 8 * n_steps
 
 
 def test_streamed_levels_do_not_grow_with_step_count():
