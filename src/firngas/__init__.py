@@ -9,7 +9,7 @@ from .errors import (AssumptionError, ConfigError, DomainError, FirngasError,
                      SingularMatrixError, TimeStepError, ValidationError)
 from .mesh import Mesh, build_uniform, read_mesh_csv
 from .model import (AtmosphereSeries, CoefficientProfile, ModelParams,
-                    RescaledContext, derive_coefficients, rescale)
+                    RescaledContext, rescale)
 from .solver import Trajectory, run
 
 __version__ = "0.1.0"
@@ -19,7 +19,7 @@ __all__ = [
     "SingularMatrixError", "TimeStepError", "ValidationError",
     "Mesh", "build_uniform", "read_mesh_csv",
     "AtmosphereSeries", "CoefficientProfile", "ModelParams",
-    "RescaledContext", "derive_coefficients", "rescale",
+    "RescaledContext", "rescale",
     "Trajectory", "run",
     "__version__",
 ]

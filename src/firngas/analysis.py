@@ -307,12 +307,8 @@ class StabilityReport:
     def to_text(self) -> str:
         lines = []
         for key, value in self.to_dict().items():
-            if isinstance(value, bool):
-                lines.append(f"{key}: {str(value).lower()}")
-            elif isinstance(value, float):
-                lines.append(f"{key}: {value:.17g}")
-            else:
-                lines.append(f"{key}: {value}")
+            text = str(value).lower() if isinstance(value, bool) else f"{value:.17g}"
+            lines.append(f"{key}: {text}")
         return "\n".join(lines) + "\n"
 
 
@@ -367,14 +363,16 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     and D, and its ``sup f/D`` and ``sup D``.  Under ``force`` a failed check
     drops the constants and the run goes on with the node samples; the step
     bound is computed after the failure only to pick an ``"auto"`` step.  A
-    ``c_D`` outside (0, 2) or a ``dt`` that is neither a real number nor
-    ``"auto"`` raises :class:`ValidationError` first, ``force`` or not.
+    ``c_D`` outside (0, 2), or a ``dt`` that is neither ``"auto"`` nor a real
+    number in (0, 1], raises :class:`ValidationError` first, ``force`` or not.
     """
     if not 0.0 < c_D < 2.0:
         raise ValidationError(f"c_D must lie in (0, 2), got {c_D}")
     auto = isinstance(dt, str) and dt == "auto"
     if not auto and (isinstance(dt, bool) or not isinstance(dt, numbers.Real)):
         raise ValidationError(f"time step must be a number or 'auto', got {dt!r}")
+    if not (auto or 0.0 < dt <= 1.0):
+        raise ValidationError(f"time step must lie in (0, 1], got {dt!r}")
     d_bottom = float(d_profile(1.0))
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
     nodes = bound = constants = None

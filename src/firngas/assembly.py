@@ -69,10 +69,6 @@ class Tridiagonal:
     def dim(self) -> int:
         return len(self.diag)
 
-    @classmethod
-    def zeros(cls, dim: int) -> "Tridiagonal":
-        return cls(np.zeros(dim - 1), np.zeros(dim), np.zeros(dim - 1))
-
     def to_dense(self) -> np.ndarray:
         dense = np.diag(self.diag)
         dense += np.diag(self.sub, -1)
@@ -158,11 +154,10 @@ def assemble_S(mesh, d_samples) -> Tridiagonal:
 
 def assemble_B(mesh, f_samples, fcoef: float) -> Tridiagonal:
     """Bottom boundary matrix: zero except the last diagonal entry."""
-    f = np.asarray(f_samples, dtype=float)
     m = mesh.n - 1
-    out = Tridiagonal.zeros(m)
-    out.diag[m - 1] = fcoef * f[m]
-    return out
+    diag = np.zeros(m)
+    diag[m - 1] = fcoef * float(f_samples[m])
+    return Tridiagonal(np.zeros(m - 1), diag, np.zeros(m - 1))
 
 
 @dataclass(frozen=True)

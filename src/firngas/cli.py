@@ -4,8 +4,8 @@ Reads an INI config, runs the admissibility analysis and/or the
 implicit-Euler simulation, and emits byte-reproducible CSV / report files
 (17 significant digits, ``\\n`` line separators, ``.`` decimal point).
 
-Exit codes: 0 success, 1 I/O, parse or config-value error, 2 admissibility
-failure, 3 numerical failure.
+Exit codes: 0 success, 1 usage, I/O, parse or config-value error,
+2 admissibility failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ def _load_atmosphere(section) -> AtmosphereSeries:
 def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
     """Parse an INI run configuration, applying CLI overrides.
 
-    An override given on the command line wins even when it is zero, so an
-    invalid value is refused here, before any solve.
+    An override given on the command line wins even when it is zero.  It is
+    converted as the file's value is, so an invalid value from either source
+    is refused here, before any solve.
     """
     def given(name, fallback):
         value = getattr(overrides, name, None)
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="INI run configuration")
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--n", type=int, default=None, help="uniform mesh node count")
+    parser.add_argument("--n", default=None, help="uniform mesh node count")
     parser.add_argument("--dt", default=None, help="time step (float) or 'auto'")
     parser.add_argument("--check-only", action="store_true", dest="check_only",
                         help="emit the stability report without solving")
@@ -252,13 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run despite admissibility failures")
     parser.add_argument("--oracle-compare", action="store_true", dest="oracle_compare",
                         help="compare band assembly against the quadrature oracle")
-    parser.add_argument("--stride", type=int, default=None,
+    parser.add_argument("--stride", default=None,
                         help="down-sampling stride for trajectory output")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return EXIT_IO if exc.code else EXIT_OK
     try:
         config = load_config(args.config, args)
     except (FirngasError, OSError) as exc:

@@ -22,7 +22,6 @@ __all__ = [
     "RescaledContext",
     "CoefficientProfile",
     "AtmosphereSeries",
-    "derive_coefficients",
     "rescale",
 ]
 
@@ -83,22 +82,15 @@ class RescaledContext:
                 raise ValidationError(f"RescaledContext.{item.name} must be {sign}")
 
 
-def derive_coefficients(params: ModelParams) -> tuple[float, float, float]:
-    """Reduce the physical constants to the three coefficients of the PDE.
-
-    Returns ``(mcoef, gcoef, fcoef)`` where ``mcoef = M_alpha*g/(R*T)``
-    (1/m), ``gcoef = tau + lam`` (1/yr) and ``fcoef = v + w_air`` (m/yr).
-    """
-    mcoef = params.M_alpha * params.g / (params.R * params.T)
-    gcoef = params.tau + params.lam
-    fcoef = params.v + params.w_air
-    return mcoef, gcoef, fcoef
-
-
 def rescale(params: ModelParams) -> RescaledContext:
-    """Build the rescaled-context record used by assembly and analysis."""
-    mcoef, gcoef, fcoef = derive_coefficients(params)
-    return RescaledContext(T_e=params.T_e, z_F=params.z_F, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
+    """Reduce the physical constants to the rescaled-context record of the PDE.
+
+    ``mcoef = M_alpha*g/(R*T)`` (1/m), ``gcoef = tau + lam`` (1/yr) and
+    ``fcoef = v + w_air`` (m/yr).
+    """
+    return RescaledContext(T_e=params.T_e, z_F=params.z_F,
+                           mcoef=params.M_alpha * params.g / (params.R * params.T),
+                           gcoef=params.tau + params.lam, fcoef=params.v + params.w_air)
 
 
 def _sample_table(x, y, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from firngas.errors import AssumptionError, FirngasError, ValidationError
 from firngas.mesh import build_uniform
 from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext, rescale
 from firngas.solver import factor_tridiagonal
-from test_cli import write_config
+from test_cli import count_calls, write_config
 
 ONE = CoefficientProfile.constant(1.0)
 DECAY = CoefficientProfile.affine(1.0, -1.0)  # 1 - z
@@ -138,6 +138,20 @@ class TestCheckAssumptions:
         with pytest.raises(AssumptionError, match=r"\(5\)"):
             check_assumptions(CoefficientProfile.constant(-1.0), ONE, build_uniform(5))
 
+    def test_diffusivity_zero_on_the_body_grid_only(self, monkeypatch):
+        """D vanishes at one point of the body grid, on neither the tail grid nor the nodes.
+
+        The integral of 1/D on the tail grid stays finite, so the body-grid
+        check refuses (6), after ``B0``.
+        """
+        z_b = np.linspace(0.0, 1.0 - analysis._TRUNC, 20001)[19001]
+        assert z_b not in analysis._tail_grid()
+        d_profile = CoefficientProfile.sampled([0.0, z_b, 1.0], [1.0, 0.0, 1.0])
+        hardy_calls = count_calls(monkeypatch, analysis, "_hardy_constant")
+        with pytest.raises(AssumptionError, match=r"\(6\).*vanishes inside \[0, 1\)"):
+            plan_run(ONE, d_profile, build_uniform(11), ctx())
+        assert len(hardy_calls) == 1
+
 
 class TestLipschitz:
     def test_affine(self):
@@ -205,6 +219,15 @@ class TestFh:
     def test_h_guard(self):
         with pytest.raises(ValidationError):
             compute_fh(ONE, 1.5)
+
+    def test_negative_between_nodes_refused(self):
+        """f is positive at every node of n = 11 but dips below 0 on (0.52, 0.58)."""
+        f_profile = CoefficientProfile.sampled([0.0, 0.52, 0.55, 0.58, 1.0],
+                                               [1.0, 0.5, -0.1, 0.4, 0.0])
+        mesh = build_uniform(11)
+        check_assumptions(f_profile, DECAY, mesh)
+        with pytest.raises(AssumptionError, match=r"\(5\).*away from the bottom"):
+            plan_run(f_profile, DECAY, mesh, ctx())
 
 
 class TestKG:
@@ -340,6 +363,16 @@ class TestPlanArguments:
     def test_dt_neither_a_number_nor_auto(self, dt, force):
         with pytest.raises(ValidationError, match="time step"):
             plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=dt, force=force)
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, 2.0, math.inf, math.nan])
+    def test_dt_outside_unit_interval(self, dt, force, monkeypatch):
+        """Refused before the first check and before any assembly."""
+        integrals = count_calls(monkeypatch, analysis, "_inverse_integral")
+        assemblies = count_calls(monkeypatch, assembly, "assemble_system")
+        with pytest.raises(ValidationError, match=r"time step must lie in \(0, 1\]"):
+            plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=dt, force=force)
+        assert integrals == [] and assemblies == []
 
     def test_numpy_dt_taken(self):
         plan = plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=np.float64(0.004))

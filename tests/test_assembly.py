@@ -94,6 +94,20 @@ class TestMvtInner:
         with pytest.raises(ValidationError):
             mvt_inner(1, 1, "w_phi_phi", np.ones(4), MESH3)
 
+    @pytest.mark.parametrize("kind, assemble, scale", [
+        ("w_phi_phi", assemble_Mf, 1.0),
+        ("w_dphi_phi", lambda mesh, w: assemble_Kf(mesh, w, 0.6), 0.6),
+        ("w_dphi_dphi", assemble_S, 1.0),
+    ], ids=["Mf", "Kf", "S"])
+    def test_band_assembly_is_the_entrywise_reference(self, kind, assemble, scale):
+        """Every entry (r, c), zeros and the bottom row included, on a graded mesh."""
+        mesh = Mesh(np.linspace(0.0, 1.0, 9) ** 2)
+        w = np.exp(-2.0 * mesh.nodes) + mesh.nodes**3
+        m = mesh.n - 1
+        reference = np.array([[scale * mvt_inner(r + 2, c + 2, kind, w, mesh) for c in range(m)]
+                              for r in range(m)])
+        np.testing.assert_allclose(assemble(mesh, w).to_dense(), reference, rtol=1e-15, atol=0.0)
+
 
 class TestFrozenInstance:
     """Closed-form entries hand-substituted on n=3, h=0.5, f = D = 1 - z."""

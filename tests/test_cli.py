@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -174,12 +177,14 @@ class TestConfig:
         ("intercept = 1.0", "intercept = nan", None),
         (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0\n0.5,nan\n1.0,0.0\n"),
         ("M_alpha = 0.04\ng = 9.81", "M_alpha = 1e300\ng = 1e300", None),
+        ("n = 11", "n = abc", None),
+        ("dt = auto", "dt = auto\nstride = 1.5", None),
     ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
             "sampled_short", "no_section_header", "duplicate_key", "nan_amplitude",
             "atmosphere_file_nan", "bad_float", "unknown_profile_kind",
             "unknown_atmosphere_kind", "sampled_one_column", "atmosphere_file_one_column",
             "sampled_three_columns", "nan_intercept", "sampled_file_nan",
-            "overflowing_params"])
+            "overflowing_params", "n_not_an_integer", "stride_not_an_integer"])
     def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
         """A file the INI parser or a model constructor rejects on reading exits 1."""
         table_path = tmp_path / "table.csv"
@@ -227,6 +232,46 @@ class TestInvalidOverrides:
                              ids=["plain", "forced"])
     def test_c_D_outside_open_interval(self, tmp_path, capsys, flags):
         self.refused(tmp_path, capsys, *flags, c_D=5.0)
+
+
+class TestUsage:
+    """A usage error exits 1 after argparse's usage message, as a bad config value does."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (None, "the following arguments are required: --config"),
+        (("--bogus",), "unrecognized arguments: --bogus"),
+        (("--n", "abc"), "invalid literal for int() with base 10: 'abc'"),
+        (("--stride", "1.5"), "invalid literal for int() with base 10: '1.5'"),
+    ], ids=["no_arguments", "unknown_flag", "n_not_an_integer", "stride_not_an_integer"])
+    def test_usage_error_exit_1(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o.csv"
+        argv = [] if flags is None else ["--config", write_config(tmp_path), "--out", str(out),
+                                         *flags]
+        assert cli.main(argv) == cli.EXIT_IO
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exit_0(self, capsys):
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: firngas")
+
+    def test_process_exit_status(self, tmp_path):
+        """``python -m firngas.cli`` exits with the code ``main`` returns: 1, 2 and 0."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        refused = tmp_path / "refused"
+        refused.mkdir()
+        cases = [
+            (["--config", write_config(tmp_path), "--bogus"], cli.EXIT_IO),
+            (["--config", write_config(refused, f_kind="constant", f_value=-1.0),
+              "--check-only"], cli.EXIT_ADMISSIBILITY),
+            (["--config", write_config(tmp_path), "--check-only"], cli.EXIT_OK),
+        ]
+        for argv, code in cases:
+            result = subprocess.run([sys.executable, "-m", "firngas.cli", *argv], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == code, (argv, result.stderr)
 
 
 class TestCmdRun:
@@ -372,6 +417,23 @@ class TestCmdRun:
         assert "(3, 2)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_node_mesh_file_exit_1(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("0.0\n1.0\n")
+        cfg = edit_config(write_config(tmp_path), "n = 11", f"file = {nodes}")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o.csv")]) == cli.EXIT_IO
+        assert "at least 3 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--check-only",), ()], ids=["check_only", "run"])
+    def test_output_in_missing_directory_exit_1(self, tmp_path, capsys, flags):
+        """The output file cannot be opened: ``main`` reports the ``OSError`` and exits 1."""
+        out = tmp_path / "missing" / "o.csv"
+        assert cli.main(["--config", write_config(tmp_path), "--out", str(out),
+                         *flags]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.parent.exists()
+
     def test_n_override(self, tmp_path):
         cfg = write_config(tmp_path, n=11)
         out = tmp_path / "o.csv"
@@ -409,6 +471,15 @@ class TestCmdCheck:
         cfg = continuity_failure_config(tmp_path)
         assert cli.main(["--config", cfg, "--check-only", "--n", n]) == code
         assert message in capsys.readouterr().err
+
+    def test_pore_fraction_negative_between_nodes_exit_2(self, tmp_path, capsys):
+        """f dips below 0 between the nodes 0.5 and 0.6: the step bound's min of f refuses it."""
+        table = tmp_path / "f.csv"
+        table.write_text("0,1\n0.52,0.5\n0.55,-0.1\n0.58,0.4\n1,0\n")
+        cfg = edit_config(write_config(tmp_path), AFFINE, f"kind = sampled\nfile = {table}")
+        assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_ADMISSIBILITY
+        assert "(5) violated: pore fraction not strictly positive away from the bottom" in \
+            capsys.readouterr().err
 
     def test_finite_inverse_integral_with_positive_bottom(self, tmp_path, capsys):
         """D = 1 - 0.999999 z has D(1) > 0 and the finite int 1/D = -ln(1e-6) / 0.999999."""
@@ -552,3 +623,10 @@ class TestLibraryParity:
         with pytest.raises(ValidationError, match="c_D"):
             firngas.run(config.mesh, config.f_profile, config.d_profile, config.context,
                         config.atmosphere, dt, force=True, c_D=5.0)
+
+    def test_dt_above_unit_interval_refused(self, tmp_path):
+        """A ``dt`` above 1 is refused as such, not as a step above ``dt_max``."""
+        config = cli.load_config(write_config(tmp_path))
+        with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+            firngas.run(config.mesh, config.f_profile, config.d_profile, config.context,
+                        config.atmosphere, 2.0)

@@ -6,7 +6,7 @@ import pytest
 from firngas.errors import AssumptionError, DomainError, ValidationError
 from firngas.mesh import build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
-                           RescaledContext, derive_coefficients, rescale)
+                           RescaledContext, rescale)
 
 
 def make_params(**overrides):
@@ -32,8 +32,8 @@ class TestModelParams:
             make_params(lam=0.1)
 
     def test_derive_coefficients(self):
-        p = make_params()
-        mcoef, gcoef, fcoef = derive_coefficients(p)
+        ctx = rescale(make_params())
+        mcoef, gcoef, fcoef = ctx.mcoef, ctx.gcoef, ctx.fcoef
         assert mcoef == pytest.approx(0.04 * 9.81 / (8.314 * 250.0), rel=1e-15)
         assert gcoef == pytest.approx(1.0, rel=1e-15)
         assert fcoef == pytest.approx(0.6, rel=1e-15)

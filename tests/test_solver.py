@@ -133,6 +133,12 @@ class TestFactorTridiagonal:
     def test_reuse_on_admissible_step_matrices(self, case):
         self.check_reuse(*case)
 
+    def test_pivoted_last_row_singular(self):
+        """[[1, 1], [1, 1]]: no swap, the first pivot holds and the last one is 0."""
+        with pytest.raises(SingularMatrixError) as info:
+            factor_tridiagonal(Tridiagonal([1.0], [1.0, 1.0], [1.0]))
+        assert info.value.pivot_index == 1
+
     def test_pivoted_fallback_reused(self):
         # zero first pivot: one pivoted factor serves every right-hand side
         rng = np.random.default_rng(7)
@@ -163,6 +169,11 @@ class TestTrajectory:
             Trajectory(times=np.array([0.0, 1.0]),
                        interior=np.array([[0.1, 0.0], [0.3, 0.7]]),
                        boundary=np.array([0.0, 1.0]), mesh=mesh)
+
+    def test_times_must_increase(self):
+        with pytest.raises(ValidationError, match="times must increase"):
+            Trajectory(times=np.array([0.0, 0.5, 0.5]), interior=np.zeros((3, 2)),
+                       boundary=np.zeros(3), mesh=build_uniform(3))
 
     def test_boundary_must_match_times(self):
         with pytest.raises(ValidationError):
