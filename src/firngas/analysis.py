@@ -24,10 +24,6 @@ from .model import RescaledContext
 __all__ = [
     "PDVerdict",
     "StabilityReport",
-    "check_assumptions",
-    "estimate_lipschitz",
-    "compute_fh",
-    "compute_dt_max",
     "check_pd_all",
     "build_report",
     "Plan",
@@ -37,6 +33,7 @@ __all__ = [
 _TRUNC = 1e-8          # truncation of singular integrands near z = 1
 _DIVERGENCE_GROWTH = 0.01  # >1% growth per truncation refinement -> divergent
 _DT_SAFETY = 0.9       # safety factor on the auto-selected time step
+_MAX_STEPS = 10**7     # step count K above which no run is started, see the README
 _EPS = float(np.finfo(float).eps)
 
 
@@ -58,31 +55,9 @@ def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
         return float(np.max(num / den))
 
 
-def check_assumptions(f_profile, d_profile, mesh) -> dict:
-    """Verify node-wise admissibility of the coefficient pair.
-
-    Returns the checked node samples, Lipschitz estimate and ratio suprema;
-    raises :class:`AssumptionError` naming the failed assumption otherwise.
-    """
-    f_nodes = f_profile.node_samples(mesh, assumption="(5)")
-    d_nodes = d_profile.node_samples(mesh, assumption="(6)")
-    lipschitz = estimate_lipschitz(d_profile, hi=1.0, grid_points=4 * (mesh.n - 1) + 1)
-    interior_f = f_nodes[:-1]
-    interior_d = d_nodes[:-1]
-    return {
-        "f_nodes": f_nodes,
-        "d_nodes": d_nodes,
-        "lipschitz_L": lipschitz,
-        "ratio_sup_Df": _sup_ratio(interior_d, interior_f),
-        "ratio_sup_fD": _sup_ratio(interior_f, interior_d),
-    }
-
-
-def estimate_lipschitz(profile, hi: float = 1.0, grid_points: int = 4001) -> float:
-    """Max divided difference of a profile over [0, hi]."""
-    if not 0.0 < hi <= 1.0:
-        raise ValidationError("Lipschitz window must lie in (0, 1]")
-    grid = np.linspace(0.0, hi, max(grid_points, 3))
+def _estimate_lipschitz(profile, mesh, hi: float) -> float:
+    """Max divided difference of a profile over [0, hi] on ``4 (n - 1) + 1`` points."""
+    grid = np.linspace(0.0, hi, 4 * (mesh.n - 1) + 1)
     values = np.asarray(profile(grid), dtype=float)
     return float(np.max(np.abs(np.diff(values) / np.diff(grid))))
 
@@ -133,10 +108,8 @@ def _trace_constant(sqrt_fd: float, d_sup: float, d_bottom: float, lipschitz_L: 
     return sqrt_fd * lipschitz_L * B0**2
 
 
-def compute_fh(f_profile, h: float) -> float:
+def _compute_fh(f_profile, h: float) -> float:
     """Minimum of the pore fraction over [0, 1 - h]."""
-    if not 0.0 < h < 1.0:
-        raise ValidationError("element size must lie in (0, 1)")
     grid = np.linspace(0.0, 1.0 - h, 50001)
     value = float(np.min(np.asarray(f_profile(grid), dtype=float)))
     if value <= 0.0:
@@ -157,18 +130,13 @@ def _defect_constant(integral: float, divergent: bool, mcoef: float, c_D: float,
     return inv_term - (mcoef / 2.0) * L_delta
 
 
-def compute_dt_max(h: float, z_F: float, T_e: float, fcoef: float, gcoef: float,
-                   f_underbar_h: float, K_G: float) -> float:
+def _compute_dt_max(h: float, context: RescaledContext, f_underbar_h: float,
+                    K_G: float) -> float:
     """Sufficient time-step bound for unique solvability of each step."""
-    for name, value in (("h", h), ("z_F", z_F), ("T_e", T_e), ("f_underbar_h", f_underbar_h)):
-        if value <= 0.0:
-            raise ValidationError(f"{name} must be strictly positive")
-    if fcoef < 0.0 or gcoef < 0.0:
-        raise ValidationError("coefficients must be nonnegative")
-    first = h / fcoef if fcoef > 0.0 else math.inf
-    denom = abs(z_F * gcoef - abs(K_G))
+    first = h / context.fcoef if context.fcoef > 0.0 else math.inf
+    denom = abs(context.z_F * context.gcoef - abs(K_G))
     second = f_underbar_h / (4.0 * denom) if denom > 0.0 else math.inf
-    return (z_F / (6.0 * T_e)) * min(first, second)
+    return (context.z_F / (6.0 * context.T_e)) * min(first, second)
 
 
 @dataclass(frozen=True)
@@ -364,21 +332,26 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     drops the constants and the run goes on with the node samples; the step
     bound is computed after the failure only to pick an ``"auto"`` step.  A
     ``c_D`` outside (0, 2), or a ``dt`` that is neither ``"auto"`` nor a real
-    number in (0, 1], raises :class:`ValidationError` first, ``force`` or not.
+    number in (0, 1] with at most ``_MAX_STEPS`` steps, raises
+    :class:`ValidationError` first, ``force`` or not.
     """
     if not 0.0 < c_D < 2.0:
         raise ValidationError(f"c_D must lie in (0, 2), got {c_D}")
     auto = isinstance(dt, str) and dt == "auto"
     if not auto and (isinstance(dt, bool) or not isinstance(dt, numbers.Real)):
         raise ValidationError(f"time step must be a number or 'auto', got {dt!r}")
-    if not (auto or 0.0 < dt <= 1.0):
-        raise ValidationError(f"time step must lie in (0, 1], got {dt!r}")
+    if not auto:
+        _step_count(dt)
     d_bottom = float(d_profile(1.0))
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
     nodes = bound = constants = None
     try:
-        assumptions = check_assumptions(f_profile, d_profile, mesh)
-        nodes = assumptions["f_nodes"], assumptions["d_nodes"]
+        nodes = (f_profile.node_samples(mesh, assumption="(5)"),
+                 d_profile.node_samples(mesh, assumption="(6)"))
+        lipschitz = _estimate_lipschitz(d_profile, mesh, hi=1.0)
+        interior_f, interior_d = (samples[:-1] for samples in nodes)
+        ratios = {"ratio_sup_Df": _sup_ratio(interior_d, interior_f),
+                  "ratio_sup_fD": _sup_ratio(interior_f, interior_d)}
         if math.isinf(inv_d[0]):
             raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
         b0 = _hardy_constant(cum_inv_d, grid, context.z_F)
@@ -389,12 +362,11 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
             raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
         sqrt_fd = math.sqrt(_sup_ratio(f_vals, d_vals))
         d_sup = max(float(np.max(d_vals)), d_bottom)
-        c0 = _trace_constant(sqrt_fd, d_sup, d_bottom, assumptions["lipschitz_L"], b0, inv_d[0])
+        c0 = _trace_constant(sqrt_fd, d_sup, d_bottom, lipschitz, b0, inv_d[0])
         bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)
         constants = dict(
             B0=b0, C0=c0, continuity=_continuity(f_vals, d_vals, sqrt_fd, d_sup, context, b0, c0),
-            **{key: assumptions[key] for key in ("lipschitz_L", "ratio_sup_Df", "ratio_sup_fD")},
-            **bound)
+            lipschitz_L=lipschitz, **ratios, **bound)
     except FirngasError:
         if not force:
             raise
@@ -414,14 +386,30 @@ def _auto_step(dt_max: float) -> float:
     return min(_DT_SAFETY * dt_max, 1.0)
 
 
+def _step_count(dt: float) -> int:
+    """Number K of steps on the uniform grid of step ``dt``, the last one shortened.
+
+    A ``dt`` outside (0, 1], or a K above ``_MAX_STEPS``, raises
+    :class:`ValidationError`.  The limit is compared before rounding, so a
+    step whose reciprocal overflows is refused too.
+    """
+    if not 0.0 < dt <= 1.0:
+        raise ValidationError(f"time step must lie in (0, 1], got {dt!r}")
+    dt = float(dt)
+    steps = 1.0 / dt - 1e-12
+    if steps > _MAX_STEPS:
+        raise ValidationError(f"time step {dt:.17g} needs {steps:.6g} steps, more than the "
+                              f"limit of {_MAX_STEPS:,}")
+    return math.ceil(steps)
+
+
 def _step_bound(f_profile, d_profile, mesh, context: RescaledContext, c_D: float,
                 inv_d: tuple[float, bool]) -> dict:
     """The report's ``I_D``, ``f_underbar_h``, ``K_G`` and ``dt_max`` from the integral."""
     h = mesh.h_min
-    f_underbar = compute_fh(f_profile, h)
-    l_delta = estimate_lipschitz(d_profile, hi=1.0 - h, grid_points=4 * (mesh.n - 1) + 1)
+    f_underbar = _compute_fh(f_profile, h)
+    l_delta = _estimate_lipschitz(d_profile, mesh, hi=1.0 - h)
     k_g = _defect_constant(*inv_d, context.mcoef, c_D, l_delta)
-    dt_max = compute_dt_max(h, context.z_F, context.T_e, context.fcoef, context.gcoef,
-                            f_underbar, k_g)
+    dt_max = _compute_dt_max(h, context, f_underbar, k_g)
     return {"I_D": inv_d[0], "I_D_divergent": inv_d[1], "f_underbar_h": f_underbar,
             "K_G": k_g, "dt_max": dt_max}

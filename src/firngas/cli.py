@@ -15,6 +15,7 @@ import configparser
 import itertools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,11 @@ def _get_float(section, key, default=None):
 
 def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
     """The two columns of a comma-separated table file."""
-    table = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+    if table.size == 0:
+        raise ConfigError(f"table file {path} contains no data")
     if table.shape[1] != 2:
         raise ConfigError(f"table file {path} needs exactly two columns, got {table.shape[1]}")
     return table[:, 0], table[:, 1]
@@ -143,7 +148,7 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         d_profile = _load_profile(parser["profile.D"])
         atmosphere = _load_atmosphere(parser["atmosphere"] if "atmosphere" in parser else {})
         asec = parser["analysis"] if "analysis" in parser else {}
-        c_D = _get_float(asec, "c_D", 1.0) if asec else 1.0
+        c_D = _get_float(asec, "c_D", 1.0)
         if not 0.0 < c_D < 2.0:
             raise ConfigError(f"c_D must lie in (0, 2), got {c_D}")
         out = given("out", parser.get("output", "path", fallback=None))

@@ -12,6 +12,7 @@ Index conventions (tested in tests/test_mesh.py):
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,5 +61,9 @@ def build_uniform(n: int) -> Mesh:
 
 def read_mesh_csv(path) -> Mesh:
     """Read a mesh from a one-column CSV of node coordinates."""
-    nodes = np.loadtxt(path, delimiter=",", ndmin=1)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        nodes = np.loadtxt(path, delimiter=",", ndmin=1)
+    if nodes.size == 0:
+        raise ValidationError(f"mesh file {path} contains no data")
     return Mesh(nodes)

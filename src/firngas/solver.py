@@ -12,7 +12,6 @@ costs one ``Mf`` product and one forward/back substitution per step.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -25,7 +24,6 @@ __all__ = ["Trajectory", "factor_tridiagonal", "run", "run_plan", "levels", "wri
 
 _PIVOT_TOL = 1e-13  # pivot-magnitude guard relative to max|entry|, unpivoted path
 _CSV_BLOCK = 1024   # rows formatted per write: bounded memory, few calls
-_MAX_STEPS = 10**7  # step count K above which no run is started, see the README
 
 
 def _rhs_list(rhs, dim: int) -> list:
@@ -175,22 +173,6 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
                     atmosphere)
 
 
-def _step_count(dt: float) -> int:
-    """Number K of steps on the uniform grid of step ``dt``, the last one shortened.
-
-    A K above ``_MAX_STEPS`` is refused before anything is allocated.  The
-    limit is compared before rounding, so a step whose reciprocal overflows
-    is refused too.
-    """
-    if not 0.0 < dt <= 1.0:
-        raise ValidationError(f"time step must lie in (0, 1], got {dt}")
-    steps = 1.0 / float(dt) - 1e-12
-    if steps > _MAX_STEPS:
-        raise ValidationError(f"time step {dt:.17g} needs {steps:.6g} steps, more than the "
-                              f"limit of {_MAX_STEPS:,}")
-    return math.ceil(steps)
-
-
 def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     """Implicit-Euler loop at the step ``system.dt`` of a discrete system.
 
@@ -206,7 +188,7 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
     dt, mesh = system.dt, system.mesh
-    n_steps = _step_count(dt)
+    n_steps = analysis._step_count(dt)
     times = np.minimum(dt * np.arange(n_steps + 1), 1.0)
     times[-1] = 1.0
     last_dt = times[-1] - times[-2]
@@ -235,7 +217,7 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
 def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
     """Every level of :func:`levels` on the plan's operators, in one preallocated trajectory."""
     system = plan.operators
-    n_levels = _step_count(system.dt) + 1
+    n_levels = analysis._step_count(system.dt) + 1
     times, boundary = np.empty(n_levels), np.empty(n_levels)
     interior = np.empty((n_levels, system.mesh.n - 1))
     for k, level in enumerate(levels(system, atmosphere)):

@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from firngas import analysis, assembly, cli, oracle
-from firngas.analysis import (build_report, check_assumptions, check_pd_all, compute_dt_max,
-                              compute_fh, estimate_lipschitz, plan_run)
+from firngas.analysis import _MAX_STEPS, build_report, check_pd_all, plan_run
 from firngas.assembly import Tridiagonal, assemble_M, assemble_S, assemble_system
 from firngas.errors import AssumptionError, FirngasError, ValidationError
 from firngas.mesh import build_uniform
@@ -129,14 +128,14 @@ def check_pd(matrix):
 
 class TestCheckAssumptions:
     def test_degenerate_pair_accepted(self):
-        frag = check_assumptions(DECAY, DECAY, build_uniform(11))
-        assert frag["ratio_sup_Df"] == pytest.approx(1.0)
-        assert frag["ratio_sup_fD"] == pytest.approx(1.0)
-        assert frag["lipschitz_L"] == pytest.approx(1.0, abs=1e-10)
+        got = report(DECAY, DECAY)
+        assert got.ratio_sup_Df == pytest.approx(1.0)
+        assert got.ratio_sup_fD == pytest.approx(1.0)
+        assert got.lipschitz_L == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_profile_fails(self):
         with pytest.raises(AssumptionError, match=r"\(5\)"):
-            check_assumptions(CoefficientProfile.constant(-1.0), ONE, build_uniform(5))
+            plan_run(CoefficientProfile.constant(-1.0), ONE, build_uniform(5), ctx())
 
     def test_diffusivity_zero_on_the_body_grid_only(self, monkeypatch):
         """D vanishes at one point of the body grid, on neither the tail grid nor the nodes.
@@ -154,15 +153,14 @@ class TestCheckAssumptions:
 
 
 class TestLipschitz:
+    """The estimate on the 4001 points of n = 1001."""
+
     def test_affine(self):
-        assert estimate_lipschitz(DECAY) == pytest.approx(1.0, abs=1e-10)
+        assert analysis._estimate_lipschitz(DECAY, build_uniform(1001), 1.0) == \
+            pytest.approx(1.0, abs=1e-10)
 
     def test_constant(self):
-        assert estimate_lipschitz(ONE) == 0.0
-
-    def test_window_guard(self):
-        with pytest.raises(ValidationError):
-            estimate_lipschitz(ONE, hi=0.0)
+        assert analysis._estimate_lipschitz(ONE, build_uniform(1001), 1.0) == 0.0
 
 
 class TestB0:
@@ -208,24 +206,20 @@ class TestC0:
 
 class TestFh:
     def test_constant(self):
-        assert compute_fh(ONE, 0.1) == pytest.approx(1.0)
+        assert analysis._compute_fh(ONE, 0.1) == pytest.approx(1.0)
 
     def test_decreasing(self):
-        assert compute_fh(DECAY, 0.1) == pytest.approx(0.1, abs=1e-10)
+        assert analysis._compute_fh(DECAY, 0.1) == pytest.approx(0.1, abs=1e-10)
 
     def test_degenerate_bottom_still_positive(self):
-        assert compute_fh(DECAY, 0.05) > 0.0
-
-    def test_h_guard(self):
-        with pytest.raises(ValidationError):
-            compute_fh(ONE, 1.5)
+        assert analysis._compute_fh(DECAY, 0.05) > 0.0
 
     def test_negative_between_nodes_refused(self):
         """f is positive at every node of n = 11 but dips below 0 on (0.52, 0.58)."""
         f_profile = CoefficientProfile.sampled([0.0, 0.52, 0.55, 0.58, 1.0],
                                                [1.0, 0.5, -0.1, 0.4, 0.0])
         mesh = build_uniform(11)
-        check_assumptions(f_profile, DECAY, mesh)
+        f_profile.node_samples(mesh, assumption="(5)")  # every node passes
         with pytest.raises(AssumptionError, match=r"\(5\).*away from the bottom"):
             plan_run(f_profile, DECAY, mesh, ctx())
 
@@ -250,30 +244,24 @@ class TestKG:
 
 class TestDtMax:
     def test_theorem_example(self):
-        got = compute_dt_max(h=0.1, z_F=1.0, T_e=1.0, fcoef=1.0, gcoef=1.0,
-                             f_underbar_h=1.0, K_G=0.5)
+        got = analysis._compute_dt_max(h=0.1, context=ctx(), f_underbar_h=1.0, K_G=0.5)
         assert got == pytest.approx(0.1 / 6.0, rel=1e-12)
 
     def test_degenerate_denominator(self):
-        got = compute_dt_max(h=0.1, z_F=1.0, T_e=1.0, fcoef=2.0, gcoef=1.0,
-                             f_underbar_h=1.0, K_G=1.0)
+        got = analysis._compute_dt_max(h=0.1, context=ctx(fcoef=2.0), f_underbar_h=1.0, K_G=1.0)
         assert got == pytest.approx(0.1 / (6.0 * 2.0), rel=1e-12)
 
     def test_scaling_in_final_time(self):
-        one = compute_dt_max(0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5)
-        two = compute_dt_max(0.1, 1.0, 2.0, 1.0, 1.0, 1.0, 0.5)
+        one = analysis._compute_dt_max(0.1, ctx(), 1.0, 0.5)
+        two = analysis._compute_dt_max(0.1, ctx(T_e=2.0), 1.0, 0.5)
         assert two == pytest.approx(one / 2.0, rel=1e-12)
 
     def test_monotone_in_h_and_f(self):
-        lo = compute_dt_max(0.05, 1.0, 1.0, 1.0, 1.0, 0.5, 0.0)
-        hi = compute_dt_max(0.1, 1.0, 1.0, 1.0, 1.0, 0.5, 0.0)
+        lo = analysis._compute_dt_max(0.05, ctx(), 0.5, 0.0)
+        hi = analysis._compute_dt_max(0.1, ctx(), 0.5, 0.0)
         assert hi >= lo
-        more_f = compute_dt_max(0.05, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+        more_f = analysis._compute_dt_max(0.05, ctx(), 1.0, 0.0)
         assert more_f >= lo
-
-    def test_positivity_guard(self):
-        with pytest.raises(ValidationError):
-            compute_dt_max(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
 
 
 class TestCheckPd:
@@ -371,6 +359,16 @@ class TestPlanArguments:
         integrals = count_calls(monkeypatch, analysis, "_inverse_integral")
         assemblies = count_calls(monkeypatch, assembly, "assemble_system")
         with pytest.raises(ValidationError, match=r"time step must lie in \(0, 1\]"):
+            plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=dt, force=force)
+        assert integrals == [] and assemblies == []
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("dt", [0.5 / _MAX_STEPS, 1e-310, 5e-324])
+    def test_step_count_above_limit(self, dt, force, monkeypatch):
+        """A step past the step limit is refused before the first check and before any assembly."""
+        integrals = count_calls(monkeypatch, analysis, "_inverse_integral")
+        assemblies = count_calls(monkeypatch, assembly, "assemble_system")
+        with pytest.raises(ValidationError, match="limit"):
             plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=dt, force=force)
         assert integrals == [] and assemblies == []
 

@@ -94,6 +94,20 @@ class TestMvtInner:
         with pytest.raises(ValidationError):
             mvt_inner(1, 1, "w_phi_phi", np.ones(4), MESH3)
 
+    def test_surface_stiffness_entry(self):
+        # <w phi'_1, phi'_1> on a graded mesh: only element 0, (w0+w1)/(2 h0)
+        mesh = Mesh([0.0, 0.1, 0.4, 1.0])
+        w = np.array([2.0, 3.0, 5.0, 7.0])
+        assert mvt_inner(1, 1, "w_dphi_dphi", w, mesh) == (w[0] + w[1]) / (2.0 * 0.1)
+
+    @pytest.mark.parametrize("inner", [
+        lambda kind: exact_inner(1, 1, kind, MESH3),
+        lambda kind: mvt_inner(1, 1, kind, F3, MESH3),
+    ], ids=["exact", "mvt"])
+    def test_unknown_kind(self, inner):
+        with pytest.raises(ValidationError, match="unknown"):
+            inner("dphi_dphi_dphi")
+
     @pytest.mark.parametrize("kind, assemble, scale", [
         ("w_phi_phi", assemble_Mf, 1.0),
         ("w_dphi_phi", lambda mesh, w: assemble_Kf(mesh, w, 0.6), 0.6),

@@ -179,12 +179,15 @@ class TestConfig:
         ("M_alpha = 0.04\ng = 9.81", "M_alpha = 1e300\ng = 1e300", None),
         ("n = 11", "n = abc", None),
         ("dt = auto", "dt = auto\nstride = 1.5", None),
+        ("n = 11", "file = {table}", ""),
+        ("kind = ramp", "kind = file\nfile = {table}", ""),
     ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
             "sampled_short", "no_section_header", "duplicate_key", "nan_amplitude",
             "atmosphere_file_nan", "bad_float", "unknown_profile_kind",
             "unknown_atmosphere_kind", "sampled_one_column", "atmosphere_file_one_column",
             "sampled_three_columns", "nan_intercept", "sampled_file_nan",
-            "overflowing_params", "n_not_an_integer", "stride_not_an_integer"])
+            "overflowing_params", "n_not_an_integer", "stride_not_an_integer",
+            "mesh_file_empty", "atmosphere_file_empty"])
     def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
         """A file the INI parser or a model constructor rejects on reading exits 1."""
         table_path = tmp_path / "table.csv"
@@ -192,7 +195,10 @@ class TestConfig:
             table_path.write_text(table)
         cfg = edit_config(write_config(tmp_path), old, new.format(table=table_path))
         assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_IO
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if table == "":  # one line, no numpy warning
+            assert err.endswith(f"{table_path} contains no data\n") and err.count("\n") == 1
 
 
 class TestInvalidOverrides:
@@ -353,6 +359,31 @@ class TestCmdRun:
                         config.atmosphere)
         assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_OK
         assert "dt_max: 8.3333333333309605e-202\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("make_config, dt, above_bound", [
+        (lambda tmp_path: write_config(tmp_path, z_F=80.0, T_e=30.0, n=2001), "1e-9", False),
+        (huge_d_config, "1e-8", True),
+    ], ids=["readme_n2001", "above_bound"])
+    def test_explicit_step_above_limit_exit_3(self, tmp_path, capsys, monkeypatch, make_config,
+                                              dt, above_bound):
+        """A ``--dt`` past the step limit is refused before any check or assembly.
+
+        A step also above ``dt_max`` is refused for its step count, exit 3,
+        not as a step above the bound.  ``--check-only`` reports at the auto
+        step and ignores ``--dt``.
+        """
+        cfg = make_config(tmp_path)
+        out = tmp_path / "o.csv"
+        integrals = count_calls(monkeypatch, analysis, "_inverse_integral")
+        assemblies = count_calls(monkeypatch, assembly, "assemble_system")
+        assert cli.main(["--config", cfg, "--out", str(out), "--dt", dt]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: time step ")
+        assert err.endswith("more than the limit of 10,000,000\n")
+        assert integrals == [] and assemblies == [] and not out.exists()
+        assert cli.main(["--config", cfg, "--check-only", "--dt", dt]) == cli.EXIT_OK
+        report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert (float(report["dt_max"]) < float(dt)) == above_bound
 
     def test_diffusivity_tiny_between_nodes(self, tmp_path):
         """D = 1e-200 there passes; the continuity constant overflows to inf in the report."""

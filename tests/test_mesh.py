@@ -71,3 +71,11 @@ def test_read_mesh_csv(tmp_path):
     mesh = read_mesh_csv(path)
     assert mesh.n == 4
     np.testing.assert_allclose(mesh.nodes, [0.0, 0.2, 0.7, 1.0])
+
+
+@pytest.mark.parametrize("text", ["", "# nodes\n\n"], ids=["empty", "comment_only"])
+def test_read_mesh_csv_without_data_refused(tmp_path, text):
+    path = tmp_path / "mesh.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="contains no data"):
+        read_mesh_csv(path)

@@ -12,8 +12,9 @@ from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
-from firngas.solver import (_MAX_STEPS, Trajectory, _PivotedElimination, _step_count,
-                            factor_tridiagonal, levels, run, run_plan, write_csv)
+from firngas.analysis import _MAX_STEPS, _step_count
+from firngas.solver import (Trajectory, _PivotedElimination, factor_tridiagonal, levels, run,
+                            run_plan, write_csv)
 from test_cli import count_calls
 
 ONE = CoefficientProfile.constant(1.0)
@@ -269,13 +270,25 @@ class TestRun:
 
     @pytest.mark.parametrize("dt", [0.5 / _MAX_STEPS, 1e-310, 5e-324])
     def test_step_count_above_limit_refused(self, dt):
-        """The limit is compared before rounding, so an infinite reciprocal is refused too."""
+        """The limit is compared before rounding, so an infinite reciprocal is refused too.
+
+        ``plan_run`` refuses such a step, so the system is assembled directly.
+        """
         assert _step_count(1.0 / _MAX_STEPS) == _MAX_STEPS
-        plan = analysis.plan_run(ONE, ONE, build_uniform(5), ctx(), dt=dt, force=True)
+        mesh = build_uniform(5)
+        system = assemble_system(mesh, ONE(mesh.nodes), ONE(mesh.nodes), ctx(), dt)
         with pytest.raises(ValidationError, match="limit"):
-            next(levels(plan.operators, AtmosphereSeries.ramp()))
+            next(levels(system, AtmosphereSeries.ramp()))
         with pytest.raises(ValidationError, match="limit"):
-            run_plan(plan, AtmosphereSeries.ramp())
+            run_plan(analysis.Plan(system), AtmosphereSeries.ramp())
+
+    @pytest.mark.parametrize("dt", [0.0, 2.0])
+    def test_step_outside_unit_interval_refused_by_levels(self, dt):
+        """The system takes any ``dt >= 0``; the loop refuses one outside (0, 1]."""
+        mesh = build_uniform(5)
+        system = assemble_system(mesh, ONE(mesh.nodes), ONE(mesh.nodes), ctx(), dt)
+        with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+            next(levels(system, AtmosphereSeries.ramp()))
 
     def test_force_overrides_bound(self):
         traj = run(build_uniform(11), ONE, ONE, ctx(), AtmosphereSeries.ramp(),
