@@ -7,7 +7,7 @@ dense-linear-algebra oracle for verification.
 
 from .errors import (AssumptionError, ConfigError, DomainError, FirngasError,
                      SingularMatrixError, TimeStepError, ValidationError)
-from .mesh import Mesh, build_uniform, read_mesh_csv
+from .mesh import Mesh, build_uniform
 from .model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                     RescaledContext, rescale)
 from .solver import Trajectory, run
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionError", "ConfigError", "DomainError", "FirngasError",
     "SingularMatrixError", "TimeStepError", "ValidationError",
-    "Mesh", "build_uniform", "read_mesh_csv",
+    "Mesh", "build_uniform",
     "AtmosphereSeries", "CoefficientProfile", "ModelParams",
     "RescaledContext", "rescale",
     "Trajectory", "run",

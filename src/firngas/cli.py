@@ -45,7 +45,7 @@ class RunConfig:
     d_profile: CoefficientProfile
     atmosphere: AtmosphereSeries
     dt: object          # float or "auto"
-    out: str
+    out: str | None
     stride: int
     c_D: float
     force: bool = False
@@ -62,32 +62,32 @@ def _get_float(section, key, default=None):
         raise ConfigError(f"bad value for {key!r} in [{section.name}]: {section[key]!r}") from exc
 
 
-def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """The two columns of a comma-separated table file."""
+def _read_table(path, columns: int) -> np.ndarray:
+    """The ``columns`` columns of a comma-separated table file, one per row of the result."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         table = np.loadtxt(path, delimiter=",", ndmin=2)
     if table.size == 0:
         raise ConfigError(f"table file {path} contains no data")
-    if table.shape[1] != 2:
-        raise ConfigError(f"table file {path} needs exactly two columns, got {table.shape[1]}")
-    return table[:, 0], table[:, 1]
+    if table.shape[1] != columns:
+        raise ConfigError(f"table file {path} needs {columns} column(s), got shape {table.shape}")
+    return table.T
 
 
 def _load_profile(section) -> CoefficientProfile:
     kind = section.get("kind", "constant")
     upper = _get_float(section, "upper_bound", math.inf)
-    upper = None if math.isinf(upper) else upper
+    upper = None if upper == math.inf else upper
     if kind == "constant":
         return CoefficientProfile.constant(_get_float(section, "value"), upper)
     if kind == "affine":
         return CoefficientProfile.affine(_get_float(section, "intercept"),
                                          _get_float(section, "slope"), upper)
     if kind == "sampled":
-        return CoefficientProfile.sampled(*_read_table(section["file"]), upper)
+        return CoefficientProfile.sampled(*_read_table(section["file"], 2), upper)
     if kind == "firn_diffusion":
         scalars = [_get_float(section, key) for key in ("z_eddy", "r_alpha", "c_f")]
-        tables = [CoefficientProfile.sampled(*_read_table(section[key]))
+        tables = [CoefficientProfile.sampled(*_read_table(section[key], 2))
                   for key in ("d_eddy_file", "d_co2_air_file")]
         return CoefficientProfile.firn_diffusion(*scalars, *tables, upper)
     raise ConfigError(f"unknown profile kind {kind!r} in [{section.name}]")
@@ -100,7 +100,7 @@ def _load_atmosphere(section) -> AtmosphereSeries:
     if kind == "zero":
         return AtmosphereSeries.zero()
     if kind == "file":
-        return AtmosphereSeries(*_read_table(section["file"]))
+        return AtmosphereSeries(*_read_table(section["file"], 2))
     raise ConfigError(f"unknown atmosphere kind {kind!r}")
 
 
@@ -131,10 +131,8 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         msec = parser["mesh"] if "mesh" in parser else {}
         n = int(given("n", msec.get("n", 0)))
         if "file" in msec and given("n", None) is None:
-            grid = mesh_mod.read_mesh_csv(msec["file"])
+            grid = mesh_mod.Mesh(*_read_table(msec["file"], 1))
         else:
-            if n < 3:
-                raise ConfigError("mesh needs either [mesh] n >= 3 or a node file")
             grid = mesh_mod.build_uniform(n)
         tsec = parser["time"] if "time" in parser else {}
         dt_raw = given("dt", tsec.get("dt", "auto"))
@@ -151,12 +149,13 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         c_D = _get_float(asec, "c_D", 1.0)
         if not 0.0 < c_D < 2.0:
             raise ConfigError(f"c_D must lie in (0, 2), got {c_D}")
-        out = given("out", parser.get("output", "path", fallback=None))
-    except (KeyError, ValueError, configparser.Error) as exc:
-        raise ConfigError(f"config error in {path}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"config error in {path}: missing section or key {exc}") from exc
+    except (ValueError, configparser.Error) as exc:  # the parser's messages span lines
+        raise ConfigError(f"config error in {path}: {' '.join(str(exc).split())}") from exc
     return RunConfig(
         params=params, context=context, mesh=grid, f_profile=f_profile, d_profile=d_profile,
-        atmosphere=atmosphere, dt=dt, out=out, stride=stride, c_D=c_D,
+        atmosphere=atmosphere, dt=dt, out=given("out", None), stride=stride, c_D=c_D,
         force=bool(given("force", False)),
     )
 

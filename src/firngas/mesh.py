@@ -12,14 +12,13 @@ Index conventions (tested in tests/test_mesh.py):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["Mesh", "build_uniform", "read_mesh_csv"]
+__all__ = ["Mesh", "build_uniform"]
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,3 @@ def build_uniform(n: int) -> Mesh:
     if n < 3:
         raise ValidationError(f"mesh needs at least 3 nodes, got {n}")
     return Mesh(np.linspace(0.0, 1.0, n))
-
-
-def read_mesh_csv(path) -> Mesh:
-    """Read a mesh from a one-column CSV of node coordinates."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        nodes = np.loadtxt(path, delimiter=",", ndmin=1)
-    if nodes.size == 0:
-        raise ValidationError(f"mesh file {path} contains no data")
-    return Mesh(nodes)

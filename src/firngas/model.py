@@ -230,12 +230,6 @@ class AtmosphereSeries:
     def zero(cls) -> "AtmosphereSeries":
         return cls(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
-    @classmethod
-    def from_callable(cls, fn, n_samples: int = 1001) -> "AtmosphereSeries":
-        """Tabulate a closed-form signal; ``fn(0)`` must evaluate to zero."""
-        t = np.linspace(0.0, 1.0, n_samples)
-        return cls(t, np.asarray([fn(tk) for tk in t], dtype=float))
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0) or np.any(t > self.times[-1]):

@@ -187,14 +187,13 @@ def quad_inner(weight, i: int, j: int, mesh, rule: QuadratureRule | None = None,
     hi = min(max(i, j), n - 1)
     left = _dhat if left_prime else _hat
     right = _dhat if right_prime else _hat
+
+    def integrand(z):
+        return np.asarray(weight(z), dtype=float) * left(i, z, nodes) * right(j, z, nodes)
+
     total = 0.0
     for e in range(lo, hi + 1):  # elements [z_e, z_{e+1}], 1-based
-        a, b = nodes[e - 1], nodes[e]
-        mid = a + (b - a) * rule.points
-        total += (b - a) * float(np.dot(
-            rule.weights,
-            np.asarray(weight(mid), dtype=float) * left(i, mid, nodes) * right(j, mid, nodes),
-        ))
+        total += rule.integrate(integrand, nodes[e - 1], nodes[e])
     return total
 
 

@@ -187,7 +187,8 @@ def test_acceptance_7_solver_invariants():
 
 
 def test_acceptance_8_self_convergence():
-    atm = AtmosphereSeries.from_callable(lambda t: math.sin(math.pi * t / 2.0))
+    t = np.linspace(0.0, 1.0, 1001)
+    atm = AtmosphereSeries(t, np.sin(np.pi * t / 2.0))
     context = ctx(gcoef=1.0, fcoef=0.1)
 
     mesh = build_uniform(41)
@@ -223,7 +224,8 @@ def test_acceptance_9_degenerate_run():
 # The README's physical config (80 m of firn, 30 years) and a fast-varying atmosphere.
 README_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3, lam=0.7,
                                      v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
-SINE = AtmosphereSeries.from_callable(lambda t: math.sin(6.0 * math.pi * t), 4001)
+SINE_TIMES = np.linspace(0.0, 1.0, 4001)
+SINE = AtmosphereSeries(SINE_TIMES, np.sin(6.0 * np.pi * SINE_TIMES))
 
 
 def test_degenerate_pair_spatial_order():

@@ -130,6 +130,14 @@ class TestConfig:
         path.write_text("[params]\ng = 9.81\n")
         assert cli.main(["--config", str(path)]) == cli.EXIT_IO
 
+    @pytest.mark.parametrize("old, new, name", [("[params]", "[parameters]", "'params'"),
+                                                (AFFINE, "kind = sampled", "'file'")],
+                             ids=["section", "key"])
+    def test_missing_section_or_key_named(self, tmp_path, capsys, old, new, name):
+        cfg = edit_config(write_config(tmp_path), old, new)
+        assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_IO
+        assert capsys.readouterr().err.endswith(f"missing section or key {name}\n")
+
     def test_firn_diffusion_profile(self, tmp_path):
         """``kind = firn_diffusion`` reads its two tables; D is continuous at z_eddy = 0.5."""
         eddy, co2 = tmp_path / "eddy.csv", tmp_path / "co2.csv"
@@ -178,27 +186,34 @@ class TestConfig:
         (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0\n0.5,nan\n1.0,0.0\n"),
         ("M_alpha = 0.04\ng = 9.81", "M_alpha = 1e300\ng = 1e300", None),
         ("n = 11", "n = abc", None),
+        ("n = 11", "n = abc\nfile = {table}", "0.0\n0.5\n1.0\n"),
         ("dt = auto", "dt = auto\nstride = 1.5", None),
         ("n = 11", "file = {table}", ""),
+        ("n = 11", "file = {table}", "# nodes\n"),
         ("kind = ramp", "kind = file\nfile = {table}", ""),
+        ("[params]", "[parameters]", None),
+        (AFFINE, "kind = sampled", None),
+        (AFFINE, AFFINE + "\nupper_bound = -inf", None),
     ], ids=["negative_z_F", "nan_T", "mesh_off_unit", "atmosphere_nonzero_at_0",
             "sampled_short", "no_section_header", "duplicate_key", "nan_amplitude",
             "atmosphere_file_nan", "bad_float", "unknown_profile_kind",
             "unknown_atmosphere_kind", "sampled_one_column", "atmosphere_file_one_column",
             "sampled_three_columns", "nan_intercept", "sampled_file_nan",
-            "overflowing_params", "n_not_an_integer", "stride_not_an_integer",
-            "mesh_file_empty", "atmosphere_file_empty"])
+            "overflowing_params", "n_not_an_integer", "n_not_an_integer_beside_file",
+            "stride_not_an_integer", "mesh_file_empty", "mesh_file_comment_only",
+            "atmosphere_file_empty",
+            "missing_params_section", "sampled_without_file", "upper_bound_minus_inf"])
     def test_rejected_input_exit_1(self, tmp_path, capsys, old, new, table):
-        """A file the INI parser or a model constructor rejects on reading exits 1."""
+        """A file the INI parser or a model constructor rejects on reading exits 1, on one line."""
         table_path = tmp_path / "table.csv"
         if table is not None:
             table_path.write_text(table)
         cfg = edit_config(write_config(tmp_path), old, new.format(table=table_path))
         assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_IO
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        if table == "":  # one line, no numpy warning
-            assert err.endswith(f"{table_path} contains no data\n") and err.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        if table in ("", "# nodes\n"):  # no numpy warning either
+            assert err.endswith(f"{table_path} contains no data\n")
 
 
 class TestInvalidOverrides:
@@ -446,6 +461,16 @@ class TestCmdRun:
         out = tmp_path / "o.csv"
         assert cli.main(["--config", cfg, "--out", str(out), "--force"]) == cli.EXIT_IO
         assert "(3, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_row_mesh_file_exit_1(self, tmp_path, capsys):
+        """A one-row mesh file has three columns, not three nodes."""
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("0,0.5,1\n")
+        cfg = edit_config(write_config(tmp_path), "n = 11", f"file = {nodes}")
+        out = tmp_path / "o.csv"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == cli.EXIT_IO
+        assert "(1, 3)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_two_node_mesh_file_exit_1(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from firngas.errors import ValidationError
-from firngas.mesh import Mesh, build_uniform, read_mesh_csv
+from firngas.mesh import Mesh, build_uniform
 
 
 class TestBuildUniform:
@@ -42,19 +42,12 @@ class TestBuildGraded:
             with pytest.raises(ValidationError):
                 Mesh(nodes)
 
-
     @pytest.mark.parametrize("nodes", [np.zeros((3, 2)), np.linspace(0.0, 1.0, 3)[:, None], 0.5],
                              ids=["two_columns", "one_column_2d", "scalar"])
     def test_nodes_must_be_one_dimensional(self, nodes):
         shape = np.shape(nodes)
         with pytest.raises(ValidationError, match=re.escape(str(shape))):
             Mesh(nodes)
-
-    def test_two_column_file_refused(self, tmp_path):
-        path = tmp_path / "mesh.csv"
-        path.write_text("0.0,0.0\n0.5,0.5\n1.0,1.0\n")
-        with pytest.raises(ValidationError, match=re.escape("(3, 2)")):
-            read_mesh_csv(path)
 
 
 class TestMeshInvariants:
@@ -63,19 +56,3 @@ class TestMeshInvariants:
         mesh = Mesh(nodes)
         assert mesh.n == 4
         assert np.array_equal(mesh.element_lengths, np.diff(nodes))
-
-
-def test_read_mesh_csv(tmp_path):
-    path = tmp_path / "mesh.csv"
-    path.write_text("0.0\n0.2\n0.7\n1.0\n")
-    mesh = read_mesh_csv(path)
-    assert mesh.n == 4
-    np.testing.assert_allclose(mesh.nodes, [0.0, 0.2, 0.7, 1.0])
-
-
-@pytest.mark.parametrize("text", ["", "# nodes\n\n"], ids=["empty", "comment_only"])
-def test_read_mesh_csv_without_data_refused(tmp_path, text):
-    path = tmp_path / "mesh.csv"
-    path.write_text(text)
-    with pytest.raises(ValidationError, match="contains no data"):
-        read_mesh_csv(path)

@@ -197,10 +197,6 @@ class TestAtmosphereSeries:
         with pytest.raises(ValidationError):
             AtmosphereSeries(np.array([0.1, 1.0]), np.array([0.0, 1.0]))
 
-    def test_from_callable(self):
-        atm = AtmosphereSeries.from_callable(lambda t: t**2)
-        assert atm(0.5) == pytest.approx(0.25, abs=1e-5)
-
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             AtmosphereSeries.ramp()(1.5)
