@@ -1,0 +1,146 @@
+"""Test-side references and the fixtures the test files share.
+
+The references are the independent formulas the tests hold the package to:
+closed-form hat inner products (:func:`exact_inner`), their endpoint-average
+approximations (:func:`mvt_inner`), the dense symmetric eigensolver
+(:func:`min_symmetric_eigenvalue`, capped at dimension 2000) that the O(n)
+positive-definiteness verdicts of :func:`firngas.analysis.check_pd_all` are
+held to, and one implicit-Euler step built from the full-length assembly
+helpers and a fresh band solve (:func:`reference_step`).  Nothing outside
+the tests runs them; the quadrature and dense-solve references that
+``--oracle-compare`` and the benchmark use stay in :mod:`firngas.oracle`.
+Test files import this module by plain name, as they import ``test_cli``.
+"""
+
+import numpy as np
+
+from firngas import assembly
+from firngas.assembly import Tridiagonal
+from firngas.errors import DomainError, ValidationError
+from firngas.model import CoefficientProfile, ModelParams, RescaledContext, rescale
+from firngas.solver import factor_tridiagonal
+
+_EIG_DIM_CAP = 2000
+
+ONE = CoefficientProfile.constant(1.0)
+DECAY = CoefficientProfile.affine(1.0, -1.0)  # 1 - z
+# The README's physical config: 80 m of firn, 30 years.
+README_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3,
+                                     lam=0.7, v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
+# The same constants on the unit square (z_F = T_e = 1), as in the CLI tests.
+UNIT_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3,
+                                   lam=0.7, v=0.5, w_air=0.1, z_F=1.0, T_e=1.0))
+
+
+def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0, z_F=1.0, T_e=1.0):
+    return RescaledContext(T_e=T_e, z_F=z_F, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
+
+
+def reference_step(system, before, t_k, t_k1, atmosphere):
+    """One implicit-Euler step from ``before``: the full-length right-hand side and its solve.
+
+    The right-hand side comes from ``assemble_v1``, ``assemble_v3`` and
+    ``assemble_rhs``, and is solved by a fresh factor of ``system.V``.
+    """
+    mesh, f = system.mesh, system.f_samples
+    v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, mesh, f)
+    v3 = assembly.assemble_v3(t_k1, atmosphere, mesh, f, system.d_samples, system.context)
+    rhs = assembly.assemble_rhs(before, v1, v3, system.Mf, system.context.T_e, system.dt)
+    return rhs, factor_tridiagonal(system.V).solve(rhs)
+
+
+def _check_indices(i: int, j: int, n: int):
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise DomainError(f"basis indices ({i}, {j}) out of range 1..{n}")
+
+
+def exact_inner(i: int, j: int, kind: str, mesh) -> float:
+    """Closed-form inner products of hat functions, 1-based indices.
+
+    ``kind`` is ``"phi_phi"`` for the plain product or ``"dphi_phi"`` for
+    derivative-times-function (derivative on the first index).
+    """
+    n = mesh.n
+    _check_indices(i, j, n)
+    el = mesh.element_lengths
+    if abs(i - j) > 1:
+        return 0.0
+    if kind == "phi_phi":
+        if i == j:
+            if i == 1:
+                return el[0] / 3.0
+            if i == n:
+                return el[n - 2] / 3.0
+            return (el[i - 2] + el[i - 1]) / 3.0
+        if j == i - 1:
+            return el[i - 2] / 6.0
+        return el[i - 1] / 6.0
+    if kind == "dphi_phi":
+        if i == j:
+            if i == 1:
+                return -0.5
+            if i == n:
+                return 0.5
+            return 0.0
+        if j == i - 1:
+            return 0.5
+        return -0.5
+    raise ValidationError(f"unknown exact inner-product kind {kind!r}")
+
+
+def mvt_inner(i: int, j: int, kind: str, weights, mesh) -> float:
+    """Endpoint-average approximations of weighted hat inner products.
+
+    ``weights`` are node samples of the weight; kinds are ``"w_phi_phi"``,
+    ``"w_dphi_phi"`` (derivative on the first index) and ``"w_dphi_dphi"``.
+    """
+    n = mesh.n
+    _check_indices(i, j, n)
+    w = np.asarray(weights, dtype=float)
+    if len(w) != n:
+        raise ValidationError("weight samples must be given at every node")
+    el = mesh.element_lengths
+    if abs(i - j) > 1:
+        return 0.0
+    if kind == "w_phi_phi":
+        if i == j:
+            if i == 1:
+                return (w[0] + w[1]) / 2.0 * el[0] / 3.0
+            if i == n:
+                return (w[n - 2] + w[n - 1]) / 2.0 * el[n - 2] / 3.0
+            return ((w[i - 1] + w[i]) / 2.0 * el[i - 1] / 3.0
+                    + (w[i - 2] + w[i - 1]) / 2.0 * el[i - 2] / 3.0)
+        if j == i - 1:
+            return (w[i - 2] + w[i - 1]) / 2.0 * el[i - 2] / 6.0
+        return (w[i - 1] + w[i]) / 2.0 * el[i - 1] / 6.0
+    if kind == "w_dphi_phi":
+        if i == j:
+            if i == 1:
+                return -(w[0] + w[1]) / 4.0
+            if i == n:
+                return (w[n - 2] + w[n - 1]) / 4.0
+            return (w[i - 2] - w[i]) / 4.0
+        if j == i - 1:
+            return (w[i - 2] + w[i - 1]) / 4.0
+        return -(w[i - 1] + w[i]) / 4.0
+    if kind == "w_dphi_dphi":
+        if i == j:
+            if i == 1:
+                return (w[0] + w[1]) / (2.0 * el[0])
+            if i == n:
+                return (w[n - 2] + w[n - 1]) / (2.0 * el[n - 2])
+            return ((w[i - 2] + w[i - 1]) / (2.0 * el[i - 2])
+                    + (w[i - 1] + w[i]) / (2.0 * el[i - 1]))
+        if j == i - 1:
+            return -(w[i - 2] + w[i - 1]) / (2.0 * el[i - 2])
+        return -(w[i - 1] + w[i]) / (2.0 * el[i - 1])
+    raise ValidationError(f"unknown weighted inner-product kind {kind!r}")
+
+
+def min_symmetric_eigenvalue(matrix) -> float:
+    """Smallest eigenvalue of the symmetric part ``(A + A^T) / 2``."""
+    dense = matrix.to_dense() if isinstance(matrix, Tridiagonal) else np.asarray(matrix, dtype=float)
+    if dense.shape[0] > _EIG_DIM_CAP:
+        raise ValidationError(f"eigensolver capped at dimension {_EIG_DIM_CAP}")
+    sym = (dense + dense.T) / 2.0
+    return float(np.linalg.eigvalsh(sym)[0])

@@ -16,19 +16,13 @@ from firngas.analysis import build_report, check_pd_all, plan_run
 from firngas.assembly import (assemble_A, assemble_Kf, assemble_M, assemble_Mf,
                               assemble_S, assemble_v1, assemble_v3)
 from firngas.mesh import build_uniform
-from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
-                           RescaledContext, rescale)
-from firngas.oracle import exact_inner
-from firngas.oracle import assemble_reference, min_symmetric_eigenvalue
-from firngas.solver import levels, run
+from firngas.model import AtmosphereSeries, CoefficientProfile
+from firngas.oracle import assemble_reference
+from firngas.solver import factor_tridiagonal, levels, run
+from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, ctx, exact_inner,
+                       min_symmetric_eigenvalue)
 
-ONE = CoefficientProfile.constant(1.0)
-DECAY = CoefficientProfile.affine(1.0, -1.0)
 _ROUNDING_FLOOR = 1e-14
-
-
-def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0, T_e=1.0):
-    return RescaledContext(T_e=T_e, z_F=1.0, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
 
 
 def verdict(num, description, ok):
@@ -221,9 +215,7 @@ def test_acceptance_9_degenerate_run():
     verdict(9, "degenerate f=D=1-z run completes with finite output", ok)
 
 
-# The README's physical config (80 m of firn, 30 years) and a fast-varying atmosphere.
-README_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3, lam=0.7,
-                                     v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
+# A fast-varying atmosphere for the README's physical config.
 SINE_TIMES = np.linspace(0.0, 1.0, 4001)
 SINE = AtmosphereSeries(SINE_TIMES, np.sin(6.0 * np.pi * SINE_TIMES))
 
@@ -248,6 +240,42 @@ def test_degenerate_pair_spatial_order():
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
     print(f"  degenerate pair: relative errors {errs}, spatial orders {orders}")
     assert all(abs(order - 2.0) <= 0.4 for order in orders), orders
+
+
+@pytest.mark.parametrize("context", [UNIT_CONTEXT, README_CONTEXT], ids=["z_F=1", "z_F=80"])
+def test_steady_state_closed_form_order(context):
+    """Order 2 against the closed-form steady state of the strong form, f = D = 1.
+
+    With f = D = 1 the README's equation at steady state is
+    ``rho'' - (mcoef + fcoef) rho' - gcoef rho = 0`` in physical depth, with
+    ``rho = 1`` at the surface and ``rho' - mcoef rho = 0`` at the bottom.  In
+    ``zh = z / z_F`` its solution is ``A e^{r2 zh} + B e^{r1 (zh - 1)}``, where
+    ``r1, r2 = z_F ((mcoef + fcoef) +- sqrt((mcoef + fcoef)**2 + 4 gcoef)) / 2``.
+    The discrete steady state solves ``C x = -v3`` with the row-0 forcing of a
+    unit surface value.  At z_F = 80 the solution has a boundary layer
+    ``e^{-59.5 zh}``, so the order settles only from n = 101 on.
+    """
+    m, z_F = context.mcoef, context.z_F
+    a = m + context.fcoef
+    root = math.sqrt(a * a + 4.0 * context.gcoef)
+    r1, r2 = z_F * (a + root) / 2.0, z_F * (a - root) / 2.0
+    A, B = np.linalg.solve([[1.0, math.exp(-r1)],
+                            [math.exp(r2) * (r2 / z_F - m), r1 / z_F - m]], [1.0, 0.0])
+
+    def max_error(n):
+        mesh = build_uniform(n)
+        ones = np.ones(n)
+        rhs = np.zeros(n - 1)
+        rhs[0] = -assembly.surface_v3(1.0, mesh, ones, ones, context)
+        C = assembly.assemble_system(mesh, ones, ones, context, 0.0).C
+        x = factor_tridiagonal(C).solve(rhs)
+        z = mesh.nodes[1:]
+        return np.max(np.abs(x - (A * np.exp(r2 * z) + B * np.exp(r1 * (z - 1.0)))))
+
+    errs = [max_error(n) for n in (101, 201, 401)]  # the closed form's max is rho(0) = 1
+    orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
+    print(f"  steady state at z_F = {z_F:g}: max errors {errs}, orders {orders}")
+    assert all(abs(order - 2.0) <= 0.2 for order in orders), orders
 
 
 def test_degenerate_pair_time_order():

@@ -12,11 +12,9 @@ from firngas.assembly import Tridiagonal, assemble_M, assemble_S, assemble_syste
 from firngas.errors import AssumptionError, FirngasError, ValidationError
 from firngas.mesh import build_uniform
 from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext, rescale
-from firngas.solver import factor_tridiagonal
+from reference import DECAY, ONE, ctx, min_symmetric_eigenvalue, reference_step
 from test_cli import count_calls, write_config
 
-ONE = CoefficientProfile.constant(1.0)
-DECAY = CoefficientProfile.affine(1.0, -1.0)  # 1 - z
 SEVEN = ("M", "Mf", "Kf", "A", "S", "B", "V")
 
 
@@ -101,15 +99,11 @@ def power_law_runs(draw):
 def assert_matches_dense(verdicts, matrices):
     """Same verdict as the dense eigensolver, eigenvalue within its rounding."""
     for name, matrix in matrices.items():
-        dense = oracle.min_symmetric_eigenvalue(matrix)
+        dense = min_symmetric_eigenvalue(matrix)
         got = verdicts[name]
         assert got.positive_definite == (dense > 1e-12 * matrix.max_abs()), name
         tol = 1e-9 * abs(dense) + 10.0 * np.finfo(float).eps * matrix.max_abs()
         assert abs(got.min_eigenvalue - dense) <= tol, (name, got.min_eigenvalue, dense)
-
-
-def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0, z_F=1.0, T_e=1.0):
-    return RescaledContext(T_e=T_e, z_F=z_F, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
 
 
 def report(f_profile, d_profile, context=None, c_D=1.0):
@@ -301,7 +295,13 @@ class TestCheckPd:
 
     @given(power_law_systems())
     def test_matches_dense_on_power_law_systems(self, matrices):
-        assert_matches_dense(check_pd_all(matrices), matrices)
+        verdicts = check_pd_all(matrices)
+        assert_matches_dense(verdicts, matrices)
+        # sub + sup is exactly 0 in Kf and A, and B is zero but for its last
+        # diagonal entry: the three verdicts are min(diag), and pd_B is false.
+        for name in ("Kf", "A", "B"):
+            assert verdicts[name].min_eigenvalue == np.min(matrices[name].diag), name
+        assert not verdicts["B"].positive_definite and verdicts["B"].min_eigenvalue == 0.0
 
     def test_matches_dense_on_readme_config(self, tmp_path):
         """The seven step matrices of the README config at n = 513: nine reduction levels."""
@@ -397,11 +397,7 @@ class TestWholePlans:
         before = np.zeros(mesh.n - 1)
         times = [k * system.dt for k in range(3) if k * system.dt <= 1.0]
         for t_k, t_k1 in zip(times, times[1:]):
-            v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, mesh, system.f_samples)
-            v3 = assembly.assemble_v3(t_k1, atmosphere, mesh, system.f_samples,
-                                      system.d_samples, context)
-            rhs = assembly.assemble_rhs(before, v1, v3, system.Mf, context.T_e, system.dt)
-            after = factor_tridiagonal(system.V).solve(rhs)
+            rhs, after = reference_step(system, before, t_k, t_k1, atmosphere)
             scale = max(abs(atmosphere(t_k)), abs(atmosphere(t_k1)),
                         np.max(np.abs(before)), np.max(np.abs(after)))
             assert np.max(np.abs(after - oracle.dense_solve(system.V, rhs))) <= \

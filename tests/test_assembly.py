@@ -11,11 +11,7 @@ from firngas.assembly import (DiscreteSystem, Tridiagonal, assemble_A, assemble_
 from firngas.errors import DomainError, ValidationError
 from firngas.mesh import Mesh, build_uniform
 from firngas.model import AtmosphereSeries, RescaledContext
-from firngas.oracle import exact_inner, mvt_inner
-
-
-def unit_context(mcoef=0.0, gcoef=1.0, fcoef=1.0):
-    return RescaledContext(T_e=1.0, z_F=1.0, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
+from reference import ctx, exact_inner, mvt_inner
 
 
 # the hand-substituted reference instance: n=3, h=0.5, f = D = 1 - z
@@ -164,29 +160,29 @@ class TestFrozenInstance:
     def test_v3_constant_coefficients(self):
         atm = AtmosphereSeries.ramp()
         ones = np.ones(3)
-        v3 = assemble_v3(1.0, atm, MESH3, ones, ones, unit_context())
+        v3 = assemble_v3(1.0, atm, MESH3, ones, ones, ctx())
         np.testing.assert_allclose(v3, [0.5 / 6.0 - 2.0 - 0.5, 0.0], atol=1e-14)
 
     def test_v3_degenerate_coefficients(self):
         atm = AtmosphereSeries.ramp()
-        v3 = assemble_v3(1.0, atm, MESH3, F3, F3, unit_context())
+        v3 = assemble_v3(1.0, atm, MESH3, F3, F3, ctx())
         np.testing.assert_allclose(v3, [0.5 / 6.0 - 1.5 - 0.375, 0.0], atol=1e-14)
 
 
 class TestSystem:
     def test_composition(self):
-        ctx = unit_context(mcoef=0.2, gcoef=0.7, fcoef=1.3)
+        context = ctx(mcoef=0.2, gcoef=0.7, fcoef=1.3)
         mesh = build_uniform(9)
         f = 1.0 - mesh.nodes
         d = 1.0 - mesh.nodes**2
-        sys_ = assemble_system(mesh, f, d, ctx, 0.01)
-        expected = (sys_.M.scale(ctx.gcoef) + sys_.S.scale(1.0 / ctx.z_F**2)
-                    - sys_.A.scale(ctx.mcoef / ctx.z_F)
-                    + (sys_.B - sys_.Kf).scale(1.0 / ctx.z_F))
+        sys_ = assemble_system(mesh, f, d, context, 0.01)
+        expected = (sys_.M.scale(context.gcoef) + sys_.S.scale(1.0 / context.z_F**2)
+                    - sys_.A.scale(context.mcoef / context.z_F)
+                    + (sys_.B - sys_.Kf).scale(1.0 / context.z_F))
         np.testing.assert_allclose(sys_.C.to_dense(), expected.to_dense(), atol=1e-14)
         np.testing.assert_allclose(
             sys_.V.to_dense(),
-            sys_.Mf.to_dense() + ctx.T_e * 0.01 * sys_.C.to_dense(), atol=1e-14)
+            sys_.Mf.to_dense() + context.T_e * 0.01 * sys_.C.to_dense(), atol=1e-14)
 
     def test_rescaling_enters_system(self):
         ctx = RescaledContext(T_e=30.0, z_F=80.0, mcoef=0.0, gcoef=1.0, fcoef=0.6)
@@ -202,11 +198,11 @@ class TestSystem:
 
     def test_sample_length_guard(self):
         with pytest.raises(ValidationError):
-            assemble_system(MESH3, np.ones(4), np.ones(3), unit_context(), 0.01)
+            assemble_system(MESH3, np.ones(4), np.ones(3), ctx(), 0.01)
 
     def test_negative_dt_rejected(self):
         with pytest.raises(ValidationError):
-            assemble_system(MESH3, F3, F3, unit_context(), -0.1)
+            assemble_system(MESH3, F3, F3, ctx(), -0.1)
 
     @pytest.mark.parametrize("dt", [0.0, 1e-7, 0.003, 1.0 / 3.0, 0.7, 1.0])
     def test_replaced_step_matches_assembly(self, dt):
@@ -225,7 +221,7 @@ class TestSystem:
             replace(system, dt=-dt - 0.1)
 
     def test_step_matrix_not_an_argument(self):
-        system = assemble_system(MESH3, F3, F3, unit_context(), 0.01)
+        system = assemble_system(MESH3, F3, F3, ctx(), 0.01)
         with pytest.raises(TypeError):
             DiscreteSystem(**{name: getattr(system, name) for name in
                               ("mesh", "f_samples", "d_samples", "context", "dt", "M", "Mf",

@@ -2,10 +2,10 @@
 
 scipy adds about 0.3-0.4 s and 27 MB of resident memory to ``import
 firngas.cli``, which would dominate the start-up time and the peak memory of
-short runs.  The dense verification oracle is for tests only: ``import
-firngas`` does not load it, and the report never calls its eigensolver.  The
-import checks run in a fresh interpreter so that other tests' imports cannot
-mask or cause a failure.
+short runs.  The verification oracle stays off the production path: ``import
+firngas`` does not load it, and the report calls no dense eigensolver or
+solve.  The import checks run in a fresh interpreter so that other tests'
+imports cannot mask or cause a failure.
 """
 
 import importlib
@@ -15,8 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import firngas
-from firngas import analysis, cli, oracle
+from firngas import analysis, cli
 from firngas.model import rescale
 from test_cli import write_config
 
@@ -52,6 +54,12 @@ def test_package_import_leaves_oracle_unloaded():
                              ) == "False", module
 
 
+def test_oracle_import_leaves_numpy_polynomial_unloaded():
+    """The benchmark harness imports the oracle; ``numpy.polynomial`` adds about 1 MB to it."""
+    assert _fresh_output("import sys, firngas.oracle; "
+                         "print('numpy.polynomial' in sys.modules)") == "False"
+
+
 def test_report_leaves_numpy_ma_unloaded(tmp_path):
     """``numpy.ma`` costs 20-40 ms and about 1 MB to import; the report path does not need it."""
     path = write_config(tmp_path, z_F=80.0, T_e=30.0, n=101)
@@ -63,10 +71,11 @@ def test_report_leaves_numpy_ma_unloaded(tmp_path):
 
 
 def test_report_path_never_calls_dense_eigensolver(tmp_path, monkeypatch, capsys):
-    def refuse(matrix):
-        raise AssertionError("dense eigensolver called on the report path")
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra called on the report path")
 
-    monkeypatch.setattr(oracle, "min_symmetric_eigenvalue", refuse)
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     path = write_config(tmp_path, z_F=80.0, T_e=30.0, n=101)
     config = cli.load_config(path)
     report = analysis.build_report(config.f_profile, config.d_profile, config.mesh,

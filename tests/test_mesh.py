@@ -23,7 +23,7 @@ class TestBuildUniform:
         assert mesh.element_lengths.sum() == pytest.approx(1.0, abs=1e-13)
 
 
-class TestBuildGraded:
+class TestGradedMesh:
     """A graded mesh is ``Mesh(nodes)`` on any strictly increasing nodes from 0 to 1."""
 
     def test_nonuniform(self):

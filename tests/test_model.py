@@ -7,6 +7,7 @@ from firngas.errors import AssumptionError, DomainError, ValidationError
 from firngas.mesh import build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
+from reference import ONE
 
 
 def make_params(**overrides):
@@ -31,7 +32,7 @@ class TestModelParams:
         with pytest.warns(UserWarning, match="lam"):
             make_params(lam=0.1)
 
-    def test_derive_coefficients(self):
+    def test_rescaled_coefficients(self):
         ctx = rescale(make_params())
         mcoef, gcoef, fcoef = ctx.mcoef, ctx.gcoef, ctx.fcoef
         assert mcoef == pytest.approx(0.04 * 9.81 / (8.314 * 250.0), rel=1e-15)
@@ -56,9 +57,6 @@ class TestModelParams:
         fields = dict(T_e=1.0, z_F=1.0, mcoef=0.0, gcoef=0.0, fcoef=0.0)
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             RescaledContext(**{**fields, name: bad})
-
-
-ONE = CoefficientProfile.constant(1.0)
 
 
 class TestCoefficientProfile:

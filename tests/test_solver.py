@@ -10,27 +10,12 @@ from firngas import analysis, assembly, oracle
 from firngas.assembly import Tridiagonal, assemble_system
 from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import Mesh, build_uniform
-from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
-                           RescaledContext, rescale)
+from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext
 from firngas.analysis import _MAX_STEPS, _step_count
 from firngas.solver import (Trajectory, _PivotedElimination, factor_tridiagonal, levels, run,
                             run_plan, write_csv)
+from reference import DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, ctx, reference_step
 from test_cli import count_calls
-
-ONE = CoefficientProfile.constant(1.0)
-DECAY = CoefficientProfile.affine(1.0, -1.0)
-
-
-def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0):
-    return RescaledContext(T_e=1.0, z_F=1.0, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
-
-
-# The README's physical config: 80 m of firn, 30 years.
-README_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3,
-                                     lam=0.7, v=0.5, w_air=0.1, z_F=80.0, T_e=30.0))
-# The same constants on the unit square (z_F = T_e = 1), as in the CLI tests.
-UNIT_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3,
-                                   lam=0.7, v=0.5, w_air=0.1, z_F=1.0, T_e=1.0))
 
 
 def assert_solves(matrix, rhs, x):
@@ -71,19 +56,15 @@ def admissible_step_matrices(draw):
     return plan.operators.V, rng.normal(size=(draw(st.integers(2, 5)), n - 1))
 
 
-def solve_tridiagonal(matrix, rhs):
-    return factor_tridiagonal(matrix).solve(rhs)
-
-
-class TestSolveTridiagonal:
+class TestBandSolve:
     def test_identity(self):
         band = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
         rhs = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(solve_tridiagonal(band, rhs), rhs)
+        np.testing.assert_allclose(factor_tridiagonal(band).solve(rhs), rhs)
 
     def test_hand_elimination(self):
         band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
-        np.testing.assert_allclose(solve_tridiagonal(band, [3.0, 3.0]),
+        np.testing.assert_allclose(factor_tridiagonal(band).solve([3.0, 3.0]),
                                    [1.0, 1.0], atol=1e-14)
 
     def test_residual_on_random_dominant(self):
@@ -94,26 +75,26 @@ class TestSolveTridiagonal:
                                np.abs(rng.normal(size=m)) + 3.0,
                                rng.normal(size=m - 1))
             rhs = rng.normal(size=m)
-            x = solve_tridiagonal(band, rhs)
+            x = factor_tridiagonal(band).solve(rhs)
             residual = np.max(np.abs(band.matvec(x) - rhs))
             assert residual <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
     def test_pivoted_fallback(self):
         # zero first pivot: unpivoted path fails, pivoted succeeds
         band = Tridiagonal([1.0], [0.0, 1.0], [1.0])
-        x = solve_tridiagonal(band, np.array([1.0, 1.0]))
+        x = factor_tridiagonal(band).solve(np.array([1.0, 1.0]))
         np.testing.assert_allclose(band.matvec(x), [1.0, 1.0], atol=1e-12)
 
     def test_singular_carries_pivot_index(self):
         band = Tridiagonal([0.0], [0.0, 1.0], [0.0])
         with pytest.raises(SingularMatrixError) as info:
-            solve_tridiagonal(band, np.array([1.0, 1.0]))
+            factor_tridiagonal(band).solve(np.array([1.0, 1.0]))
         assert info.value.pivot_index == 0
 
     def test_dimension_guard(self):
         band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
         with pytest.raises(ValidationError):
-            solve_tridiagonal(band, np.zeros(3))
+            factor_tridiagonal(band).solve(np.zeros(3))
 
 
 class TestFactorTridiagonal:
@@ -123,7 +104,7 @@ class TestFactorTridiagonal:
         factor = factor_tridiagonal(matrix)
         for rhs in rhs_rows:
             x = factor.solve(rhs)
-            assert np.array_equal(x, solve_tridiagonal(matrix, rhs))
+            assert np.array_equal(x, factor_tridiagonal(matrix).solve(rhs))
             assert_solves(matrix, rhs, x)
 
     @given(dominant_tridiagonals())
@@ -349,12 +330,8 @@ def step_by_step(plan, atmosphere, times):
     interior = np.zeros((len(times), plan.operators.mesh.n - 1))
     for k in range(len(times) - 1):
         system = last if last is not None and k == len(times) - 2 else plan.system(dt)
-        mesh, f, d = system.mesh, system.f_samples, system.d_samples
-        v1 = assembly.assemble_v1(times[k], times[k + 1], atmosphere, mesh, f)
-        v3 = assembly.assemble_v3(times[k + 1], atmosphere, mesh, f, d, system.context)
-        rhs = assembly.assemble_rhs(interior[k], v1, v3, system.Mf, system.context.T_e,
-                                    system.dt)
-        interior[k + 1] = factor_tridiagonal(system.V).solve(rhs)
+        _, interior[k + 1] = reference_step(system, interior[k], times[k], times[k + 1],
+                                            atmosphere)
     return interior
 
 
