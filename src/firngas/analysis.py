@@ -105,7 +105,10 @@ def _trace_constant(sqrt_fd: float, d_sup: float, d_bottom: float, lipschitz_L: 
     """Trace constant bounding the weighted bottom value; ``integral`` is ``z_F int 1/D``."""
     if d_bottom > 0.0:
         return sqrt_fd * d_sup * integral
-    return sqrt_fd * lipschitz_L * B0**2
+    try:
+        return sqrt_fd * lipschitz_L * B0**2
+    except OverflowError:  # as in _continuity: the constant is unbounded
+        return math.inf
 
 
 def _compute_fh(f_profile, h: float) -> float:

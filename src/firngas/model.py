@@ -88,8 +88,11 @@ def rescale(params: ModelParams) -> RescaledContext:
     ``mcoef = M_alpha*g/(R*T)`` (1/m), ``gcoef = tau + lam`` (1/yr) and
     ``fcoef = v + w_air`` (m/yr).
     """
-    return RescaledContext(T_e=params.T_e, z_F=params.z_F,
-                           mcoef=params.M_alpha * params.g / (params.R * params.T),
+    try:
+        mcoef = params.M_alpha * params.g / (params.R * params.T)
+    except ZeroDivisionError:  # R*T underflows: refused below as overflow is
+        mcoef = np.inf
+    return RescaledContext(T_e=params.T_e, z_F=params.z_F, mcoef=mcoef,
                            gcoef=params.tau + params.lam, fcoef=params.v + params.w_air)
 
 

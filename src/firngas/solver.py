@@ -4,9 +4,11 @@ The homogenized unknown carries the interior-plus-bottom coefficients; the
 Dirichlet surface value is re-attached when reconstructing the full node
 vector.  A run's uniform time grid has at most two step matrices, the uniform
 step and the shortened last one, each derived from one system's operators and
-factored once per run.  The atmosphere enters only row 0 of the right-hand
-side, so the loop, :func:`levels`, evaluates it once for every level and then
-costs one ``Mf`` product and one forward/back substitution per step.
+factored once per run by one partially pivoted elimination; an admissible
+step swaps no row, so its factor is plain Thomas elimination.  The atmosphere
+enters only row 0 of the right-hand side, so the loop, :func:`levels`,
+evaluates it once for every level and then costs one ``Mf`` product and one
+forward/back substitution per step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import SingularMatrixError, ValidationError
 
 __all__ = ["Trajectory", "factor_tridiagonal", "run", "run_plan", "levels", "write_csv"]
 
-_PIVOT_TOL = 1e-13  # pivot-magnitude guard relative to max|entry|, unpivoted path
+_PIVOT_TOL = 1e-16  # pivot-magnitude guard relative to max|entry|
 _CSV_BLOCK = 1024   # rows formatted per write: bounded memory, few calls
 
 
@@ -33,101 +35,83 @@ def _rhs_list(rhs, dim: int) -> list:
     return rhs.tolist()
 
 
-class _Elimination:
-    """Unpivoted banded elimination: the pivots and the ``c`` multipliers.
+class _Factor:
+    """Banded elimination with partial pivoting, each pivot row divided by its pivot.
 
+    Column k pivots on the reduced row k unless ``|sub[k]|`` exceeds its
+    entry, in which case row k+1 takes its place (LAPACK ``dgttrf``'s rule)
+    and its row of the unit upper factor carries a second superdiagonal.
     Raises :class:`SingularMatrixError` at the first pivot below the guard.
-    The substitution divides by each stored pivot, on Python floats: the same
-    IEEE double arithmetic as on NumPy scalars, so a reused factor gives
-    bitwise the result of a fresh solve.
+    Without a swap the pivots and the ``c`` multipliers are those of plain
+    Thomas elimination, and the substitution is its two list recurrences.
+    Both run on Python floats: the same IEEE double arithmetic as on NumPy
+    scalars, so a reused factor gives bitwise the result of a fresh solve.
     """
 
     def __init__(self, matrix: assembly.Tridiagonal):
         m = matrix.dim
         guard = _PIVOT_TOL * matrix.max_abs()
-        diag, sub, sup = matrix.diag.tolist(), matrix.sub.tolist(), matrix.sup.tolist()
-        pivots, c = [], []
+        diag, sub, sup = matrix.diag.tolist(), matrix.sub.tolist(), matrix.sup.tolist() + [0.0]
+        pivots, lower, c, c2, swapped = [], [], [], [], []
+        a, b = diag[0], sup[0]  # the reduced row k: columns k and k+1
         for k in range(m):
-            pivot = diag[k] - sub[k - 1] * c[k - 1] if k else diag[0]
+            swap = k < m - 1 and abs(sub[k]) > abs(a)
+            pivot = sub[k] if swap else a
             if abs(pivot) <= guard:
                 raise SingularMatrixError(k)
             pivots.append(pivot)
-            if k < m - 1:
-                c.append(sup[k] / pivot)
+            if k == m - 1:
+                break
+            if swap:
+                swapped.append(k)
+                c.append(diag[k + 1] / pivot)
+                c2.append(sup[k + 1] / pivot)
+                lower.append(a)
+                a, b = b - a * c[k], -a * c2[k]
+            else:
+                c.append(b / pivot)
+                c2.append(0.0)
+                lower.append(sub[k])
+                a, b = diag[k + 1] - sub[k] * c[k], sup[k + 1]
         self.dim = m
-        self._pivots = pivots
-        self._sub = sub
-        self._c_reversed = c[::-1]
+        self._pivots, self._lower, self._c_reversed, self._c2 = pivots, lower, c[::-1], c2
+        self._swapped_rows = swapped
 
     def solve(self, rhs) -> np.ndarray:
         r = _rhs_list(rhs, self.dim)
-        d = r[0] / self._pivots[0]
-        ds = [d] + [d := (r_k - s * d) / pivot
-                    for r_k, s, pivot in zip(r[1:], self._sub, self._pivots[1:])]
-        x = ds.pop()
-        xs = [x] + [x := d_k - c_k * x for d_k, c_k in zip(reversed(ds), self._c_reversed)]
-        return np.fromiter(reversed(xs), dtype=float, count=self.dim)
+        if not self._swapped_rows:
+            d = r[0] / self._pivots[0]
+            ds = [d] + [d := (r_k - s * d) / pivot
+                        for r_k, s, pivot in zip(r[1:], self._lower, self._pivots[1:])]
+            x = ds.pop()
+            xs = [x] + [x := d_k - c_k * x for d_k, c_k in zip(reversed(ds), self._c_reversed)]
+            return np.fromiter(reversed(xs), dtype=float, count=self.dim)
+        # A swapped pivot row brings in the next right-hand side; the row it
+        # displaced carries its own, reduced, to the next column.
+        swapped = set(self._swapped_rows)
+        xs, carry = [], r[0]
+        for k, (low, pivot) in enumerate(zip(self._lower, self._pivots)):
+            if k in swapped:
+                xs.append(r[k + 1] / pivot)
+                carry -= low * xs[k]
+            else:
+                xs.append(carry / pivot)
+                carry = r[k + 1] - low * xs[k]
+        xs += [carry / self._pivots[-1], 0.0]
+        for k, c_k, c2_k in zip(range(self.dim - 2, -1, -1), self._c_reversed, reversed(self._c2)):
+            xs[k] -= c_k * xs[k + 1] + c2_k * xs[k + 2]
+        return np.array(xs[:-1])
 
 
-class _PivotedElimination:
-    """Partially pivoted elimination; fill widens the upper band to 2."""
-
-    def __init__(self, matrix: assembly.Tridiagonal):
-        m = matrix.dim
-        guard = _PIVOT_TOL * 1e-3 * matrix.max_abs()
-        diag = matrix.diag.tolist()
-        sub = matrix.sub.tolist()
-        sup1 = matrix.sup.tolist() + [0.0]
-        sup2 = [0.0] * m
-        swaps, factors = [], []
-        for k in range(m - 1):
-            swap = abs(sub[k]) > abs(diag[k])
-            if swap:
-                # swap row k with row k+1
-                diag[k], sub[k] = sub[k], diag[k]
-                sup1[k], diag[k + 1] = diag[k + 1], sup1[k]
-                sup2[k], sup1[k + 1] = sup1[k + 1], sup2[k]
-            if abs(diag[k]) <= guard:
-                raise SingularMatrixError(k)
-            factor = sub[k] / diag[k]
-            diag[k + 1] -= factor * sup1[k]
-            sup1[k + 1] -= factor * sup2[k]
-            swaps.append(swap)
-            factors.append(factor)
-        if abs(diag[m - 1]) <= guard:
-            raise SingularMatrixError(m - 1)
-        self.dim = m
-        self._diag, self._sup1, self._sup2 = diag, sup1, sup2
-        self._swaps, self._factors = swaps, factors
-
-    def solve(self, rhs) -> np.ndarray:
-        b = _rhs_list(rhs, self.dim)
-        for k, (swap, factor) in enumerate(zip(self._swaps, self._factors)):
-            if swap:
-                b[k], b[k + 1] = b[k + 1], b[k]
-            b[k + 1] -= factor * b[k]
-        m, diag, sup1, sup2 = self.dim, self._diag, self._sup1, self._sup2
-        x = [0.0] * m
-        x[m - 1] = b[m - 1] / diag[m - 1]
-        if m > 1:
-            x[m - 2] = (b[m - 2] - sup1[m - 2] * x[m - 1]) / diag[m - 2]
-        for k in range(m - 3, -1, -1):
-            x[k] = (b[k] - sup1[k] * x[k + 1] - sup2[k] * x[k + 2]) / diag[k]
-        return np.array(x)
-
-
-def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Elimination | _PivotedElimination:
+def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Factor:
     """Factor a tridiagonal matrix once; ``.solve(rhs)`` then substitutes.
 
-    Tries the unpivoted banded elimination first (the admissible-step
-    matrices are positive definite, keeping pivots healthy) and falls back
-    to a partially pivoted variant when a pivot degenerates.  Raises
-    :class:`SingularMatrixError` with the failing pivot's index.
+    One partially pivoted elimination serves every matrix.  No admissible
+    step matrix in the tests swaps a row; forced steps where advection
+    outweighs the diagonal do.  Raises :class:`SingularMatrixError` with the
+    failing pivot's index.
     """
-    try:
-        return _Elimination(matrix)
-    except SingularMatrixError:
-        return _PivotedElimination(matrix)
+    return _Factor(matrix)
 
 
 @dataclass(frozen=True)

@@ -303,3 +303,66 @@ def test_degenerate_pair_time_order():
     orders = [math.log2(diffs[k] / diffs[k + 1]) for k in range(len(diffs) - 1)]
     print(f"  degenerate pair: differences {diffs}, time orders {orders}")
     assert all(abs(order - 1.0) <= 0.3 for order in orders), orders
+
+
+# sin(omega t) sampled on a grid holding every level of K = 100 ... 800.
+OMEGA = 6.0 * math.pi
+PERIODIC_TIMES = np.arange(6401) / 6400
+PERIODIC = AtmosphereSeries(PERIODIC_TIMES, np.sin(OMEGA * PERIODIC_TIMES))
+
+
+def periodic_errors(z_F, Ks, richardson=False):
+    """Max error of the levels at ``t >= 0.5`` against the periodic closed form, f = D = 1.
+
+    With f = D = 1, T_e = 30 and the surface value ``sin(omega t)`` the README's
+    equation has the periodic state ``Im[A(z) e^{i omega t}]``, z the physical
+    depth, with ``A'' - b A' - (gcoef + i Omega) A = 0``, ``b = mcoef + fcoef``
+    and ``Omega = omega / T_e``: ``A = c1 e^{r2 z} + c2 e^{r1 (z - z_F)}`` with
+    ``r1, r2 = (b +- sqrt(b**2 + 4 (gcoef + i Omega))) / 2``, ``A(0) = 1`` and
+    ``A'(z_F) = mcoef A(z_F)``.  The start-up from the zero state has decayed
+    by ``t = 0.5``.  n = 801, relative to the closed form's max; with
+    ``richardson`` the levels of ``2 x_{dt/2} - x_dt`` instead.
+    """
+    context = ctx(mcoef=0.5, gcoef=1.0, fcoef=0.6, z_F=z_F, T_e=30.0)
+    m, b = context.mcoef, context.mcoef + context.fcoef
+    root = np.sqrt(complex(b * b + 4.0 * context.gcoef, 4.0 * OMEGA / context.T_e))
+    r1, r2 = (b + root) / 2.0, (b - root) / 2.0
+    c1, c2 = np.linalg.solve([[1.0, np.exp(-r1 * z_F)], [np.exp(r2 * z_F) * (r2 - m), r1 - m]],
+                             np.array([1.0, 0.0], dtype=complex))
+    mesh = build_uniform(801)
+    z = mesh.nodes[1:] * z_F
+    amplitude = c1 * np.exp(r2 * z) + c2 * np.exp(r1 * (z - z_F))
+    plan = plan_run(ONE, ONE, mesh, context)
+
+    def late_levels(K, stride=1):
+        kept = [(t, x) for t, _, x in levels(plan.system(1.0 / K), PERIODIC, stride) if t >= 0.5]
+        return np.array([t for t, _ in kept]), np.array([x for _, x in kept])
+
+    errs = []
+    for K in Ks:
+        t, x = late_levels(K)
+        if richardson:
+            x = 2.0 * late_levels(2 * K, stride=2)[1] - x
+        exact = np.imag(amplitude * np.exp(1j * OMEGA * t)[:, None])
+        errs.append(np.max(np.abs(x - exact)) / np.max(np.abs(exact)))
+    return errs
+
+
+@pytest.mark.parametrize("z_F", [1.0, 80.0], ids=["z_F=1", "z_F=80"])
+def test_periodic_closed_form_time_order(z_F):
+    """Implicit Euler is first order in time against the periodic state, at K = 100, 200, 400."""
+    errs = periodic_errors(z_F, (100, 200, 400))
+    orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
+    print(f"  periodic state at z_F = {z_F:g}: relative errors {errs}, time orders {orders}")
+    assert all(abs(order - 1.0) <= 0.2 for order in orders), orders
+
+
+def test_periodic_closed_form_richardson_order():
+    """Richardson's ``2 x_{dt/2} - x_dt`` is second order once the start-up has decayed.
+
+    At z_F = 1; at z_F = 80 the spatial error at n = 801 (about 4e-5) hides it.
+    """
+    errs = periodic_errors(1.0, (100, 200, 400), richardson=True)
+    orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
+    print(f"  periodic state, Richardson: relative errors {errs}, time orders {orders}")
+    assert all(abs(order - 2.0) <= 0.2 for order in orders), orders

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,7 @@ class TestConfig:
         ("intercept = 1.0", "intercept = nan", None),
         (AFFINE, "kind = sampled\nfile = {table}", "0.0,1.0\n0.5,nan\n1.0,0.0\n"),
         ("M_alpha = 0.04\ng = 9.81", "M_alpha = 1e300\ng = 1e300", None),
+        ("R = 8.314\nT = 250.0", "R = 1e-200\nT = 1e-200", None),
         ("n = 11", "n = abc", None),
         ("n = 11", "n = abc\nfile = {table}", "0.0\n0.5\n1.0\n"),
         ("dt = auto", "dt = auto\nstride = 1.5", None),
@@ -199,7 +202,8 @@ class TestConfig:
             "atmosphere_file_nan", "bad_float", "unknown_profile_kind",
             "unknown_atmosphere_kind", "sampled_one_column", "atmosphere_file_one_column",
             "sampled_three_columns", "nan_intercept", "sampled_file_nan",
-            "overflowing_params", "n_not_an_integer", "n_not_an_integer_beside_file",
+            "overflowing_params", "underflowing_params", "n_not_an_integer",
+            "n_not_an_integer_beside_file",
             "stride_not_an_integer", "mesh_file_empty", "mesh_file_comment_only",
             "atmosphere_file_empty",
             "missing_params_section", "sampled_without_file", "upper_bound_minus_inf"])
@@ -686,3 +690,39 @@ class TestLibraryParity:
         with pytest.raises(ValidationError, match=r"\(0, 1\]"):
             firngas.run(config.mesh, config.f_profile, config.d_profile, config.context,
                         config.atmosphere, 2.0)
+
+
+# Each [params] value in turn at an extreme, and R*T underflowing to 0.
+EXTREME_PARAMS = [((name,), value)
+                  for name in ("M_alpha", "g", "R", "T", "tau", "lam", "v", "w_air", "z_F", "T_e")
+                  for value in ("1e-300", "1e-200", "1e160", "1e300")] + [(("R", "T"), "1e-200")]
+
+
+@pytest.mark.parametrize("flags", [["--check-only"], [], ["--force", "--dt", "0.5"]],
+                         ids=["check_only", "run", "forced"])
+def test_extreme_parameter_values_exit_cleanly(tmp_path, capsys, flags):
+    """Every extreme value runs or fails with a documented code, on at most one stderr line.
+
+    The README config at physical scale (5 nodes, to keep the plain runs
+    short); only a ``lam`` input may warn, and only about its range.
+    """
+    documented = (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_ADMISSIBILITY, cli.EXIT_NUMERICAL)
+    failures = []
+    for names, value in EXTREME_PARAMS:
+        cfg = write_config(tmp_path, z_F=80.0, T_e=30.0, n=5)
+        text = Path(cfg).read_text()
+        for name in names:
+            text = re.sub(rf"^{name} = .*$", f"{name} = {value}", text, flags=re.MULTILINE)
+        Path(cfg).write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(["--config", cfg, "--out", str(tmp_path / "o.csv"), *flags])
+            except Exception as exc:
+                code = f"raised {exc!r}"
+        err = capsys.readouterr().err
+        unexpected = [str(w.message) for w in caught
+                      if names != ("lam",) or "decay rate lam" not in str(w.message)]
+        if code not in documented or err.count("\n") > 1 or unexpected:
+            failures.append((names, value, code, err, unexpected))
+    assert not failures

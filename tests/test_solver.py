@@ -10,10 +10,10 @@ from firngas import analysis, assembly, oracle
 from firngas.assembly import Tridiagonal, assemble_system
 from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import Mesh, build_uniform
-from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext
+from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, RescaledContext,
+                           rescale)
 from firngas.analysis import _MAX_STEPS, _step_count
-from firngas.solver import (Trajectory, _PivotedElimination, factor_tridiagonal, levels, run,
-                            run_plan, write_csv)
+from firngas.solver import Trajectory, factor_tridiagonal, levels, run, run_plan, write_csv
 from reference import DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, ctx, reference_step
 from test_cli import count_calls
 
@@ -38,6 +38,20 @@ def dominant_tridiagonals(draw):
     margin = 10.0 ** rng.uniform(-2, 2)
     diag = rng.choice([-1.0, 1.0], m) * (reach + margin)
     return Tridiagonal(sub, diag, sup), rng.normal(size=(draw(st.integers(2, 5)), m))
+
+
+@st.composite
+def general_tridiagonals(draw):
+    """Bands of independent normal entries on one random scale: rarely dominant, often swapped."""
+    m = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    band = Tridiagonal(*(rng.normal(size=size) * scale for size in (m - 1, m, m - 1)))
+    return band, rng.normal(size=m)
+
+
+def swapped_rows(matrix):
+    return factor_tridiagonal(matrix)._swapped_rows
 
 
 @st.composite
@@ -79,9 +93,19 @@ class TestBandSolve:
             residual = np.max(np.abs(band.matvec(x) - rhs))
             assert residual <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
-    def test_pivoted_fallback(self):
-        # zero first pivot: unpivoted path fails, pivoted succeeds
+    @given(general_tridiagonals())
+    def test_residual_on_random_general(self, case):
+        # Partial pivoting is backward stable: the residual is that of the
+        # dense LAPACK solve, up to rounding on the scale of |V| |x|.
+        band, rhs = case
+        x, ref = factor_tridiagonal(band).solve(rhs), oracle.dense_solve(band, rhs)
+        scale = band.max_abs() * np.max(np.abs(x)) * band.dim * np.finfo(float).eps
+        residual, ref_residual = (np.max(np.abs(band.matvec(y) - rhs)) for y in (x, ref))
+        assert residual <= 4.0 * max(ref_residual, scale)
+
+    def test_zero_first_pivot_swaps(self):
         band = Tridiagonal([1.0], [0.0, 1.0], [1.0])
+        assert swapped_rows(band) == [0]
         x = factor_tridiagonal(band).solve(np.array([1.0, 1.0]))
         np.testing.assert_allclose(band.matvec(x), [1.0, 1.0], atol=1e-12)
 
@@ -100,8 +124,10 @@ class TestBandSolve:
 class TestFactorTridiagonal:
     @staticmethod
     def check_reuse(matrix, rhs_rows):
-        # One factor for every right-hand side: bitwise the fresh solves.
+        # One factor for every right-hand side: bitwise the fresh solves.  No
+        # row is swapped, so these keep plain Thomas elimination's arithmetic.
         factor = factor_tridiagonal(matrix)
+        assert factor._swapped_rows == []
         for rhs in rhs_rows:
             x = factor.solve(rhs)
             assert np.array_equal(x, factor_tridiagonal(matrix).solve(rhs))
@@ -121,15 +147,17 @@ class TestFactorTridiagonal:
             factor_tridiagonal(Tridiagonal([1.0], [1.0, 1.0], [1.0]))
         assert info.value.pivot_index == 1
 
-    def test_pivoted_fallback_reused(self):
-        # zero first pivot: one pivoted factor serves every right-hand side
+    def test_swapped_factor_reused(self):
+        # zero first pivot: one swapped factor serves every right-hand side
         rng = np.random.default_rng(7)
         diag = rng.uniform(3.0, 4.0, 6)
         diag[0] = 0.0
         band = Tridiagonal(rng.uniform(1.0, 2.0, 5), diag, rng.uniform(1.0, 2.0, 5))
         factor = factor_tridiagonal(band)
+        assert factor._swapped_rows[0] == 0
         for rhs in rng.normal(size=(4, 6)):
             x = factor.solve(rhs)
+            assert np.array_equal(x, factor_tridiagonal(band).solve(rhs))
             np.testing.assert_allclose(x, oracle.dense_solve(band, rhs), rtol=1e-12,
                                        atol=1e-12)
 
@@ -335,8 +363,12 @@ def step_by_step(plan, atmosphere, times):
     return interior
 
 
-# Drift only, at physical scale: the step that zeroes V[0, 0] forces a pivoted factor.
+# Drift only, at physical scale: the step that zeroes V[0, 0] swaps rows 0 and 1.
 DRIFT_CONTEXT = RescaledContext(T_e=30.0, z_F=80.0, mcoef=10.0, gcoef=0.0, fcoef=0.0)
+
+
+V500_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3, lam=0.7,
+                                   v=500.0, w_air=0.1, z_F=80.0, T_e=30.0))
 
 
 def zero_corner_step(mesh, context):
@@ -355,6 +387,8 @@ BIT_CASES = {
     "unit_s2_auto": (Mesh(np.linspace(0.0, 1.0, 11) ** 2), UNIT_CONTEXT, "auto", False, 2667),
     "drift_pivoted_forced": (build_uniform(11), DRIFT_CONTEXT,
                              zero_corner_step(build_uniform(11), DRIFT_CONTEXT), True, 2),
+    # README scale with v = 500: advection outweighs the diagonal, rows swap
+    "readme_v500_forced_dt0.3": (build_uniform(11), V500_CONTEXT, 0.3, True, 4),
 }
 ATMOSPHERES = {
     "ramp": AtmosphereSeries.ramp(),
@@ -424,11 +458,16 @@ def test_levels_of_a_bare_system_match_the_plan(case, atm_name):
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-def test_pivoted_case_steps_on_a_pivoted_factor():
+def test_swap_cases_step_on_swapped_factors():
     mesh, context, dt, force, _ = BIT_CASES["drift_pivoted_forced"]
     plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
     assert plan.operators.V.diag[0] == 0.0
-    assert isinstance(factor_tridiagonal(plan.operators.V), _PivotedElimination)
+    assert swapped_rows(plan.operators.V)[0] == 0
+    # both step matrices of the v = 500 run, the uniform and the shortened last
+    mesh, context, dt, force, _ = BIT_CASES["readme_v500_forced_dt0.3"]
+    plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
+    for step in (dt, 1.0 - 3 * dt):
+        assert len(swapped_rows(plan.system(step).V)) == 4
 
 
 def test_loop_holds_four_doubles_per_step():
