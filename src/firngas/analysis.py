@@ -35,6 +35,7 @@ _DIVERGENCE_GROWTH = 0.01  # >1% growth per truncation refinement -> divergent
 _DT_SAFETY = 0.9       # safety factor on the auto-selected time step
 _MAX_STEPS = 10**7     # step count K above which no run is started, see the README
 _EPS = float(np.finfo(float).eps)
+_GRID_TOL = 4.0 * _EPS  # rounding of the level times k * dt in [0, 1]: a few ulps of 1
 
 
 def _tail_grid() -> np.ndarray:
@@ -109,6 +110,20 @@ def _trace_constant(sqrt_fd: float, d_sup: float, d_bottom: float, lipschitz_L: 
         return sqrt_fd * lipschitz_L * B0**2
     except OverflowError:  # as in _continuity: the constant is unbounded
         return math.inf
+
+
+def _node_samples(profile, mesh, assumption: str) -> np.ndarray:
+    """A profile at the nodes: nonnegative, 0 at most at the bottom, within ``upper_bound``."""
+    values = np.asarray(profile(mesh.nodes), dtype=float)
+    if np.any(values < 0.0):
+        raise AssumptionError(assumption, f"profile negative at z={mesh.nodes[values < 0.0][0]:g}")
+    if np.any(values[:-1] <= 0.0):
+        bad = mesh.nodes[:-1][values[:-1] <= 0.0][0]
+        raise AssumptionError(assumption, f"profile not strictly positive at z={bad:g} < 1")
+    cap = profile.upper_bound
+    if cap is not None and np.any(values > cap * (1 + 1e-12)):
+        raise AssumptionError(assumption, f"profile exceeds its upper bound {cap:g}")
+    return values
 
 
 def _compute_fh(f_profile, h: float) -> float:
@@ -344,13 +359,12 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     if not auto and (isinstance(dt, bool) or not isinstance(dt, numbers.Real)):
         raise ValidationError(f"time step must be a number or 'auto', got {dt!r}")
     if not auto:
-        _step_count(dt)
+        _time_grid(dt)
     d_bottom = float(d_profile(1.0))
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
     nodes = bound = constants = None
     try:
-        nodes = (f_profile.node_samples(mesh, assumption="(5)"),
-                 d_profile.node_samples(mesh, assumption="(6)"))
+        nodes = (_node_samples(f_profile, mesh, "(5)"), _node_samples(d_profile, mesh, "(6)"))
         lipschitz = _estimate_lipschitz(d_profile, mesh, hi=1.0)
         interior_f, interior_d = (samples[:-1] for samples in nodes)
         ratios = {"ratio_sup_Df": _sup_ratio(interior_d, interior_f),
@@ -389,21 +403,25 @@ def _auto_step(dt_max: float) -> float:
     return min(_DT_SAFETY * dt_max, 1.0)
 
 
-def _step_count(dt: float) -> int:
-    """Number K of steps on the uniform grid of step ``dt``, the last one shortened.
+def _time_grid(dt: float) -> tuple[int, float]:
+    """Step count K and last step of the grid ``t_k = k * dt``, ``t_K = 1``, in one rule.
 
-    A ``dt`` outside (0, 1], or a K above ``_MAX_STEPS``, raises
-    :class:`ValidationError`.  The limit is compared before rounding, so a
-    step whose reciprocal overflows is refused too.
+    A gap within ``_GRID_TOL`` is rounding: ``K = ceil((1 - _GRID_TOL) / dt)``
+    joins a shorter remainder to the last step, and a last step that close to
+    ``dt`` is ``dt``.  So no step is shorter than ``_GRID_TOL``, and the levels
+    of ``dt`` are bitwise the even levels of ``dt / 2``.  A ``dt`` outside (0, 1],
+    or a K above ``_MAX_STEPS`` before rounding, raises :class:`ValidationError`.
     """
     if not 0.0 < dt <= 1.0:
         raise ValidationError(f"time step must lie in (0, 1], got {dt!r}")
     dt = float(dt)
-    steps = 1.0 / dt - 1e-12
+    steps = (1.0 - _GRID_TOL) / dt
     if steps > _MAX_STEPS:
         raise ValidationError(f"time step {dt:.17g} needs {steps:.6g} steps, more than the "
                               f"limit of {_MAX_STEPS:,}")
-    return math.ceil(steps)
+    n_steps = math.ceil(steps)
+    last = 1.0 - (n_steps - 1) * dt
+    return n_steps, dt if abs(last - dt) <= _GRID_TOL else last
 
 
 def _step_bound(f_profile, d_profile, mesh, context: RescaledContext, c_D: float,

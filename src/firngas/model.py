@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "ModelParams",
@@ -59,7 +59,7 @@ class ModelParams:
         if not 0.5 <= self.lam <= 0.999:
             warnings.warn(
                 f"decay rate lam={self.lam} outside the tabulated range [0.5, 0.999]",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 
@@ -134,8 +134,9 @@ class CoefficientProfile:
 
     ``evaluate`` maps an array of depths in ``[0, 1]`` to the values; the
     constructors build it from module-level functions, so profiles pickle.
-    ``upper_bound``, when set, caps admissible values; evaluation above the
-    cap is an assumption failure, reported by :func:`node_samples`.
+    ``upper_bound``, when set, caps admissible values.  A profile checks only
+    its own arguments: :func:`firngas.analysis.plan_run` refuses its node
+    values for their sign or for exceeding the cap.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -186,24 +187,6 @@ class CoefficientProfile:
             raise DomainError("profile evaluated outside [0, 1]")
         out = self.evaluate(z)
         return out if out.ndim else float(out)
-
-    def node_samples(self, mesh, assumption: str = "(5)") -> np.ndarray:
-        """Evaluate at mesh nodes, enforcing nonnegativity and the cap.
-
-        The profile must be strictly positive at every node except possibly
-        the last (the degenerate firn bottom).  ``assumption`` labels the
-        failure: "(5)" for the pore fraction, "(6)" for the diffusivity.
-        """
-        values = np.asarray(self(mesh.nodes), dtype=float)
-        if np.any(values < 0.0):
-            bad = mesh.nodes[values < 0.0][0]
-            raise AssumptionError(assumption, f"profile negative at z={bad:g}")
-        if np.any(values[:-1] <= 0.0):
-            bad = mesh.nodes[:-1][values[:-1] <= 0.0][0]
-            raise AssumptionError(assumption, f"profile not strictly positive at z={bad:g} < 1")
-        if self.upper_bound is not None and np.any(values > self.upper_bound * (1 + 1e-12)):
-            raise AssumptionError(assumption, f"profile exceeds its upper bound {self.upper_bound:g}")
-        return values
 
 
 @dataclass(frozen=True)

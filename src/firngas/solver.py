@@ -3,7 +3,7 @@
 The homogenized unknown carries the interior-plus-bottom coefficients; the
 Dirichlet surface value is re-attached when reconstructing the full node
 vector.  A run's uniform time grid has at most two step matrices, the uniform
-step and the shortened last one, each derived from one system's operators and
+step and a last one of another length, each derived from one system's operators and
 factored once per run by one partially pivoted elimination; an admissible
 step swaps no row, so its factor is plain Thomas elimination.  The atmosphere
 enters only row 0 of the right-hand side, so the loop, :func:`levels`,
@@ -162,21 +162,20 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
 
     Yields ``(t, surface value, interior)``, each interior a fresh array, at
     level 0, every ``stride``-th level and the last.  The time grid is
-    uniform; the last step is shortened to land exactly on t=1, with a step
-    matrix derived for its own length.  All checks and factorizations run
-    before level 0.  This is the package's one implicit-Euler step: it solves
-    ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k`` (``assembly.assemble_rhs``)
-    with only row 0 of the forcing (``surface_v1``/``surface_v3``), bitwise
-    as a fresh solve of that right-hand side would.
+    ``t_k = k dt`` up to ``t_K = 1`` (``analysis._time_grid``); a last step
+    other than ``dt`` gets a step matrix of its own.  All checks and
+    factorizations run before level 0.  This is the package's one
+    implicit-Euler step: it solves ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k
+    v3_k`` (``assembly.assemble_rhs``) with only row 0 of the forcing
+    (``surface_v1``/``surface_v3``), bitwise as a fresh solve of that
+    right-hand side would.
     """
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
     dt, mesh = system.dt, system.mesh
-    n_steps = analysis._step_count(dt)
-    times = np.minimum(dt * np.arange(n_steps + 1), 1.0)
-    times[-1] = 1.0
-    last_dt = times[-1] - times[-2]
-    last_system = replace(system, dt=last_dt) if abs(last_dt - dt) > 1e-12 * dt else system
+    n_steps, last_dt = analysis._time_grid(dt)
+    times = np.append(np.arange(n_steps) * float(dt), 1.0)
+    last_system = system if last_dt == dt else replace(system, dt=last_dt)
 
     boundary = np.asarray(atmosphere(times), dtype=float)
     v1 = assembly.surface_v1(boundary[:-1], boundary[1:], mesh, system.f_samples)
@@ -201,7 +200,7 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
 def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
     """Every level of :func:`levels` on the plan's operators, in one preallocated trajectory."""
     system = plan.operators
-    n_levels = analysis._step_count(system.dt) + 1
+    n_levels = analysis._time_grid(system.dt)[0] + 1
     times, boundary = np.empty(n_levels), np.empty(n_levels)
     interior = np.empty((n_levels, system.mesh.n - 1))
     for k, level in enumerate(levels(system, atmosphere)):

@@ -278,6 +278,71 @@ def test_steady_state_closed_form_order(context):
     assert all(abs(order - 2.0) <= 0.2 for order in orders), orders
 
 
+def strong_form_steady_state(f, d, context, N):
+    """Steady state of the README's equation by conservative finite differences, N points.
+
+    In ``zh = z / z_F`` the equation reads ``J' = z_F gcoef rho`` with the flux
+    ``J = D rho' / z_F - (mcoef D + fcoef f) rho``; ``rho(0) = 1``, and the
+    bottom condition ``D (rho' / z_F - mcoef rho) = 0`` leaves ``J(1) = -fcoef
+    f(1) rho(1)``.  Each node balances the fluxes through its cell's midpoints,
+    the bottom node over a half cell: second order in the spacing.
+    """
+    from scipy.linalg import solve_banded
+    H = 1.0 / (N - 1)
+    mid = (np.arange(N - 1) + 0.5) * H
+    alpha = d(mid) / (context.z_F * H)
+    beta = (context.mcoef * d(mid) + context.fcoef * f(mid)) / 2.0
+    removal = np.full(N - 1, H * context.z_F * context.gcoef)
+    removal[-1] /= 2.0
+    # row i - 1 balances node i = 1 .. N - 1; the cell faces are mid[i - 1] and mid[i]
+    diag = -removal - alpha + beta
+    diag[:-1] -= alpha[1:] + beta[1:]
+    diag[-1] -= context.fcoef * f(1.0)
+    bands = np.zeros((3, N - 1))
+    bands[0, 1:] = alpha[1:] - beta[1:]      # rho_{i+1}
+    bands[1] = diag
+    bands[2, :-1] = alpha[1:] + beta[1:]     # rho_{i-1}
+    rhs = np.zeros(N - 1)
+    rhs[0] = -(alpha[0] + beta[0])           # rho_0 = 1
+    return np.concatenate([[1.0], solve_banded((1, 1), bands, rhs)])
+
+
+@pytest.mark.parametrize("context", [UNIT_CONTEXT, README_CONTEXT], ids=["z_F=1", "z_F=80"])
+def test_variable_coefficient_steady_state_order(context):
+    """Order 2 vs. the strong form's steady state at f = 1 - zh/2, D = 1 - 0.9 zh + 0.3 sin 3zh.
+
+    The reference solves the README's equation and bottom condition by finite
+    differences on 4,001 and 8,001 points, combined by Richardson
+    extrapolation; it shares nothing with the finite-element patterns.  It
+    agrees with the extrapolation from 8,001 and 16,001 points within 2e-9; finer
+    grids gain nothing, as rounding grows like eps / H**2 and reaches 1e-8 at
+    z_F = 1.  The discrete steady state solves ``C x = -v3``, as in the
+    closed-form test.
+    """
+    def f(z):
+        return 1.0 - z / 2.0
+
+    def d(z):
+        return 1.0 - 0.9 * z + 0.3 * np.sin(3.0 * z)
+
+    coarse, fine = (strong_form_steady_state(f, d, context, N) for N in (4001, 8001))
+    reference = (4.0 * fine[::2] - coarse) / 3.0
+
+    def max_error(n):
+        mesh = build_uniform(n)
+        f_nodes, d_nodes = f(mesh.nodes), d(mesh.nodes)
+        rhs = np.zeros(n - 1)
+        rhs[0] = -assembly.surface_v3(1.0, mesh, f_nodes, d_nodes, context)
+        C = assembly.assemble_system(mesh, f_nodes, d_nodes, context, 0.0).C
+        stride = 4000 // (n - 1)
+        return np.max(np.abs(factor_tridiagonal(C).solve(rhs) - reference[stride::stride]))
+
+    errs = [max_error(n) for n in (101, 201, 401)]  # the reference's max is rho(0) = 1
+    orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
+    print(f"  variable steady state at z_F = {context.z_F:g}: max errors {errs}, orders {orders}")
+    assert all(abs(order - 2.0) <= 0.2 for order in orders), orders
+
+
 def test_degenerate_pair_time_order():
     """Time order 1 on the paper's degenerate pair f = D = 1 - z at the README scale, n = 51.
 

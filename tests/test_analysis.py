@@ -146,6 +146,26 @@ class TestCheckAssumptions:
         assert len(hardy_calls) == 1
 
 
+class TestNodeSamples:
+    def test_degenerate_bottom_ok(self):
+        values = analysis._node_samples(DECAY, build_uniform(5), "(5)")
+        assert values[-1] == 0.0
+        assert np.all(values[:-1] > 0.0)
+
+    def test_negative_fails(self):
+        with pytest.raises(AssumptionError, match=r"\(5\) violated: profile negative at z=0"):
+            analysis._node_samples(CoefficientProfile.constant(-1.0), build_uniform(5), "(5)")
+
+    def test_interior_zero_fails(self):
+        with pytest.raises(AssumptionError, match=r"\(6\).*not strictly positive at z=0 < 1"):
+            analysis._node_samples(CoefficientProfile.constant(0.0), build_uniform(5), "(6)")
+
+    def test_cap(self):
+        capped = CoefficientProfile.constant(2.0, upper_bound=1.0)
+        with pytest.raises(AssumptionError, match="exceeds its upper bound 1"):
+            analysis._node_samples(capped, build_uniform(5), "(5)")
+
+
 class TestLipschitz:
     """The estimate on the 4001 points of n = 1001."""
 
@@ -213,7 +233,7 @@ class TestFh:
         f_profile = CoefficientProfile.sampled([0.0, 0.52, 0.55, 0.58, 1.0],
                                                [1.0, 0.5, -0.1, 0.4, 0.0])
         mesh = build_uniform(11)
-        f_profile.node_samples(mesh, assumption="(5)")  # every node passes
+        analysis._node_samples(f_profile, mesh, "(5)")  # every node passes
         with pytest.raises(AssumptionError, match=r"\(5\).*away from the bottom"):
             plan_run(f_profile, DECAY, mesh, ctx())
 

@@ -532,14 +532,23 @@ class TestCmdCheck:
         assert cli.main(["--config", cfg, "--check-only", "--n", n]) == code
         assert message in capsys.readouterr().err
 
-    def test_pore_fraction_negative_between_nodes_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, code", [
+        (["--check-only"], cli.EXIT_ADMISSIBILITY),
+        (["--force"], cli.EXIT_ADMISSIBILITY),  # an auto step needs the failed step bound
+        (["--force", "--dt", "0.01"], cli.EXIT_OK),
+    ], ids=["check_only", "forced_auto", "forced_dt"])
+    def test_pore_fraction_negative_between_nodes_exit_2(self, tmp_path, capsys, flags, code):
         """f dips below 0 between the nodes 0.5 and 0.6: the step bound's min of f refuses it."""
         table = tmp_path / "f.csv"
         table.write_text("0,1\n0.52,0.5\n0.55,-0.1\n0.58,0.4\n1,0\n")
         cfg = edit_config(write_config(tmp_path), AFFINE, f"kind = sampled\nfile = {table}")
-        assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_ADMISSIBILITY
-        assert "(5) violated: pore fraction not strictly positive away from the bottom" in \
-            capsys.readouterr().err
+        out = tmp_path / "trajectory.csv"
+        assert cli.main(["--config", cfg, "--out", str(out), *flags]) == code
+        err = capsys.readouterr().err
+        if code == cli.EXIT_OK:
+            assert err == "" and out.read_text().startswith("t,")
+        else:
+            assert "(5) violated: pore fraction not strictly positive away from the bottom" in err
 
     def test_finite_inverse_integral_with_positive_bottom(self, tmp_path, capsys):
         """D = 1 - 0.999999 z has D(1) > 0 and the finite int 1/D = -ln(1e-6) / 0.999999."""
@@ -584,6 +593,18 @@ class TestCmdOracleCompare:
                          "--out", str(out)]) == cli.EXIT_OK
         mf = [ln for ln in out.read_text().splitlines() if ln.startswith("Mf,")][0]
         assert float(mf.split(",")[1]) <= 1e-13
+
+    def test_missed_band_names_the_kinds(self, tmp_path, capsys):
+        """D drops tenfold over 1e-4 between nodes: the orders of A and S fall to about 0.4."""
+        table = tmp_path / "d.csv"
+        table.write_text("0,1\n0.52,1\n0.5201,0.1\n1,0.05\n")
+        cfg = edit_config(write_config(tmp_path), "[profile.D]\n" + AFFINE,
+                          f"[profile.D]\nkind = sampled\nfile = {table}")
+        assert cli.main(["--config", cfg, "--oracle-compare"]) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        failing = [ln.split(",")[0] for ln in out.splitlines() if ln.endswith(",false")]
+        assert failing == ["A", "S"]
+        assert err == "numerical failure: observed order outside its band for A, S\n"
 
     def test_deviations_on_uniform_meshes_of_the_node_count(self, tmp_path):
         """A mesh file sets only n for the deviation rows; the PD lines use its nodes."""

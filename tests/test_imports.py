@@ -8,9 +8,11 @@ solve.  The import checks run in a fresh interpreter so that other tests'
 imports cannot mask or cause a failure.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +85,12 @@ def test_report_path_never_calls_dense_eigensolver(tmp_path, monkeypatch, capsys
     assert report.pd_verdicts["V"].positive_definite
     assert cli.main(["--config", path, "--check-only"]) == cli.EXIT_OK
     assert "pd_V: true" in capsys.readouterr().out
+
+
+def test_assumption_errors_raised_only_by_the_analysis():
+    """The admissibility checks have one owner: no other module raises ``AssumptionError``."""
+    raisers = {path.name for path in Path(firngas.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Raise)
+               and re.match(r"raise ([\w.]+\.)?AssumptionError\b", ast.unparse(node))}
+    assert raisers == {"analysis.py"}

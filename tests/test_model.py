@@ -3,8 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from firngas.errors import AssumptionError, DomainError, ValidationError
-from firngas.mesh import build_uniform
+from firngas.errors import DomainError, ValidationError
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
 from reference import ONE
@@ -29,8 +28,9 @@ class TestModelParams:
             make_params(**{name: 0.0})
 
     def test_decay_rate_warning(self):
-        with pytest.warns(UserWarning, match="lam"):
+        with pytest.warns(UserWarning, match="lam") as record:
             make_params(lam=0.1)
+        assert record[0].filename == __file__  # the caller, not the generated __init__
 
     def test_rescaled_coefficients(self):
         ctx = rescale(make_params())
@@ -127,31 +127,6 @@ class TestCoefficientProfile:
     def test_firn_diffusion_needs_profiles(self):
         with pytest.raises(ValidationError, match="profiles"):
             CoefficientProfile.firn_diffusion(0.4, 0.5, 1.0, lambda z: z, ONE)
-
-    def test_node_samples_degenerate_bottom_ok(self):
-        mesh = build_uniform(5)
-        p = CoefficientProfile.affine(1.0, -1.0)
-        values = p.node_samples(mesh, "(5)")
-        assert values[-1] == 0.0
-        assert np.all(values[:-1] > 0.0)
-
-    def test_node_samples_negative_fails(self):
-        mesh = build_uniform(5)
-        p = CoefficientProfile.constant(-1.0)
-        with pytest.raises(AssumptionError, match=r"\(5\)"):
-            p.node_samples(mesh, "(5)")
-
-    def test_node_samples_interior_zero_fails(self):
-        mesh = build_uniform(5)
-        p = CoefficientProfile.constant(0.0)
-        with pytest.raises(AssumptionError, match=r"\(6\)"):
-            p.node_samples(mesh, "(6)")
-
-    def test_node_samples_cap(self):
-        mesh = build_uniform(5)
-        p = CoefficientProfile.constant(2.0, upper_bound=1.0)
-        with pytest.raises(AssumptionError, match="upper bound"):
-            p.node_samples(mesh)
 
 
 # Tables that both sampled profiles and atmosphere series refuse, as (x, y).

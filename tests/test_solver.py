@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from firngas import analysis, assembly, oracle
+from firngas import analysis, assembly, oracle, solver
 from firngas.assembly import Tridiagonal, assemble_system
 from firngas.errors import SingularMatrixError, TimeStepError, ValidationError
 from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, RescaledContext,
                            rescale)
-from firngas.analysis import _MAX_STEPS, _step_count
+from firngas.analysis import _EPS, _GRID_TOL, _MAX_STEPS, _time_grid
 from firngas.solver import Trajectory, factor_tridiagonal, levels, run, run_plan, write_csv
 from reference import DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, ctx, reference_step
 from test_cli import count_calls
@@ -283,7 +284,7 @@ class TestRun:
 
         ``plan_run`` refuses such a step, so the system is assembled directly.
         """
-        assert _step_count(1.0 / _MAX_STEPS) == _MAX_STEPS
+        assert _time_grid(1.0 / _MAX_STEPS) == (_MAX_STEPS, 1.0 / _MAX_STEPS)
         mesh = build_uniform(5)
         system = assemble_system(mesh, ONE(mesh.nodes), ONE(mesh.nodes), ctx(), dt)
         with pytest.raises(ValidationError, match="limit"):
@@ -352,15 +353,66 @@ class TestRun:
 
 def step_by_step(plan, atmosphere, times):
     """The reference loop: a fresh solve of the public assembled right-hand side per interval."""
-    dt = plan.operators.dt
-    last_dt = times[-1] - times[-2]
-    last = plan.system(last_dt) if abs(last_dt - dt) > 1e-12 * dt else None
-    interior = np.zeros((len(times), plan.operators.mesh.n - 1))
-    for k in range(len(times) - 1):
-        system = last if last is not None and k == len(times) - 2 else plan.system(dt)
+    n_steps, last_dt = _time_grid(plan.operators.dt)
+    interior = np.zeros((n_steps + 1, plan.operators.mesh.n - 1))
+    for k in range(n_steps):
+        system = plan.system(last_dt if k == n_steps - 1 else plan.operators.dt)
         _, interior[k + 1] = reference_step(system, interior[k], times[k], times[k + 1],
                                             atmosphere)
     return interior
+
+
+def level_times(dt):
+    """The level times of ``levels`` at ``dt``: it samples the atmosphere at all of them first."""
+    sampled = []
+
+    def atmosphere(t):
+        sampled.append(t)
+        return np.zeros_like(t)
+
+    mesh = build_uniform(3)
+    next(levels(assemble_system(mesh, ONE(mesh.nodes), ONE(mesh.nodes), ctx(), dt), atmosphere))
+    return sampled[0]
+
+
+def test_reciprocal_steps_give_their_step_count():
+    # 1/K is rounded, so K * dt can land an ulp short of 1: that remainder is no step.
+    assert [K for K in range(2, 10**6) if _time_grid(1.0 / K)[0] != K] == []
+    assert _time_grid(1.0 / _MAX_STEPS)[0] == _MAX_STEPS
+
+
+# Random steps, and steps within 60 ulps of 1/N, where the remainder is rounding.
+GRID_STEPS = st.one_of(
+    st.floats(min_value=1e-5, max_value=1.0),
+    st.builds(lambda n, j: 1.0 / n + j * math.ulp(1.0 / n),
+              st.integers(2, 10**5), st.integers(-60, 60)))
+
+
+@given(GRID_STEPS)
+def test_time_grid_rule(dt):
+    """The level times of one rule: no step below ``_GRID_TOL``, and halving nests the grid.
+
+    The last step exceeds ``dt`` by a few ulps of 1 at most, and the kept
+    levels of ``dt / 2`` at stride 2 are bitwise the levels of ``dt``.
+    """
+    n_steps, last_dt = _time_grid(dt)
+    times = level_times(dt)
+    steps = np.diff(times)
+    assert len(times) == n_steps + 1 and times[-1] == 1.0
+    assert np.all(steps >= _GRID_TOL)
+    assert steps[-1] - dt <= 5 * _EPS
+    assert last_dt == (dt if abs(steps[-1] - dt) <= _GRID_TOL else steps[-1])
+    half = level_times(dt / 2)
+    kept = sorted({*range(0, len(half), 2), len(half) - 1})
+    assert half[kept].tobytes() == times.tobytes()
+
+
+@pytest.mark.parametrize("dt, factors", [(1e-5, 1), (2e-5, 1), (1e-6, 1), (0.003, 2)])
+def test_rounding_last_step_reuses_the_uniform_factor(dt, factors, monkeypatch):
+    """A last step that differs from ``dt`` only by rounding factors no second step matrix."""
+    calls = count_calls(monkeypatch, solver, "factor_tridiagonal")
+    level_times(dt)
+    assert len(calls) == factors
 
 
 # Drift only, at physical scale: the step that zeroes V[0, 0] swaps rows 0 and 1.
@@ -475,7 +527,7 @@ def test_loop_holds_four_doubles_per_step():
     # row-0 forcings, K + O(1) doubles each, and nothing else that grows with K.
     mesh = build_uniform(11)
     system = assemble_system(mesh, DECAY(mesh.nodes), DECAY(mesh.nodes), UNIT_CONTEXT, 1e-5)
-    n_steps = _step_count(system.dt)
+    n_steps = _time_grid(system.dt)[0]
     assert n_steps == 100_000
     tracemalloc.start()
     try:
