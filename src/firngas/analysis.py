@@ -112,18 +112,15 @@ def _trace_constant(sqrt_fd: float, d_sup: float, d_bottom: float, lipschitz_L: 
         return math.inf
 
 
-def _node_samples(profile, mesh, assumption: str) -> np.ndarray:
-    """A profile at the nodes: nonnegative, 0 at most at the bottom, within ``upper_bound``."""
-    values = np.asarray(profile(mesh.nodes), dtype=float)
+def _check_node_samples(values: np.ndarray, cap, mesh, assumption: str):
+    """Node samples of a profile: nonnegative, 0 at most at the bottom, at most ``cap``."""
     if np.any(values < 0.0):
         raise AssumptionError(assumption, f"profile negative at z={mesh.nodes[values < 0.0][0]:g}")
     if np.any(values[:-1] <= 0.0):
         bad = mesh.nodes[:-1][values[:-1] <= 0.0][0]
         raise AssumptionError(assumption, f"profile not strictly positive at z={bad:g} < 1")
-    cap = profile.upper_bound
     if cap is not None and np.any(values > cap * (1 + 1e-12)):
         raise AssumptionError(assumption, f"profile exceeds its upper bound {cap:g}")
-    return values
 
 
 def _compute_fh(f_profile, h: float) -> float:
@@ -344,7 +341,8 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     constant ``C0``, the step bound, continuity (9), and last a step above
     ``dt_max`` (:class:`TimeStepError`).  ``dt`` is a number or ``"auto"``,
     which becomes ``min(0.9 * dt_max, 1)``.  Only reading :attr:`Plan.report`
-    adds the PD verdicts.  The integral of ``1/D`` is computed once and also
+    adds the PD verdicts.  Each profile is sampled at the nodes once, which
+    also gives ``D(1)``.  The integral of ``1/D`` is computed once and also
     gives ``B0``; ``C0`` and the continuity constants share one sample of f
     and D, and its ``sup f/D`` and ``sup D``.  Under ``force`` a failed check
     drops the constants and the run goes on with the node samples; the step
@@ -360,15 +358,16 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
         raise ValidationError(f"time step must be a number or 'auto', got {dt!r}")
     if not auto:
         _time_grid(dt)
-    d_bottom = float(d_profile(1.0))
+    f_nodes, d_nodes = (np.asarray(p(mesh.nodes), dtype=float) for p in (f_profile, d_profile))
+    d_bottom = float(d_nodes[-1])  # the last node is z = 1
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
-    nodes = bound = constants = None
+    bound = constants = None
     try:
-        nodes = (_node_samples(f_profile, mesh, "(5)"), _node_samples(d_profile, mesh, "(6)"))
+        _check_node_samples(f_nodes, f_profile.upper_bound, mesh, "(5)")
+        _check_node_samples(d_nodes, d_profile.upper_bound, mesh, "(6)")
         lipschitz = _estimate_lipschitz(d_profile, mesh, hi=1.0)
-        interior_f, interior_d = (samples[:-1] for samples in nodes)
-        ratios = {"ratio_sup_Df": _sup_ratio(interior_d, interior_f),
-                  "ratio_sup_fD": _sup_ratio(interior_f, interior_d)}
+        ratios = {"ratio_sup_Df": _sup_ratio(d_nodes[:-1], f_nodes[:-1]),
+                  "ratio_sup_fD": _sup_ratio(f_nodes[:-1], d_nodes[:-1])}
         if math.isinf(inv_d[0]):
             raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
         b0 = _hardy_constant(cum_inv_d, grid, context.z_F)
@@ -393,7 +392,6 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     step = _auto_step(dt_max) if auto else float(dt)
     if not (auto or force) and step > dt_max:
         raise TimeStepError(step, dt_max)
-    f_nodes, d_nodes = nodes or (f_profile(mesh.nodes), d_profile(mesh.nodes))
     return Plan(assembly.assemble_system(mesh, f_nodes, d_nodes, context, step), dt_max,
                 constants)
 

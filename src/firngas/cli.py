@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import math
 import sys
 import warnings
@@ -181,11 +180,11 @@ def cmd_run(config: RunConfig) -> int:
     plan = analysis.plan_run(config.f_profile, config.d_profile, config.mesh, config.context,
                              config.c_D, config.dt, config.force)
     report = plan.report.to_text() if plan.report else ""
+    # levels sets up at the call, so a run refused there leaves no output file
     rows = solver.levels(plan.operators, config.atmosphere, config.stride)
-    first = next(rows)  # ends the set-up, so a failed run leaves no output file
     with open(config.out or "trajectory.csv", "w", newline="\n") as handle:
         handle.writelines(f"# {line}\n" for line in report.splitlines())
-        solver.write_csv(handle, config.mesh.nodes, itertools.chain([first], rows))
+        solver.write_csv(handle, config.mesh.nodes, rows)
     return EXIT_OK
 
 

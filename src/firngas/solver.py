@@ -6,14 +6,15 @@ vector.  A run's uniform time grid has at most two step matrices, the uniform
 step and a last one of another length, each derived from one system's operators and
 factored once per run by one partially pivoted elimination; an admissible
 step swaps no row, so its factor is plain Thomas elimination.  The atmosphere
-enters only row 0 of the right-hand side, so the loop, :func:`levels`,
-evaluates it once for every level and then costs one ``Mf`` product and one
-forward/back substitution per step.
+enters only row 0 of the right-hand side, so :func:`levels` evaluates it
+once for every level when it is called, with the factorizations, and the
+generator it returns costs one ``Mf`` product and one forward/back
+substitution per step.  :func:`run` and :func:`write_csv` are plain loops
+over it.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, replace
 
@@ -22,10 +23,9 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 
-__all__ = ["Trajectory", "factor_tridiagonal", "run", "run_plan", "levels", "write_csv"]
+__all__ = ["Trajectory", "factor_tridiagonal", "run", "levels", "write_csv"]
 
 _PIVOT_TOL = 1e-16  # pivot-magnitude guard relative to max|entry|
-_CSV_BLOCK = 1024   # rows formatted per write: bounded memory, few calls
 
 
 def _rhs_list(rhs, dim: int) -> list:
@@ -147,28 +147,35 @@ class Trajectory:
 
 def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
         force: bool = False, c_D: float = 1.0) -> Trajectory:
-    """Full implicit-Euler run on the rescaled unit time interval.
+    """Full implicit-Euler run on the rescaled unit time interval: every level of :func:`levels`.
 
     ``dt`` is either a number or ``"auto"`` (0.9 times the computed step
     bound, at most 1).  Admissibility failures and steps above the bound
     abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
+    A step count past the limit is refused before the K+1 levels are allocated.
     """
-    return run_plan(analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force),
-                    atmosphere)
+    system = analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force).operators
+    n_levels = analysis._time_grid(system.dt)[0] + 1
+    times, boundary = np.empty(n_levels), np.empty(n_levels)
+    interior = np.empty((n_levels, mesh.n - 1))
+    for k, level in enumerate(levels(system, atmosphere)):
+        times[k], boundary[k], interior[k] = level
+    return Trajectory(times=times, interior=interior, boundary=boundary, mesh=mesh)
 
 
 def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     """Implicit-Euler loop at the step ``system.dt`` of a discrete system.
 
-    Yields ``(t, surface value, interior)``, each interior a fresh array, at
-    level 0, every ``stride``-th level and the last.  The time grid is
-    ``t_k = k dt`` up to ``t_K = 1`` (``analysis._time_grid``); a last step
-    other than ``dt`` gets a step matrix of its own.  All checks and
-    factorizations run before level 0.  This is the package's one
-    implicit-Euler step: it solves ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k
-    v3_k`` (``assembly.assemble_rhs``) with only row 0 of the forcing
-    (``surface_v1``/``surface_v3``), bitwise as a fresh solve of that
-    right-hand side would.
+    Set-up runs at the call: the stride check, the time grid ``t_k = k dt``
+    up to ``t_K = 1`` (``analysis._time_grid``; a last step other than ``dt``
+    gets a step matrix of its own), the atmosphere at every level, the row-0
+    forcings and the factorizations, so a bad stride or step, or a singular
+    step matrix, raises here.  The returned generator yields ``(t, surface
+    value, interior)``, each interior a fresh array, at level 0, every
+    ``stride``-th level and the last.  It is the package's one implicit-Euler
+    step: ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k`` (``assembly.assemble_rhs``)
+    with only row 0 of the forcing (``surface_v1``/``surface_v3``), bitwise as
+    a fresh solve of that right-hand side.
     """
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
@@ -186,33 +193,26 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     uniform = factor_tridiagonal(system.V)
     last = uniform if last_system is system else factor_tridiagonal(last_system.V)
 
-    Mf = system.Mf  # independent of the step length
-    interior = np.zeros(mesh.n - 1)
-    yield float(times[0]), float(boundary[0]), interior
-    for k in range(n_steps):
-        rhs = Mf.matvec(interior)
-        rhs[0] = (rhs[0] - v1[k]) - v3[k]
-        interior = (last if k == n_steps - 1 else uniform).solve(rhs)
-        if (k + 1) % stride == 0 or k + 1 == n_steps:
-            yield float(times[k + 1]), float(boundary[k + 1]), interior
+    def steps():
+        Mf = system.Mf  # independent of the step length
+        interior = np.zeros(mesh.n - 1)
+        yield float(times[0]), float(boundary[0]), interior
+        for k in range(n_steps):
+            rhs = Mf.matvec(interior)
+            rhs[0] = (rhs[0] - v1[k]) - v3[k]
+            interior = (last if k == n_steps - 1 else uniform).solve(rhs)
+            if (k + 1) % stride == 0 or k + 1 == n_steps:
+                yield float(times[k + 1]), float(boundary[k + 1]), interior
 
-
-def run_plan(plan: analysis.Plan, atmosphere) -> Trajectory:
-    """Every level of :func:`levels` on the plan's operators, in one preallocated trajectory."""
-    system = plan.operators
-    n_levels = analysis._time_grid(system.dt)[0] + 1
-    times, boundary = np.empty(n_levels), np.empty(n_levels)
-    interior = np.empty((n_levels, system.mesh.n - 1))
-    for k, level in enumerate(levels(system, atmosphere)):
-        times[k], boundary[k], interior[k] = level
-    return Trajectory(times=times, interior=interior, boundary=boundary, mesh=system.mesh)
+    return steps()
 
 
 def write_csv(handle, nodes, rows):
-    """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``."""
+    """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``.
+
+    Each row is formatted and written as it comes, so streamed rows are never held together.
+    """
     handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
     row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, _CSV_BLOCK)):
-        handle.write("".join([row_format % (t, surface, *interior.tolist())
-                              for t, surface, interior in block]))
+    handle.writelines(row_format % (t, surface, *interior.tolist())
+                      for t, surface, interior in rows)

@@ -9,8 +9,16 @@ held to, and one implicit-Euler step built from the full-length assembly
 helpers and a fresh band solve (:func:`reference_step`).  Nothing outside
 the tests runs them; the quadrature and dense-solve references that
 ``--oracle-compare`` and the benchmark use stay in :mod:`firngas.oracle`.
-Test files import this module by plain name, as they import ``test_cli``.
+The tooling is here too: the unit config file (:func:`write_config`,
+:func:`edit_config`), a call counter (:func:`count_calls`) and a fresh
+interpreter (:func:`fresh_output`).  Test files import this module by plain
+name and no other test module.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +42,76 @@ UNIT_CONTEXT = rescale(ModelParams(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0
 
 def ctx(mcoef=0.0, gcoef=1.0, fcoef=1.0, z_F=1.0, T_e=1.0):
     return RescaledContext(T_e=T_e, z_F=z_F, mcoef=mcoef, gcoef=gcoef, fcoef=fcoef)
+
+
+BASE_PARAMS = """\
+[params]
+M_alpha = 0.04
+g = 9.81
+R = 8.314
+T = 250.0
+tau = 0.3
+lam = 0.7
+v = 0.5
+w_air = 0.1
+"""
+
+
+def write_config(tmp_path, f_kind="affine", d_kind="affine", atmosphere="ramp",
+                 dt="auto", n=11, f_value=None, f_intercept=1.0, z_F=1.0, T_e=1.0,
+                 c_D=1.0, d_slope=-1.0):
+    if f_kind == "affine":
+        f_section = f"[profile.f]\nkind = affine\nintercept = {f_intercept}\nslope = -1.0\n"
+    else:
+        f_section = f"[profile.f]\nkind = constant\nvalue = {f_value}\n"
+    if d_kind == "affine":
+        d_section = f"[profile.D]\nkind = affine\nintercept = 1.0\nslope = {d_slope}\n"
+    else:
+        d_section = "[profile.D]\nkind = constant\nvalue = 1.0\n"
+    text = (BASE_PARAMS + f"z_F = {z_F}\nT_e = {T_e}\n"
+            + f"[mesh]\nn = {n}\n[time]\ndt = {dt}\n"
+            + f_section + d_section
+            + f"[atmosphere]\nkind = {atmosphere}\namplitude = 1.0\n"
+            + f"[analysis]\nc_D = {c_D}\n")
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    return str(path)
+
+
+AFFINE = "kind = affine\nintercept = 1.0\nslope = -1.0"  # f's section, then D's
+
+
+def edit_config(path, old, new):
+    """Replace the first ``old`` in the config file at ``path`` by ``new``."""
+    text = Path(path).read_text()
+    assert old in text
+    Path(path).write_text(text.replace(old, new, 1))
+    return path
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from now on."""
+    calls = []
+    function = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh_output(code):
+    """Standard output of ``code`` in a fresh interpreter on ``src``; raises unless it exits 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    return result.stdout.strip()
 
 
 def reference_step(system, before, t_k, t_k1, atmosphere):

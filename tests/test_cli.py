@@ -12,51 +12,7 @@ import firngas
 from firngas import analysis, assembly, cli
 from firngas.errors import AssumptionError, FirngasError, TimeStepError, ValidationError
 from firngas.model import rescale
-
-BASE_PARAMS = """\
-[params]
-M_alpha = 0.04
-g = 9.81
-R = 8.314
-T = 250.0
-tau = 0.3
-lam = 0.7
-v = 0.5
-w_air = 0.1
-"""
-
-
-def write_config(tmp_path, f_kind="affine", d_kind="affine", atmosphere="ramp",
-                 dt="auto", n=11, f_value=None, f_intercept=1.0, z_F=1.0, T_e=1.0,
-                 c_D=1.0, d_slope=-1.0):
-    if f_kind == "affine":
-        f_section = f"[profile.f]\nkind = affine\nintercept = {f_intercept}\nslope = -1.0\n"
-    else:
-        f_section = f"[profile.f]\nkind = constant\nvalue = {f_value}\n"
-    if d_kind == "affine":
-        d_section = f"[profile.D]\nkind = affine\nintercept = 1.0\nslope = {d_slope}\n"
-    else:
-        d_section = "[profile.D]\nkind = constant\nvalue = 1.0\n"
-    text = (BASE_PARAMS + f"z_F = {z_F}\nT_e = {T_e}\n"
-            + f"[mesh]\nn = {n}\n[time]\ndt = {dt}\n"
-            + f_section + d_section
-            + f"[atmosphere]\nkind = {atmosphere}\namplitude = 1.0\n"
-            + f"[analysis]\nc_D = {c_D}\n")
-    path = tmp_path / "run.ini"
-    path.write_text(text)
-    return str(path)
-
-
-AFFINE = "kind = affine\nintercept = 1.0\nslope = -1.0"  # f's section, then D's
-
-
-def edit_config(path, old, new):
-    """Replace the first ``old`` in the config file at ``path`` by ``new``."""
-    text = Path(path).read_text()
-    assert old in text
-    Path(path).write_text(text.replace(old, new, 1))
-    return path
-
+from reference import AFFINE, count_calls, edit_config, write_config
 
 def vanishing_d_config(tmp_path, dip):
     """Unit config with f = 1 and a sampled D that dips to ``dip`` at z = 0.5049, between nodes."""
@@ -107,19 +63,6 @@ def huge_d_config(tmp_path):
     return edit_config(write_config(tmp_path, f_kind="constant", f_value=1.0, d_kind="constant"),
                        "[profile.D]\nkind = constant\nvalue = 1.0",
                        "[profile.D]\nkind = constant\nvalue = 1e200")
-
-
-def count_calls(monkeypatch, module, name):
-    """Count the calls of ``module.name`` from now on."""
-    calls = []
-    function = getattr(module, name)
-
-    def counting(*args):
-        calls.append(args)
-        return function(*args)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 class TestConfig:

@@ -1,4 +1,4 @@
-"""Golden outputs of the CLI on configs written by ``test_cli.write_config``.
+"""Golden outputs of the CLI on configs written by ``reference.write_config``.
 
 Most cases use its unit config (n=11).  ``readme_check_n101.txt`` is the
 README's physical config (z_F=80, T_e=30, n=101); ``nondegenerate_check.txt``
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from firngas import cli
-from test_cli import write_config
+from reference import write_config
 
 DATA = Path(__file__).parent / "data"
 

@@ -10,11 +10,8 @@ imports cannot mask or cause a failure.
 
 import ast
 import importlib
-import os
 import pkgutil
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,21 +19,11 @@ import numpy as np
 import firngas
 from firngas import analysis, cli
 from firngas.model import rescale
-from test_cli import write_config
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _fresh_output(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    return result.stdout.strip()
+from reference import fresh_output, write_config
 
 
 def test_package_and_cli_import_without_scipy():
-    assert _fresh_output("import sys, firngas, firngas.cli; "
+    assert fresh_output("import sys, firngas, firngas.cli; "
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
                          ) == "[]"
 
@@ -52,20 +39,20 @@ def test_every_export_resolves():
 
 def test_package_import_leaves_oracle_unloaded():
     for module in ("firngas", "firngas.cli"):
-        assert _fresh_output(f"import sys, {module}; print('firngas.oracle' in sys.modules)"
+        assert fresh_output(f"import sys, {module}; print('firngas.oracle' in sys.modules)"
                              ) == "False", module
 
 
 def test_oracle_import_leaves_numpy_polynomial_unloaded():
     """The benchmark harness imports the oracle; ``numpy.polynomial`` adds about 1 MB to it."""
-    assert _fresh_output("import sys, firngas.oracle; "
+    assert fresh_output("import sys, firngas.oracle; "
                          "print('numpy.polynomial' in sys.modules)") == "False"
 
 
 def test_report_leaves_numpy_ma_unloaded(tmp_path):
     """``numpy.ma`` costs 20-40 ms and about 1 MB to import; the report path does not need it."""
     path = write_config(tmp_path, z_F=80.0, T_e=30.0, n=101)
-    assert _fresh_output(
+    assert fresh_output(
         "import sys; from firngas import analysis, cli; from firngas.model import rescale; "
         f"c = cli.load_config({path!r}); "
         "analysis.build_report(c.f_profile, c.d_profile, c.mesh, rescale(c.params), c_D=c.c_D); "

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from test_imports import _fresh_output
+from reference import fresh_output
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLES = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.DOTALL | re.MULTILINE)
@@ -21,4 +21,4 @@ def test_readme_has_examples():
 
 @pytest.mark.parametrize("code", EXAMPLES, ids=[f"example{k}" for k in range(len(EXAMPLES))])
 def test_example_runs(code):
-    _fresh_output(code)  # raises unless the example exits 0
+    fresh_output(code)  # raises unless the example exits 0

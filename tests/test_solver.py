@@ -14,9 +14,9 @@ from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, RescaledContext,
                            rescale)
 from firngas.analysis import _EPS, _GRID_TOL, _MAX_STEPS, _time_grid
-from firngas.solver import Trajectory, factor_tridiagonal, levels, run, run_plan, write_csv
-from reference import DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, ctx, reference_step
-from test_cli import count_calls
+from firngas.solver import Trajectory, factor_tridiagonal, levels, run, write_csv
+from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, count_calls, ctx,
+                       reference_step)
 
 
 def assert_solves(matrix, rhs, x):
@@ -207,8 +207,8 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("stride", [1, 7])
     def test_csv_bytes_match_per_value_formatting(self, tmp_path, stride):
-        # Edge values of 17-digit text, across several write blocks; the
-        # reference formats each value of each reconstructed row on its own.
+        # Edge values of 17-digit text over 2,500 rows; the reference formats
+        # each value of each reconstructed row on its own.
         special = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1.0 / 3.0, 2.0**52 + 1.0,
                    1e-5, 123456789.12345678, 1e16, np.inf, -np.inf, np.nan]
         rng = np.random.default_rng(3)
@@ -282,23 +282,28 @@ class TestRun:
     def test_step_count_above_limit_refused(self, dt):
         """The limit is compared before rounding, so an infinite reciprocal is refused too.
 
-        ``plan_run`` refuses such a step, so the system is assembled directly.
+        ``plan_run`` refuses such a step, so the system is assembled directly;
+        ``levels`` refuses it when it is called.
         """
         assert _time_grid(1.0 / _MAX_STEPS) == (_MAX_STEPS, 1.0 / _MAX_STEPS)
         mesh = build_uniform(5)
         system = assemble_system(mesh, ONE(mesh.nodes), ONE(mesh.nodes), ctx(), dt)
         with pytest.raises(ValidationError, match="limit"):
-            next(levels(system, AtmosphereSeries.ramp()))
+            levels(system, AtmosphereSeries.ramp())
+
+    def test_auto_step_count_above_limit_refused_by_run(self):
+        """f = 1, D = 1e200 passes every check with ``dt_max`` near 8e-202: no level is allocated."""
         with pytest.raises(ValidationError, match="limit"):
-            run_plan(analysis.Plan(system), AtmosphereSeries.ramp())
+            run(build_uniform(11), ONE, CoefficientProfile.constant(1e200), UNIT_CONTEXT,
+                AtmosphereSeries.ramp())
 
     @pytest.mark.parametrize("dt", [0.0, 2.0])
     def test_step_outside_unit_interval_refused_by_levels(self, dt):
-        """The system takes any ``dt >= 0``; the loop refuses one outside (0, 1]."""
+        """The system takes any ``dt >= 0``; the loop refuses one outside (0, 1] when called."""
         mesh = build_uniform(5)
         system = assemble_system(mesh, ONE(mesh.nodes), ONE(mesh.nodes), ctx(), dt)
         with pytest.raises(ValidationError, match=r"\(0, 1\]"):
-            next(levels(system, AtmosphereSeries.ramp()))
+            levels(system, AtmosphereSeries.ramp())
 
     def test_force_overrides_bound(self):
         traj = run(build_uniform(11), ONE, ONE, ctx(), AtmosphereSeries.ramp(),
@@ -371,7 +376,7 @@ def level_times(dt):
         return np.zeros_like(t)
 
     mesh = build_uniform(3)
-    next(levels(assemble_system(mesh, ONE(mesh.nodes), ONE(mesh.nodes), ctx(), dt), atmosphere))
+    levels(assemble_system(mesh, ONE(mesh.nodes), ONE(mesh.nodes), ctx(), dt), atmosphere)
     return sampled[0]
 
 
@@ -451,13 +456,13 @@ ATMOSPHERES = {
 
 @pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
 @pytest.mark.parametrize("case", sorted(BIT_CASES))
-def test_run_plan_bitwise_equals_step_loop(case, atm_name):
+def test_run_bitwise_equals_step_loop(case, atm_name):
     # The loop is bitwise K fresh solves of the assembled right-hand side; the
     # golden CSVs in tests/data pin that arithmetic itself.
     mesh, context, dt, force, n_steps = BIT_CASES[case]
     atmosphere = ATMOSPHERES[atm_name]
     plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
-    traj = run_plan(plan, atmosphere)
+    traj = run(mesh, DECAY, DECAY, context, atmosphere, dt=dt, force=force)
     assert traj.n_levels == n_steps + 1
     assert np.array_equal(traj.boundary, atmosphere(traj.times))
     assert np.array_equal(traj.interior, step_by_step(plan, atmosphere, traj.times))
@@ -470,7 +475,7 @@ def test_levels_thin_the_full_loop(case, atm_name):
     mesh, context, dt, force, n_steps = BIT_CASES[case]
     atmosphere = ATMOSPHERES[atm_name]
     plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
-    traj = run_plan(plan, atmosphere)
+    traj = run(mesh, DECAY, DECAY, context, atmosphere, dt=dt, force=force)
     for stride in (1, np.int64(7), n_steps + 5):
         kept = sorted({*range(0, n_steps + 1, stride), n_steps})
         times, boundary, interior = zip(*levels(plan.operators, atmosphere, stride))
@@ -479,7 +484,7 @@ def test_levels_thin_the_full_loop(case, atm_name):
         assert np.array(interior).tobytes() == traj.interior[kept].tobytes()
     for stride in (0, 2.5, 1.5, 2.0, True, "2", None):
         with pytest.raises(ValidationError):
-            next(levels(plan.operators, atmosphere, stride))
+            levels(plan.operators, atmosphere, stride)
 
 
 @pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
@@ -523,7 +528,7 @@ def test_swap_cases_step_on_swapped_factors():
 
 
 def test_loop_holds_four_doubles_per_step():
-    # Before level 0 the loop holds the times, the surface values and the two
+    # After its set-up the loop holds the times, the surface values and the two
     # row-0 forcings, K + O(1) doubles each, and nothing else that grows with K.
     mesh = build_uniform(11)
     system = assemble_system(mesh, DECAY(mesh.nodes), DECAY(mesh.nodes), UNIT_CONTEXT, 1e-5)
@@ -532,7 +537,6 @@ def test_loop_holds_four_doubles_per_step():
     tracemalloc.start()
     try:
         loop = levels(system, AtmosphereSeries.ramp())
-        next(loop)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -554,3 +558,19 @@ def test_streamed_levels_do_not_grow_with_step_count():
             finally:
                 tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 1.5e6
+
+
+def test_csv_writer_holds_one_row():
+    # 5,001 rows of 102 values: the writer holds one formatted row at a time.
+    mesh = build_uniform(101)
+    plan = analysis.plan_run(DECAY, DECAY, mesh, UNIT_CONTEXT, dt=2e-4)
+    rows = levels(plan.operators, AtmosphereSeries.ramp())
+    with open(os.devnull, "w") as handle:
+        tracemalloc.start()
+        try:
+            write_csv(handle, mesh.nodes, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert _time_grid(plan.operators.dt)[0] == 5000
+    assert peak < 0.5e6
