@@ -166,7 +166,9 @@ def check_pd_all(matrices: dict) -> dict:
     A verdict holds when the smallest eigenvalue of the symmetric part
     exceeds ``1e-12 * max|entry|``, so an all-zero matrix is not definite.
     """
-    eigs = _min_sym_eigenvalues(list(matrices.values()))
+    if len({matrix.dim for matrix in matrices.values()}) > 1:
+        raise ValidationError("check_pd_all needs matrices of one dimension")
+    eigs = _min_sym_eigenvalues(list(matrices.values())) if matrices else []
     return {name: PDVerdict(bool(eig > 1e-12 * matrix.max_abs()), float(eig))
             for (name, matrix), eig in zip(matrices.items(), eigs)}
 

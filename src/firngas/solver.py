@@ -30,8 +30,8 @@ _PIVOT_TOL = 1e-16  # pivot-magnitude guard relative to max|entry|
 
 def _rhs_list(rhs, dim: int) -> list:
     rhs = np.asarray(rhs, dtype=float)
-    if len(rhs) != dim:
-        raise ValidationError("right-hand-side length mismatch")
+    if rhs.shape != (dim,):
+        raise ValidationError(f"right-hand side must have shape ({dim},), got {rhs.shape}")
     return rhs.tolist()
 
 
@@ -126,8 +126,9 @@ class Trajectory:
     def __post_init__(self):
         for name in ("times", "interior", "boundary"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0.0):
-            raise ValidationError("trajectory times must increase from 0")
+        if (self.times.ndim != 1 or self.times.size == 0 or self.times[0] != 0.0
+                or np.any(np.diff(self.times) <= 0.0)):
+            raise ValidationError("trajectory times must increase from 0 in a nonempty 1-d array")
         if (self.interior.shape != (len(self.times), self.mesh.n - 1)
                 or self.boundary.shape != self.times.shape):
             raise ValidationError("trajectory shape mismatch")

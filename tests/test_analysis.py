@@ -312,6 +312,13 @@ class TestCheckPd:
         assert not verdict.positive_definite
         assert abs(verdict.min_eigenvalue) <= 4.0 * np.finfo(float).eps * scale
 
+    def test_unequal_dimensions_refused(self):
+        with pytest.raises(ValidationError, match="one dimension"):
+            check_pd_all({"M": assemble_M(build_uniform(3)), "S": assemble_M(build_uniform(4))})
+
+    def test_empty_mapping_gives_no_verdicts(self):
+        assert check_pd_all({}) == {}
+
     @given(tridiagonals())
     def test_matches_dense_on_random_bands(self, band):
         assert_matches_dense({"T": check_pd(band)}, {"T": band})

@@ -121,6 +121,11 @@ class TestBandSolve:
         with pytest.raises(ValidationError):
             factor_tridiagonal(band).solve(np.zeros(3))
 
+    def test_column_right_hand_side_refused(self):
+        band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
+        with pytest.raises(ValidationError, match=r"shape \(2,\)"):
+            factor_tridiagonal(band).solve(np.zeros((2, 1)))
+
 
 class TestFactorTridiagonal:
     @staticmethod
@@ -185,6 +190,12 @@ class TestTrajectory:
         with pytest.raises(ValidationError, match="times must increase"):
             Trajectory(times=np.array([0.0, 0.5, 0.5]), interior=np.zeros((3, 2)),
                        boundary=np.zeros(3), mesh=build_uniform(3))
+
+    @pytest.mark.parametrize("times", [[], [[0.0]]], ids=["empty", "two_dimensional"])
+    def test_times_must_be_a_nonempty_vector(self, times):
+        with pytest.raises(ValidationError, match="nonempty 1-d array"):
+            Trajectory(times=np.array(times), interior=np.zeros((len(times), 2)),
+                       boundary=np.zeros(np.shape(times)), mesh=build_uniform(3))
 
     def test_boundary_must_match_times(self):
         with pytest.raises(ValidationError):
