@@ -99,28 +99,24 @@ class Tridiagonal:
         )
 
 
+def _element_sums(terms: np.ndarray) -> np.ndarray:
+    """Symmetric-stencil diagonal: row k sums elements k and k+1, the bottom row its last."""
+    return np.append(terms[:-1] + terms[1:], terms[-1])
+
+
 def assemble_M(mesh) -> Tridiagonal:
-    """Exact mass matrix of the interior-plus-bottom basis."""
+    """Exact mass matrix of the interior-plus-bottom basis: element sums of ``el / 3``."""
     el = mesh.element_lengths
-    m = mesh.n - 1
-    diag = np.empty(m)
-    diag[: m - 1] = (el[: m - 1] + el[1:m]) / 3.0
-    diag[m - 1] = el[m - 1] / 3.0
-    band = el[1:m] / 6.0
-    return Tridiagonal(band.copy(), diag, band.copy())
+    band = el[1:] / 6.0
+    return Tridiagonal(band.copy(), _element_sums(el) / 3.0, band.copy())
 
 
 def assemble_Mf(mesh, f_samples) -> Tridiagonal:
-    """Weighted mass matrix from node samples of the pore fraction."""
+    """Weighted mass matrix: element sums of ``w / 3``, bands ``w / 6``; w = length * mean f."""
     f = np.asarray(f_samples, dtype=float)
-    el = mesh.element_lengths
-    m = mesh.n - 1
-    pair = (f[:-1] + f[1:]) / 2.0  # element averages, pair[e] on element e
-    diag = np.empty(m)
-    diag[: m - 1] = pair[1:m] * el[1:m] / 3.0 + pair[: m - 1] * el[: m - 1] / 3.0
-    diag[m - 1] = pair[m - 1] * el[m - 1] / 3.0
-    band = pair[1:m] * el[1:m] / 6.0
-    return Tridiagonal(band.copy(), diag, band.copy())
+    w = (f[:-1] + f[1:]) / 2.0 * mesh.element_lengths
+    band = w[1:] / 6.0
+    return Tridiagonal(band.copy(), _element_sums(w / 3.0), band.copy())
 
 
 def assemble_Kf(mesh, f_samples, fcoef: float) -> Tridiagonal:
@@ -140,16 +136,11 @@ def assemble_A(mesh, d_samples) -> Tridiagonal:
 
 
 def assemble_S(mesh, d_samples) -> Tridiagonal:
-    """Stiffness matrix of the diffusivity-weighted derivative products."""
+    """Stiffness matrix: element sums of ``flux``, bands ``-flux``; flux = mean D / length."""
     d = np.asarray(d_samples, dtype=float)
-    el = mesh.element_lengths
-    m = mesh.n - 1
-    flux = (d[:-1] + d[1:]) / (2.0 * el)  # flux[e] on element e
-    diag = np.empty(m)
-    diag[: m - 1] = flux[: m - 1] + flux[1:m]
-    diag[m - 1] = flux[m - 1]
-    band = -flux[1:m]
-    return Tridiagonal(band.copy(), diag, band.copy())
+    flux = (d[:-1] + d[1:]) / (2.0 * mesh.element_lengths)
+    band = -flux[1:]
+    return Tridiagonal(band.copy(), _element_sums(flux), band.copy())
 
 
 def assemble_B(mesh, f_samples, fcoef: float) -> Tridiagonal:

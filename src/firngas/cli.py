@@ -189,39 +189,36 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_oracle_compare(config: RunConfig) -> int:
-    """Compare band assembly against the quadrature oracle at two meshes.
+    """Compare the bands ``assemble_system`` builds against the quadrature oracle.
 
-    Reports the max entry deviation per matrix kind on the uniform meshes of
-    the configured node count n and of 2n - 1 nodes (a mesh file sets only
-    n), the observed convergence order, and PD verdicts of ``M``, ``Mf`` and
-    ``S`` on the configured mesh.  Succeeds iff each observed order sits
-    within 0.5 of the documented one (or the deviation is at rounding level);
-    otherwise one stderr line names the kinds that miss.
+    Reports the max entry deviation of ``Mf``, ``Kf``, ``A`` and ``S`` on the
+    uniform meshes of the configured node count n and of 2n - 1 nodes (a
+    mesh file sets only n), the observed convergence order, and PD verdicts
+    of ``M``, ``Mf`` and ``S`` on the configured mesh; a config that
+    ``assemble_system`` refuses fails as it does in a run.  Succeeds iff each
+    observed order sits within 0.5 of the documented one (or the deviation is
+    at rounding level); otherwise one stderr line names the kinds that miss.
     """
     from . import oracle  # verification only, kept off the run path
-    fcoef = config.context.fcoef
-    # kind -> (band assembler of node samples, weight profile, expected order).
-    # The expected orders are those of the max entry deviation under mesh
-    # halving, as observed on smooth weights.  The weighted mass matrix gains
-    # an order from error cancellation across adjacent elements; the
-    # first-derivative and stiffness patterns are first order.
-    kinds = {
-        "Mf": (assembly.assemble_Mf, config.f_profile, 2.0),
-        "Kf": (lambda grid, f: assembly.assemble_Kf(grid, f, fcoef), config.f_profile, 1.0),
-        "A": (assembly.assemble_A, config.d_profile, 1.0),
-        "S": (assembly.assemble_S, config.d_profile, 1.0),
-    }
-    n_coarse = config.mesh.n
-    n_fine = 2 * (n_coarse - 1) + 1
+
+    def operators(grid):  # step 0, so no step matrix is read
+        return assembly.assemble_system(grid, config.f_profile(grid.nodes),
+                                        config.d_profile(grid.nodes), config.context, 0.0)
+
+    # kind -> (weight profile, expected order).  The expected orders are those
+    # of the max entry deviation under mesh halving, as observed on smooth
+    # weights.  The weighted mass matrix gains an order from error
+    # cancellation across adjacent elements; the first-derivative and
+    # stiffness patterns are first order.
+    kinds = {"Mf": (config.f_profile, 2.0), "Kf": (config.f_profile, 1.0),
+             "A": (config.d_profile, 1.0), "S": (config.d_profile, 1.0)}
+    systems = [operators(mesh_mod.build_uniform(n)) for n in (config.mesh.n, 2 * config.mesh.n - 1)]
     lines = ["kind,deviation_coarse,deviation_fine,observed_order,expected_order,pass"]
     failed = []
-    for kind, (assemble, weight, expected) in kinds.items():
-        devs = []
-        for n in (n_coarse, n_fine):
-            grid = mesh_mod.build_uniform(n)
-            band = assemble(grid, weight(grid.nodes))
-            ref = oracle.assemble_reference(weight, kind, grid, fcoef=fcoef)
-            devs.append((band - ref).max_abs())
+    for kind, (weight, expected) in kinds.items():
+        devs = [(getattr(system, kind) - oracle.assemble_reference(
+                    weight, kind, system.mesh, fcoef=config.context.fcoef)).max_abs()
+                for system in systems]
         if devs[0] <= _EXACT_FLOOR:
             order, passed = float("nan"), True
         else:
@@ -231,10 +228,8 @@ def cmd_oracle_compare(config: RunConfig) -> int:
             failed.append(kind)
         lines.append(f"{kind},{devs[0]:.17g},{devs[1]:.17g},{order:.17g},"
                      f"{expected:g},{str(passed).lower()}")
-    f_nodes, d_nodes = config.f_profile(config.mesh.nodes), config.d_profile(config.mesh.nodes)
-    verdicts = analysis.check_pd_all({"M": assembly.assemble_M(config.mesh),
-                                      "Mf": assembly.assemble_Mf(config.mesh, f_nodes),
-                                      "S": assembly.assemble_S(config.mesh, d_nodes)})
+    configured = operators(config.mesh)
+    verdicts = analysis.check_pd_all({name: getattr(configured, name) for name in ("M", "Mf", "S")})
     for name, verdict in verdicts.items():
         lines.append(f"# pd_{name}: {str(verdict.positive_definite).lower()} "
                      f"(min_sym_eig {verdict.min_eigenvalue:.17g})")

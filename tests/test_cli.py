@@ -564,6 +564,15 @@ class TestCmdOracleCompare:
         assert deviations[0] == deviations[1]
         assert verdicts[0] != verdicts[1]
 
+    def test_underflowing_z_F_refused_as_by_check_only(self, tmp_path, capsys):
+        """z_F**2 underflows to 0, so ``assemble_system`` refuses the diffusion weight 1/z_F**2."""
+        cfg = write_config(tmp_path, z_F=1e-200)
+        errors = []
+        for flag in ("--check-only", "--oracle-compare"):
+            assert cli.main(["--config", cfg, flag]) == cli.EXIT_NUMERICAL
+            errors.append(capsys.readouterr().err)
+        assert errors == ["numerical failure: non-finite matrix entry\n"] * 2
+
 
 class TestOneAssemblyPerPlan:
     """A run assembles its operators once; every other step matrix is derived from them.
@@ -662,8 +671,9 @@ EXTREME_PARAMS = [((name,), value)
                   for value in ("1e-300", "1e-200", "1e160", "1e300")] + [(("R", "T"), "1e-200")]
 
 
-@pytest.mark.parametrize("flags", [["--check-only"], [], ["--force", "--dt", "0.5"]],
-                         ids=["check_only", "run", "forced"])
+@pytest.mark.parametrize("flags", [["--check-only"], [], ["--force", "--dt", "0.5"],
+                                   ["--oracle-compare"]],
+                         ids=["check_only", "run", "forced", "oracle_compare"])
 def test_extreme_parameter_values_exit_cleanly(tmp_path, capsys, flags):
     """Every extreme value runs or fails with a documented code, on at most one stderr line.
 

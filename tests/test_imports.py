@@ -81,3 +81,16 @@ def test_assumption_errors_raised_only_by_the_analysis():
                if isinstance(node, ast.Raise)
                and re.match(r"raise ([\w.]+\.)?AssumptionError\b", ast.unparse(node))}
     assert raisers == {"analysis.py"}
+
+
+def test_bands_assembled_only_by_the_assembly():
+    """One wiring from node samples to bands: no module but ``assembly.py`` calls a band assembler.
+
+    Every other module takes its bands from ``assembly.assemble_system``.
+    """
+    assemblers = {f"assemble_{kind}" for kind in ("M", "Mf", "Kf", "A", "S", "B")}
+    callers = {path.name for path in Path(firngas.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and ast.unparse(node.func).split(".")[-1] in assemblers}
+    assert callers == {"assembly.py"}
