@@ -201,7 +201,7 @@ def cmd_oracle_compare(config: RunConfig) -> int:
     """
     from . import oracle  # verification only, kept off the run path
 
-    def operators(grid):  # step 0, so no step matrix is read
+    def operators(grid):  # at step 0, where V is Mf; nothing here reads V
         return assembly.assemble_system(grid, config.f_profile(grid.nodes),
                                         config.d_profile(grid.nodes), config.context, 0.0)
 

@@ -450,17 +450,22 @@ class TestWholePlans:
         assert check_pd_all({"V": plan.system(step).V})["V"].positive_definite
 
     @pytest.mark.xfail(reason="dt_max is not sufficient for D = (1-z)^(1/2) with mcoef = 1 at "
-                              "n = 11; the cause is not known")
+                              "n = 11, where the bound's reaction credit nearly cancels K_G")
     def test_auto_step_certified_with_a_square_root_diffusivity(self):
         """Every check passes, yet ``V`` at the auto step (0.9 dt_max = 0.2020) is indefinite.
 
         ``sym(C)`` is indefinite, and ``V(0.5 dt_max)`` is certified.  The
         dense eigensolver agrees (min -1.009e-3).  At n = 21 to 161 the verdict holds.
+        The bound's denominator ``|z_F gcoef - |K_G||`` is 0.0495 against
+        ``z_F gcoef = 0.8``; with ``|K_G|`` alone the step is certified.
         """
         context = RescaledContext(T_e=30.0, z_F=80.0, mcoef=1.0, gcoef=0.01, fcoef=0.1)
         plan = plan_run(DECAY, CoefficientProfile(lambda z: np.sqrt(1.0 - z)), build_uniform(11),
                         context)
         assert plan.dt_max == pytest.approx(0.2244, rel=1e-3)
+        reaction, k_g = context.z_F * context.gcoef, abs(plan.constants["K_G"])
+        assert abs(reaction - k_g) == pytest.approx(0.0495, rel=1e-3)
+        assert abs(reaction - k_g) < 0.1 * max(reaction, k_g)
         assert plan.report.pd_verdicts["V"].positive_definite
 
 
