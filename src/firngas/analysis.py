@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -186,17 +186,10 @@ def _min_sym_eigenvalues(matrices: list) -> np.ndarray:
     eigenvalue lies in ``[min(d - |e_left| - |e_right|), min(d)]``
     (Gershgorin and the Rayleigh quotient) and is above ``sigma`` iff
     ``T - sigma I`` is definite.  Each step halves the bracket of every
-    unfinished matrix, all tested in one :func:`_has_nonpositive_pivot`.
-    Each matrix is first scaled by a power of two to ``max|entry|`` in
-    ``[1, 2)``, without rounding, so that ``e**2`` cannot overflow, and can
-    underflow only where ``e`` is far below the floor.
+    unfinished matrix, all tested in one :func:`_has_nonpositive_pivot` on
+    the parts that :func:`_scaled_symmetric_parts` scales.
     """
-    d = np.stack([matrix.diag for matrix in matrices])
-    e = np.abs(np.stack([(matrix.sub + matrix.sup) / 2.0 for matrix in matrices]))
-    largest = np.maximum(np.max(np.abs(d), axis=1), np.max(e, axis=1, initial=0.0))
-    scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)[:, None]
-    d /= scale
-    e /= scale
+    d, e, scale = _scaled_symmetric_parts(matrices)
     lo = np.min(d - np.pad(e, ((0, 0), (1, 0))) - np.pad(e, ((0, 0), (0, 1))), axis=1)
     hi = np.min(d, axis=1)
     e2 = np.square(e, out=e)
@@ -209,7 +202,36 @@ def _min_sym_eigenvalues(matrices: list) -> np.ndarray:
         at_or_above = _has_nonpositive_pivot(d[rows] - sigma[:, None], e2[rows])
         hi[rows[at_or_above]] = sigma[at_or_above]
         lo[rows[~at_or_above]] = sigma[~at_or_above]
-    return (lo + hi) / 2.0 * scale[:, 0]
+    return (lo + hi) / 2.0 * scale
+
+
+def _scaled_symmetric_parts(matrices: list) -> tuple:
+    """Diagonals ``d``, off-diagonal magnitudes ``|e|`` and the scale of each of the k matrices.
+
+    Each matrix's symmetric part is scaled by a power of two to ``max|entry|``
+    in ``[1, 2)``, without rounding, so that ``e**2`` cannot overflow, and can
+    underflow only where ``e`` is far below the bisection's floor.
+    """
+    d = np.stack([matrix.diag for matrix in matrices])
+    e = np.abs(np.stack([(matrix.sub + matrix.sup) / 2.0 for matrix in matrices]))
+    largest = np.maximum(np.max(np.abs(d), axis=1), np.max(e, axis=1, initial=0.0))
+    scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)
+    return d / scale[:, None], e / scale[:, None], scale
+
+
+def _certify_steps(system: assembly.DiscreteSystem):
+    """Refuse unless every step in ``(0, dt]`` is certified: one inertia test of ``Mf`` and ``V``.
+
+    Each symmetric part is shifted by the report's threshold ``1e-12 * max|entry|``.
+    ``sym V(theta dt) = (1 - theta) sym Mf + theta sym V(dt)``, and ``max|V(theta dt)|``
+    is at most the same blend of the two maxima, so the pair covers a shorter last step.
+    """
+    matrices = [system.Mf, system.V]
+    d, e, scale = _scaled_symmetric_parts(matrices)
+    shift = 1e-12 * np.array([matrix.max_abs() for matrix in matrices]) / scale
+    if np.any(_has_nonpositive_pivot(d - shift[:, None], np.square(e))):
+        raise AssumptionError("(PD)", "step matrix Mf + T_e dt C not certified positive "
+                              f"definite for dt in (0, {system.dt:.17g}]")
 
 
 def _has_nonpositive_pivot(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -301,36 +323,33 @@ def build_report(f_profile, d_profile, mesh, context: RescaledContext,
                  c_D: float = 1.0) -> StabilityReport:
     """Run the full diagnostic pipeline for one configuration.
 
-    The step-matrix verdict is taken at the auto-selected ``min(0.9 * dt_max, 1)``.
+    The ``dt = "auto"`` plan's report, so ``V`` is taken at ``min(0.9 * dt_max, 1)``.
     """
     return plan_run(f_profile, d_profile, mesh, context, c_D).report
 
 
-@dataclass
+@dataclass(eq=False)  # holds the operators: compared and hashed by identity
 class Plan:
     """Everything a run derives before its first step, each quantity once.
 
-    The ``operators`` at the run's step, with their mesh and ``dt``, and the
-    checks' ``constants`` of :func:`plan_run`.  A forced run past a failed
-    check has neither constants nor report, and knows ``dt_max`` only if the
-    bound came before the failure or picked the step.
+    The ``operators`` at the run's step, the one step the plan certifies and
+    reports, with their mesh and ``dt``, and the checks' ``constants`` of
+    :func:`plan_run`; ``replace(plan.operators, dt=...)`` gives another step.
+    A forced run past a failed check has neither constants nor report, and
+    knows ``dt_max`` only if the bound came before the failure or picked the step.
     """
 
     operators: assembly.DiscreteSystem = field(repr=False)
     dt_max: float | None = None
     constants: dict | None = field(default=None, repr=False)
 
-    def system(self, dt: float) -> assembly.DiscreteSystem:
-        """The plan's operators with the step matrix of ``dt``; another step derives only ``V``."""
-        return self.operators if dt == self.operators.dt else replace(self.operators, dt=dt)
-
     @cached_property
     def report(self) -> StabilityReport | None:
-        """The constants and the seven PD verdicts at the auto step, built on first read."""
+        """The constants and the seven PD verdicts at the run's step, built on first read."""
         if self.constants is None:
             return None
-        system = self.system(_auto_step(self.dt_max))
-        matrices = {name: getattr(system, name) for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}
+        matrices = {name: getattr(self.operators, name)
+                    for name in ("M", "Mf", "Kf", "A", "S", "B", "V")}
         return StabilityReport(pd_verdicts=check_pd_all(matrices), **self.constants)
 
 
@@ -340,17 +359,19 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
 
     Every caller runs every check that can refuse a config, in this order:
     assumptions (5) and (6), condition (cond:WI) through ``B0``, the trace
-    constant ``C0``, the step bound, continuity (9), and last a step above
-    ``dt_max`` (:class:`TimeStepError`).  ``dt`` is a number or ``"auto"``,
-    which becomes ``min(0.9 * dt_max, 1)``.  Only reading :attr:`Plan.report`
-    adds the PD verdicts.  Each profile is sampled at the nodes once, which
-    also gives ``D(1)``.  The integral of ``1/D`` is computed once and also
-    gives ``B0``; ``C0`` and the continuity constants share one sample of f
-    and D, and its ``sup f/D`` and ``sup D``.  Under ``force`` a failed check
-    drops the constants and the run goes on with the node samples; the step
-    bound is computed after the failure only to pick an ``"auto"`` step.  A
-    ``c_D`` outside (0, 2), or a ``dt`` that is neither ``"auto"`` nor a real
-    number in (0, 1] with at most ``_MAX_STEPS`` steps, raises
+    constant ``C0``, the step bound, continuity (9), a step above ``dt_max``
+    (:class:`TimeStepError`), and last the certificate of every step up to
+    the plan's (:func:`_certify_steps`, an :class:`AssumptionError`).  ``dt``
+    is a number or ``"auto"``, which becomes ``min(0.9 * dt_max, 1)``.  Only
+    reading :attr:`Plan.report` adds the PD verdicts, at the plan's step.
+    Each profile is sampled at the nodes once, which also gives ``D(1)``.
+    The integral of ``1/D`` is computed once and also gives ``B0``; ``C0``
+    and the continuity constants share one sample of f and D, and its
+    ``sup f/D`` and ``sup D``.  Under ``force`` a failed check drops the
+    constants and the run goes on with the node samples; the step bound is
+    computed after the failure only to pick an ``"auto"`` step.  A ``c_D``
+    outside (0, 2), or a ``dt`` that is neither ``"auto"`` nor a real number
+    in (0, 1] with at most ``_MAX_STEPS`` steps, raises
     :class:`ValidationError` first, ``force`` or not.
     """
     if not 0.0 < c_D < 2.0:
@@ -391,16 +412,13 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     if bound is None and auto:
         bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)
     dt_max = bound["dt_max"] if bound else None
-    step = _auto_step(dt_max) if auto else float(dt)
+    step = min(_DT_SAFETY * dt_max, 1.0) if auto else float(dt)
     if not (auto or force) and step > dt_max:
         raise TimeStepError(step, dt_max)
-    return Plan(assembly.assemble_system(mesh, f_nodes, d_nodes, context, step), dt_max,
-                constants)
-
-
-def _auto_step(dt_max: float) -> float:
-    """The ``"auto"`` step: ``0.9 * dt_max``, at most the unit time interval."""
-    return min(_DT_SAFETY * dt_max, 1.0)
+    operators = assembly.assemble_system(mesh, f_nodes, d_nodes, context, step)
+    if not force:
+        _certify_steps(operators)
+    return Plan(operators, dt_max, constants)
 
 
 def _time_grid(dt: float) -> tuple[int, float]:

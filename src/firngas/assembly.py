@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class Tridiagonal:
     """Square tridiagonal matrix stored as three bands.
 
@@ -151,7 +151,7 @@ def assemble_B(mesh, f_samples, fcoef: float) -> Tridiagonal:
     return Tridiagonal(np.zeros(m - 1), diag, np.zeros(m - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class DiscreteSystem:
     """All assembled operators for one mesh / coefficient / time-step choice."""
 

@@ -21,7 +21,7 @@ from .errors import ValidationError
 __all__ = ["Mesh", "build_uniform"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class Mesh:
     """Mesh from a strictly increasing node sequence on [0, 1]; uniform or graded."""
 

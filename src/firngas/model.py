@@ -189,7 +189,7 @@ class CoefficientProfile:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class AtmosphereSeries:
     """Atmospheric boundary concentration on the rescaled time axis.
 

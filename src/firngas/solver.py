@@ -114,7 +114,7 @@ def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Factor:
     return _Factor(matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class Trajectory:
     """Discrete solution: interior coefficients plus boundary values per level."""
 
@@ -151,8 +151,8 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
     """Full implicit-Euler run on the rescaled unit time interval: every level of :func:`levels`.
 
     ``dt`` is either a number or ``"auto"`` (0.9 times the computed step
-    bound, at most 1).  Admissibility failures and steps above the bound
-    abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
+    bound, at most 1).  Failed checks, steps above the bound and uncertified
+    steps abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
     A step count past the limit is refused before the K+1 levels are allocated.
     """
     system = analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force).operators

@@ -7,6 +7,7 @@ diagonal deviates from the exact integral by (f_{i-1} - f_{i+1})/12 = -h f'/6.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,11 +145,11 @@ def test_acceptance_5_dt_theorem():
                           gcoef=rng.uniform(0.5, 1.5),
                           fcoef=rng.uniform(0.1, 1.0))
             plan = plan_run(f_profile, d_profile, mesh, context)
-            ok &= min_symmetric_eigenvalue(plan.system(0.9 * plan.dt_max).V) > 0.0
+            ok &= min_symmetric_eigenvalue(replace(plan.operators, dt=0.9 * plan.dt_max).V) > 0.0
     # witness far outside the bound: the theorem is sufficient, not necessary
     plan = plan_run(profiles[0], profiles[1], build_uniform(50),
                     ctx(mcoef=0.005, gcoef=1.5, fcoef=1.0))
-    eig = min_symmetric_eigenvalue(plan.system(50.0 * plan.dt_max).V)
+    eig = min_symmetric_eigenvalue(replace(plan.operators, dt=50.0 * plan.dt_max).V)
     print(f"  criterion 5 witness at 50*dt_max: min symmetric eigenvalue "
           f"{eig:.3e} ({'PD' if eig > 0 else 'not PD'})")
     verdict(5, "step matrix positive definite at 0.9*dt_max in all cases", ok)
@@ -357,7 +358,7 @@ def test_degenerate_pair_time_order():
     assert admitted.dt_max < 1.0 / 6400
 
     def final_level(K):
-        system = admitted.system(1.0 / K)
+        system = replace(admitted.operators, dt=1.0 / K)
         assert check_pd_all({"V": system.V})["V"].positive_definite
         *_, (t, surface, interior) = levels(system, SINE, stride=10**9)
         assert t == 1.0
@@ -400,7 +401,8 @@ def periodic_errors(z_F, Ks, richardson=False):
     plan = plan_run(ONE, ONE, mesh, context)
 
     def late_levels(K, stride=1):
-        kept = [(t, x) for t, _, x in levels(plan.system(1.0 / K), PERIODIC, stride) if t >= 0.5]
+        rows = levels(replace(plan.operators, dt=1.0 / K), PERIODIC, stride)
+        kept = [(t, x) for t, _, x in rows if t >= 0.5]
         return np.array([t for t, _ in kept]), np.array([x for _, x in kept])
 
     errs = []

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firngas
 from firngas import analysis, assembly, cli, oracle
 from firngas.analysis import _MAX_STEPS, build_report, check_pd_all, plan_run
 from firngas.assembly import Tridiagonal, assemble_M, assemble_S, assemble_system
@@ -80,13 +82,14 @@ def power_law_systems(draw):
 
 
 @st.composite
-def power_law_runs(draw, mcoef_max=0.1):
-    """Whole configs of degenerate pairs ``f = (1-z)^p``, ``D = (1-z)^q``, p and q in [1, 3].
+def power_law_runs(draw, mcoef_max=0.1, q_min=1.0):
+    """Whole configs of degenerate pairs ``f = (1-z)^p``, ``D = (1-z)^q``.
 
-    The atmosphere is a seeded piecewise-linear history that starts at 0.
+    p lies in [1, 3] and q in [q_min, 3].  The atmosphere is a seeded
+    piecewise-linear history that starts at 0.
     """
     mesh = build_uniform(draw(st.integers(3, 40)))
-    p, q = draw(st.floats(1.0, 3.0)), draw(st.floats(1.0, 3.0))
+    p, q = draw(st.floats(1.0, 3.0)), draw(st.floats(q_min, 3.0))
     context = draw(contexts(mcoef_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     knots = np.linspace(0.0, 1.0, int(rng.integers(2, 12)))
@@ -447,26 +450,78 @@ class TestWholePlans:
         except FirngasError:
             return
         step = min(plan.dt_max, 1.0)
-        assert check_pd_all({"V": plan.system(step).V})["V"].positive_definite
+        assert check_pd_all({"V": replace(plan.operators, dt=step).V})["V"].positive_definite
 
-    @pytest.mark.xfail(reason="dt_max is not sufficient for D = (1-z)^(1/2) with mcoef = 1 at "
-                              "n = 11, where the bound's reaction credit nearly cancels K_G")
-    def test_auto_step_certified_with_a_square_root_diffusivity(self):
+    @settings(max_examples=120)
+    @given(power_law_runs(mcoef_max=3.0, q_min=0.25),
+           st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)), st.floats(-0.2, 0.2))
+    def test_step_certificate_agrees_with_the_bisection(self, case, fraction, cancellation):
+        """``plan_run`` refuses by its step certificate exactly where the bisection refuses.
+
+        The O(n) inertia test against ``check_pd_all``, on ``Mf`` and ``V`` at
+        the plan's step; a plan returned without ``force`` also has ``V``
+        certified at the grid's last step, unless its step count is refused.
+        An explicit step is ``fraction`` of ``min(dt_max, 1)``.  ``gcoef`` is
+        set so that ``z_F gcoef`` lies within 20% of ``|K_G|``, where the
+        bound's reaction credit nearly cancels and ``dt_max`` is not
+        sufficient on some plans (ROADMAP item 10): without the gate, about
+        one example in ten returns an uncertified plan.
+        """
+        mesh, f_profile, d_profile, context, _ = case
+
+        def plan(dt="auto", force=True):
+            return plan_run(f_profile, d_profile, mesh, context, dt=dt, force=force)
+
+        try:
+            constants = plan().constants
+            if constants is None:  # a failed check refuses the plan first
+                return
+            context = replace(context,
+                              gcoef=abs(constants["K_G"]) * (1.0 + cancellation) / context.z_F)
+            dt = "auto" if fraction is None else fraction * min(plan().dt_max, 1.0)
+            operators = plan(dt).operators
+            refused = False
+            plan(dt, force=False)
+        except AssumptionError as error:
+            if error.assumption != "(PD)":
+                return
+            refused = True
+        except FirngasError:
+            return
+        verdicts = check_pd_all({"Mf": operators.Mf, "V": operators.V})
+        assert refused != all(verdict.positive_definite for verdict in verdicts.values())
+        if refused:
+            return
+        try:
+            last = analysis._time_grid(operators.dt)[1]
+        except ValidationError:  # an auto step past the K limit: refused when a run starts
+            return
+        assert check_pd_all({"V": replace(operators, dt=last).V})["V"].positive_definite
+
+    def test_square_root_diffusivity_refused_unless_forced(self):
         """Every check passes, yet ``V`` at the auto step (0.9 dt_max = 0.2020) is indefinite.
 
+        So the step certificate refuses the plan, and a forced run completes.
         ``sym(C)`` is indefinite, and ``V(0.5 dt_max)`` is certified.  The
         dense eigensolver agrees (min -1.009e-3).  At n = 21 to 161 the verdict holds.
         The bound's denominator ``|z_F gcoef - |K_G||`` is 0.0495 against
         ``z_F gcoef = 0.8``; with ``|K_G|`` alone the step is certified.
         """
         context = RescaledContext(T_e=30.0, z_F=80.0, mcoef=1.0, gcoef=0.01, fcoef=0.1)
-        plan = plan_run(DECAY, CoefficientProfile(lambda z: np.sqrt(1.0 - z)), build_uniform(11),
-                        context)
+        mesh, d_profile = build_uniform(11), CoefficientProfile(lambda z: np.sqrt(1.0 - z))
+        with pytest.raises(AssumptionError, match=r"not certified positive definite for dt in "
+                                                  r"\(0, 0\.2019"):
+            plan_run(DECAY, d_profile, mesh, context)
+        plan = plan_run(DECAY, d_profile, mesh, context, force=True)
         assert plan.dt_max == pytest.approx(0.2244, rel=1e-3)
         reaction, k_g = context.z_F * context.gcoef, abs(plan.constants["K_G"])
         assert abs(reaction - k_g) == pytest.approx(0.0495, rel=1e-3)
         assert abs(reaction - k_g) < 0.1 * max(reaction, k_g)
-        assert plan.report.pd_verdicts["V"].positive_definite
+        assert plan.operators.dt == pytest.approx(0.9 * plan.dt_max)
+        assert not plan.report.pd_verdicts["V"].positive_definite
+        trajectory = firngas.run(mesh, DECAY, d_profile, context, AtmosphereSeries.ramp(),
+                                 force=True)
+        assert trajectory.n_levels == 6 and np.all(np.isfinite(trajectory.interior))
 
 
 @pytest.mark.parametrize("q", [1, 2])

@@ -44,6 +44,26 @@ def strongly_degenerate_d_config(tmp_path):
                        f"kind = sampled\nfile = {table}")
 
 
+def uncertified_step_config(tmp_path):
+    """f = 1 - z and a sampled D = sqrt(1 - z) at README scale on 11 nodes, where dt_max fails.
+
+    M_alpha = g = R = T = 1 (mcoef = 1), tau = lam = 0.005 (gcoef = 0.01; lam
+    warns about its range) and v = w_air = 0.05 (fcoef = 0.1).  Every check
+    passes with dt_max = 0.2244, but the step matrix at the auto step is indefinite.
+    """
+    z = np.linspace(0.0, 1.0, 1001)
+    table = tmp_path / "d.csv"
+    table.write_text("".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(z, np.sqrt(1.0 - z))))
+    cfg = write_config(tmp_path, z_F=80.0, T_e=30.0)
+    text = Path(cfg).read_text()
+    for name, value in [("M_alpha", 1), ("g", 1), ("R", 1), ("T", 1), ("tau", 0.005),
+                        ("lam", 0.005), ("v", 0.05), ("w_air", 0.05)]:
+        text = re.sub(rf"^{name} = .*$", f"{name} = {value}", text, flags=re.MULTILINE)
+    Path(cfg).write_text(text)
+    return edit_config(cfg, "[profile.D]\n" + AFFINE,
+                       f"[profile.D]\nkind = sampled\nfile = {table}")
+
+
 def constant_d_config(tmp_path, value, **config):
     """Unit config with f = 1 - z and a constant D = ``value``."""
     return edit_config(write_config(tmp_path, d_kind="constant", **config), "value = 1.0",
@@ -307,6 +327,28 @@ class TestCmdRun:
             assert not out.exists()
         else:  # the forced fallback runs on the node samples, without a report
             assert not out.read_text().startswith("#")
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--check-only"], cli.EXIT_ADMISSIBILITY),
+        ([], cli.EXIT_ADMISSIBILITY),
+        (["--force"], cli.EXIT_OK),
+    ], ids=["check_only", "run", "forced"])
+    def test_uncertified_step_exit_2(self, tmp_path, capsys, flags, code):
+        """The step certificate refuses a plan that passes ``dt_max``; the forced run reports it."""
+        out = tmp_path / "o.csv"
+        with pytest.warns(UserWarning, match="decay rate lam"):
+            assert cli.main(["--config", uncertified_step_config(tmp_path), "--out", str(out),
+                             *flags]) == code
+        if code == cli.EXIT_ADMISSIBILITY:
+            assert capsys.readouterr().err == (
+                "admissibility failure: assumption (PD) violated: step matrix Mf + T_e dt C not "
+                "certified positive definite for dt in (0, 0.20193001263336097]\n")
+            assert not out.exists()
+        else:
+            report = dict(line[2:].split(": ") for line in out.read_text().splitlines()
+                          if line.startswith("# "))
+            assert report["dt_max"] == "0.22436668070373439"
+            assert (report["pd_V"], report["min_sym_eig_V"]) == ("false", "-0.0010082460122283659")
 
     def test_step_count_above_limit_exit_3(self, tmp_path, capsys):
         """K = ceil(1/dt) of about 1.3e201 is refused before the output file opens."""

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ def step_by_step(plan, atmosphere, times):
     n_steps, last_dt = _time_grid(plan.operators.dt)
     interior = np.zeros((n_steps + 1, plan.operators.mesh.n - 1))
     for k in range(n_steps):
-        system = plan.system(last_dt if k == n_steps - 1 else plan.operators.dt)
+        system = replace(plan.operators, dt=last_dt) if k == n_steps - 1 else plan.operators
         _, interior[k + 1] = reference_step(system, interior[k], times[k], times[k + 1],
                                             atmosphere)
     return interior
@@ -507,7 +508,8 @@ def test_half_step_levels_share_one_assembly(case, atm_name, monkeypatch):
     assemblies = count_calls(monkeypatch, assembly, "assemble_system")
     plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
     full = [t for t, _, _ in levels(plan.operators, atmosphere)]
-    half = [t for t, _, _ in levels(plan.system(plan.operators.dt / 2), atmosphere, stride=2)]
+    halved = replace(plan.operators, dt=plan.operators.dt / 2)
+    half = [t for t, _, _ in levels(halved, atmosphere, stride=2)]
     assert len(full) == n_steps + 1
     assert np.array(half).tobytes() == np.array(full).tobytes()
     assert len(assemblies) == 1
@@ -535,7 +537,7 @@ def test_swap_cases_step_on_swapped_factors():
     mesh, context, dt, force, _ = BIT_CASES["readme_v500_forced_dt0.3"]
     plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
     for step in (dt, 1.0 - 3 * dt):
-        assert len(swapped_rows(plan.system(step).V)) == 4
+        assert len(swapped_rows(replace(plan.operators, dt=step).V)) == 4
 
 
 def test_loop_holds_four_doubles_per_step():
@@ -585,3 +587,18 @@ def test_csv_writer_holds_one_row():
             tracemalloc.stop()
     assert _time_grid(plan.operators.dt)[0] == 5000
     assert peak < 0.5e6
+
+
+def test_array_records_compare_by_identity():
+    """A record holding arrays equals only itself, and hashes; a scalar record compares by value."""
+    def records():
+        mesh = build_uniform(3)
+        plan = analysis.plan_run(DECAY, DECAY, mesh, UNIT_CONTEXT)
+        trajectory = Trajectory(times=np.array([0.0, 1.0]), interior=np.zeros((2, 2)),
+                                boundary=np.array([0.0, 1.0]), mesh=mesh)
+        return [mesh, plan.operators.V, plan.operators, plan, trajectory, AtmosphereSeries.ramp()]
+
+    for first, second in zip(records(), records()):
+        assert first == first and first != second, type(first).__name__
+        assert len({first, first, second}) == 2
+    assert replace(UNIT_CONTEXT) == UNIT_CONTEXT
