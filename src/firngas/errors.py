@@ -28,7 +28,8 @@ class AssumptionError(FirngasError):
 class SingularMatrixError(FirngasError):
     """A linear solve hit a zero or near-zero pivot.
 
-    ``pivot_index`` is the 0-based row at which elimination broke down.
+    ``pivot_index`` is the 0-based row at which elimination broke down, or,
+    for a factor whose stored inverse overflows, its first non-finite row.
     """
 
     def __init__(self, pivot_index, message=None):

@@ -1,16 +1,17 @@
-"""Implicit-Euler time loop: each step matrix is factored once; a step is one substitution.
+"""Implicit-Euler time loop: each step matrix is factored once; a step is one solve.
 
 The homogenized unknown carries the interior-plus-bottom coefficients; the
 Dirichlet surface value is re-attached when reconstructing the full node
 vector.  A run's uniform time grid has at most two step matrices, the uniform
 step and a last one of another length, each derived from one system's operators and
 factored once per run by one partially pivoted elimination; an admissible
-step swaps no row, so its factor is plain Thomas elimination.  The atmosphere
+step swaps no row, so its factor is plain Thomas elimination.  A factor of
+at most ``_DENSE_MAX`` rows also stores its inverse, built by that
+substitution, and solves by one in-order product with it.  The atmosphere
 enters only row 0 of the right-hand side, so :func:`levels` evaluates it
 once for every level when it is called, with the factorizations, and the
-generator it returns costs one ``Mf`` product and one forward/back
-substitution per step.  :func:`run` and :func:`write_csv` are plain loops
-over it.
+generator it returns costs one ``Mf`` product and one solve per step.
+:func:`run` and :func:`write_csv` are plain loops over it.
 """
 
 from __future__ import annotations
@@ -26,13 +27,9 @@ from .errors import SingularMatrixError, ValidationError
 __all__ = ["Trajectory", "factor_tridiagonal", "run", "levels", "write_csv"]
 
 _PIVOT_TOL = 1e-16  # pivot-magnitude guard relative to max|entry|
-
-
-def _rhs_list(rhs, dim: int) -> list:
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (dim,):
-        raise ValidationError(f"right-hand side must have shape ({dim},), got {rhs.shape}")
-    return rhs.tolist()
+# Largest factor that stores its inverse (512 KB at m = 256).  The product
+# beats the substitution up to m of about 500 on a 2-core x86-64 host.
+_DENSE_MAX = 256
 
 
 class _Factor:
@@ -44,8 +41,14 @@ class _Factor:
     Raises :class:`SingularMatrixError` at the first pivot below the guard.
     Without a swap the pivots and the ``c`` multipliers are those of plain
     Thomas elimination, and the substitution is its two list recurrences.
-    Both run on Python floats: the same IEEE double arithmetic as on NumPy
-    scalars, so a reused factor gives bitwise the result of a fresh solve.
+
+    A factor of dimension m <= ``_DENSE_MAX`` also stores the transposed
+    inverse ``W^T``, whose row j is the substitution applied to ``e_j``, and
+    refuses one with a non-finite entry; its ``solve`` is then one product
+    that adds ``rhs_j W[:, j]`` in the order j = 0..m-1.  A larger factor
+    substitutes on Python floats.  Either way every solve of one factor runs
+    the same arithmetic, so a reused factor gives bitwise the result of a
+    fresh solve.
     """
 
     def __init__(self, matrix: assembly.Tridiagonal):
@@ -76,16 +79,33 @@ class _Factor:
         self.dim = m
         self._pivots, self._lower, self._c_reversed, self._c2 = pivots, lower, c[::-1], c2
         self._swapped_rows = swapped
+        self._inverse_t = None
+        if m <= _DENSE_MAX:
+            # Row k of the identity holds component k of every e_j, so the
+            # substitution run on those rows, entry by entry, gives row k of W.
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                inverse = np.array([*self._substitute(list(np.eye(m)))])
+            finite = np.isfinite(inverse).all(axis=1)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise SingularMatrixError(k, f"singular matrix: row {k} of the inverse "
+                                             f"is not finite")
+            self._inverse_t = np.ascontiguousarray(inverse.T)
 
-    def solve(self, rhs) -> np.ndarray:
-        r = _rhs_list(rhs, self.dim)
+    def _substitute(self, r: list):
+        """The m entries of x, in order, by forward and back substitution of ``r``.
+
+        The entries of ``r`` are Python floats, or rows of equal length that
+        each carry one right-hand side per column: the same IEEE double
+        operations either way, one entry at a time.
+        """
         if not self._swapped_rows:
             d = r[0] / self._pivots[0]
             ds = [d] + [d := (r_k - s * d) / pivot
                         for r_k, s, pivot in zip(r[1:], self._lower, self._pivots[1:])]
             x = ds.pop()
             xs = [x] + [x := d_k - c_k * x for d_k, c_k in zip(reversed(ds), self._c_reversed)]
-            return np.fromiter(reversed(xs), dtype=float, count=self.dim)
+            return reversed(xs)
         # A swapped pivot row brings in the next right-hand side; the row it
         # displaced carries its own, reduced, to the next column.
         swapped = set(self._swapped_rows)
@@ -93,23 +113,36 @@ class _Factor:
         for k, (low, pivot) in enumerate(zip(self._lower, self._pivots)):
             if k in swapped:
                 xs.append(r[k + 1] / pivot)
-                carry -= low * xs[k]
+                carry = carry - low * xs[k]  # not in place: carry may be the caller's r[0]
             else:
                 xs.append(carry / pivot)
                 carry = r[k + 1] - low * xs[k]
         xs += [carry / self._pivots[-1], 0.0]
         for k, c_k, c2_k in zip(range(self.dim - 2, -1, -1), self._c_reversed, reversed(self._c2)):
             xs[k] -= c_k * xs[k + 1] + c2_k * xs[k + 2]
-        return np.array(xs[:-1])
+        return xs[:-1]
+
+    def solve(self, rhs) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.dim,):
+            raise ValidationError(f"right-hand side must have shape ({self.dim},), "
+                                  f"got {rhs.shape}")
+        if self._inverse_t is None:
+            return np.fromiter(self._substitute(rhs.tolist()), dtype=float, count=self.dim)
+        # einsum's own loop adds rhs_j * W^T[j] in order of j, a multiply and
+        # an add apiece.  Never ``@`` or ``np.dot``: BLAS picks its summation
+        # order and its use of FMA by CPU kernel, so the bytes would follow the host.
+        return np.einsum("ji,j->i", self._inverse_t, rhs)
 
 
 def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Factor:
-    """Factor a tridiagonal matrix once; ``.solve(rhs)`` then substitutes.
+    """Factor a tridiagonal matrix once; ``.solve(rhs)`` then solves by the factor alone.
 
     One partially pivoted elimination serves every matrix.  No admissible
     step matrix in the tests swaps a row; forced steps where advection
     outweighs the diagonal do.  Raises :class:`SingularMatrixError` with the
-    failing pivot's index.
+    failing pivot's index, or with the first row of a stored inverse that is
+    not finite.
     """
     return _Factor(matrix)
 

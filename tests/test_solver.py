@@ -15,7 +15,7 @@ from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, RescaledContext,
                            rescale)
 from firngas.analysis import _EPS, _GRID_TOL, _MAX_STEPS, _time_grid
-from firngas.solver import Trajectory, factor_tridiagonal, levels, run, write_csv
+from firngas.solver import _DENSE_MAX, Trajectory, factor_tridiagonal, levels, run, write_csv
 from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, count_calls, ctx,
                        reference_step)
 
@@ -24,6 +24,14 @@ def assert_solves(matrix, rhs, x):
     """``x`` agrees with the dense LAPACK solve to 1e-10 relative."""
     ref = oracle.dense_solve(matrix, rhs)
     assert np.max(np.abs(x - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1e-300)
+
+
+def assert_residual_as_dense(matrix, rhs, x):
+    """The residual of ``x`` is the dense LAPACK solve's, up to rounding on the scale of |V| |x|."""
+    ref = oracle.dense_solve(matrix, rhs)
+    scale = matrix.max_abs() * np.max(np.abs(x)) * matrix.dim * np.finfo(float).eps
+    residual, ref_residual = (np.max(np.abs(matrix.matvec(y) - rhs)) for y in (x, ref))
+    assert residual <= 4.0 * max(ref_residual, scale)
 
 
 @st.composite
@@ -97,13 +105,10 @@ class TestBandSolve:
 
     @given(general_tridiagonals())
     def test_residual_on_random_general(self, case):
-        # Partial pivoting is backward stable: the residual is that of the
-        # dense LAPACK solve, up to rounding on the scale of |V| |x|.
+        # Partial pivoting is backward stable.  The product with a stored
+        # inverse is not, but on these bands it keeps the same bound.
         band, rhs = case
-        x, ref = factor_tridiagonal(band).solve(rhs), oracle.dense_solve(band, rhs)
-        scale = band.max_abs() * np.max(np.abs(x)) * band.dim * np.finfo(float).eps
-        residual, ref_residual = (np.max(np.abs(band.matvec(y) - rhs)) for y in (x, ref))
-        assert residual <= 4.0 * max(ref_residual, scale)
+        assert_residual_as_dense(band, rhs, factor_tridiagonal(band).solve(rhs))
 
     def test_zero_first_pivot_swaps(self):
         band = Tridiagonal([1.0], [0.0, 1.0], [1.0])
@@ -602,3 +607,88 @@ def test_array_records_compare_by_identity():
         assert first == first and first != second, type(first).__name__
         assert len({first, first, second}) == 2
     assert replace(UNIT_CONTEXT) == UNIT_CONTEXT
+
+
+def in_order_product(inverse_t, rhs):
+    """``sum_j rhs_j W^T[j]`` on Python floats in order of j, a multiply and an add per term."""
+    x = [0.0] * len(rhs)
+    for r_j, row in zip(rhs.tolist(), inverse_t.tolist()):
+        x = [x_i + r_j * w for x_i, w in zip(x, row)]
+    return np.array(x)
+
+
+def random_band(rng, m, dominant):
+    """Normal bands of dimension m; a dominant diagonal swaps no row, a normal one usually does."""
+    sub, diag, sup = (rng.normal(size=size) for size in (m - 1, m, m - 1))
+    return Tridiagonal(sub, diag + np.sign(diag) * 6.0 if dominant else diag, sup)
+
+
+@pytest.mark.parametrize("dominant", [True, False])
+@pytest.mark.parametrize("m", [2, 10, 100, _DENSE_MAX])
+class TestStoredInverse:
+    def test_solve_is_the_in_order_product(self, m, dominant):
+        # A solve's bits are its summation order: a NumPy that sent the
+        # product to BLAS, which orders and fuses by CPU kernel, fails here.
+        rng = np.random.default_rng(m)
+        factor = factor_tridiagonal(random_band(rng, m, dominant))
+        rhs_rows = rng.normal(size=(5, m)) * 10.0 ** rng.uniform(-3, 3, size=(5, 1))
+        for rhs in rhs_rows:
+            assert factor.solve(rhs).tobytes() == in_order_product(factor._inverse_t, rhs).tobytes()
+        if m > 2:  # three terms or more: the order shows in the bits
+            reversed_order = [in_order_product(factor._inverse_t[::-1], rhs[::-1])
+                              for rhs in rhs_rows]
+            assert any(x.tobytes() != factor.solve(rhs).tobytes()
+                       for x, rhs in zip(reversed_order, rhs_rows))
+
+    def test_inverse_rows_are_substitutions(self, m, dominant):
+        # Row j of W^T is the float substitution of e_j, and the solve of e_j.
+        factor = factor_tridiagonal(random_band(np.random.default_rng(m), m, dominant))
+        assert factor._swapped_rows == [] or not dominant
+        assert factor._inverse_t.flags.c_contiguous
+        for j, e_j in enumerate(np.eye(m)):
+            row = factor._inverse_t[j].tobytes()
+            assert np.array(list(factor._substitute(e_j.tolist()))).tobytes() == row
+            assert factor.solve(e_j).tobytes() == row
+
+
+def size_rule_matrices(m):
+    """Step matrices of dimension m: admissible at the auto step, forced, and forced with swaps."""
+    mesh = build_uniform(m + 1)
+    return {
+        "admissible": analysis.plan_run(DECAY, DECAY, mesh, UNIT_CONTEXT).operators.V,
+        "forced": analysis.plan_run(DECAY, DECAY, mesh, UNIT_CONTEXT, dt=0.5,
+                                    force=True).operators.V,
+        "swapped": analysis.plan_run(DECAY, DECAY, mesh, V500_CONTEXT, dt=0.3,
+                                     force=True).operators.V,
+        "general": random_band(np.random.default_rng(m), m, dominant=False),
+    }
+
+
+@pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
+def test_size_rule_sides_agree_with_the_dense_solve(m):
+    matrices = size_rule_matrices(m)
+    assert swapped_rows(matrices["swapped"]) and not swapped_rows(matrices["admissible"])
+    rng = np.random.default_rng(m)
+    for name, matrix in matrices.items():
+        factor = factor_tridiagonal(matrix)
+        assert (factor._inverse_t is not None) == (m <= _DENSE_MAX), name
+        for rhs in rng.normal(size=(3, m)):
+            assert_residual_as_dense(matrix, rhs, factor.solve(rhs))
+
+
+@pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
+def test_singular_refused_at_factor_time_on_both_sides(m):
+    diag = np.ones(m)
+    diag[m // 2] = 0.0
+    with pytest.raises(SingularMatrixError) as info:
+        factor_tridiagonal(Tridiagonal(np.zeros(m - 1), diag, np.zeros(m - 1)))
+    assert info.value.pivot_index == m // 2
+
+
+def test_overflowing_inverse_refused():
+    """Unit diagonal, superdiagonal 1e15: every pivot is 1, but ``W[0, j] = (-1e15)**j`` overflows."""
+    m = _DENSE_MAX
+    band = Tridiagonal(np.zeros(m - 1), np.ones(m), np.full(m - 1, 1e15))
+    with pytest.raises(SingularMatrixError, match="row 0 of the inverse") as info:
+        factor_tridiagonal(band)
+    assert info.value.pivot_index == 0
