@@ -3,9 +3,9 @@
 All constants are grid-estimated: suprema and minima are taken over dense
 sample grids, integrals use composite trapezoid with a graded tail towards
 the possibly singular bottom ``z = 1``.  They are indicative diagnostics,
-not sharp analytic values.  The positive-definiteness verdicts are exact up
-to rounding: bisection on an O(n) odd-even reduction inertia test of the
-symmetric tridiagonal part of each band matrix, with no size cap.
+not sharp analytic values.  Positive definiteness has one rule, exact up to
+rounding: an O(n) odd-even reduction inertia test of each band matrix's
+symmetric tridiagonal part less ``1e-12 * max|entry|``, with no size cap.
 """
 
 from __future__ import annotations
@@ -163,14 +163,27 @@ class PDVerdict:
 def check_pd_all(matrices: dict) -> dict:
     """Positive definiteness of the symmetric part of each named band matrix of one dimension.
 
-    A verdict holds when the smallest eigenvalue of the symmetric part
-    exceeds ``1e-12 * max|entry|``, so an all-zero matrix is not definite.
+    The verdicts are :func:`_certified`'s, so an all-zero matrix is not definite;
+    bisection on the same scaled symmetric parts gives ``min_eigenvalue``.
     """
     if len({matrix.dim for matrix in matrices.values()}) > 1:
         raise ValidationError("check_pd_all needs matrices of one dimension")
-    eigs = _min_sym_eigenvalues(list(matrices.values())) if matrices else []
-    return {name: PDVerdict(bool(eig > 1e-12 * matrix.max_abs()), float(eig))
-            for (name, matrix), eig in zip(matrices.items(), eigs)}
+    if not matrices:
+        return {}
+    parts = _scaled_symmetric_parts(list(matrices.values()))
+    definite, eigs = _certified(list(matrices.values()), parts), _min_sym_eigenvalues(*parts)
+    return {name: PDVerdict(bool(ok), float(eig))
+            for name, ok, eig in zip(matrices, definite, eigs)}
+
+
+def _certified(matrices: list, parts: tuple | None = None) -> np.ndarray:
+    """The one definiteness rule: is each ``sym(T) - 1e-12 max|T| I`` definite?
+
+    One inertia test of all the matrices; ``parts`` are their :func:`_scaled_symmetric_parts`.
+    """
+    d, e, scale = _scaled_symmetric_parts(matrices) if parts is None else parts
+    shift = 1e-12 * np.array([matrix.max_abs() for matrix in matrices]) / scale
+    return ~_has_nonpositive_pivot(d - shift[:, None], np.square(e))
 
 
 _ULPS = 4.0          # stop once the bracket is this many epsilons of its ends wide ...
@@ -178,7 +191,7 @@ _FLOOR = 1e-18       # ... or about this fraction of max|T|, far below the PD th
 _MAX_SWEEPS = 62     # halvings that take the first bracket, under 4 wide, below the floor
 
 
-def _min_sym_eigenvalues(matrices: list) -> np.ndarray:
+def _min_sym_eigenvalues(d: np.ndarray, e: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each ``(T + T^T) / 2`` by bisection on a definiteness test.
 
     The symmetric part of a band matrix ``T`` is tridiagonal with diagonal
@@ -187,12 +200,11 @@ def _min_sym_eigenvalues(matrices: list) -> np.ndarray:
     (Gershgorin and the Rayleigh quotient) and is above ``sigma`` iff
     ``T - sigma I`` is definite.  Each step halves the bracket of every
     unfinished matrix, all tested in one :func:`_has_nonpositive_pivot` on
-    the parts that :func:`_scaled_symmetric_parts` scales.
+    the parts ``d``, ``|e|`` and ``scale`` of :func:`_scaled_symmetric_parts`.
     """
-    d, e, scale = _scaled_symmetric_parts(matrices)
     lo = np.min(d - np.pad(e, ((0, 0), (1, 0))) - np.pad(e, ((0, 0), (0, 1))), axis=1)
     hi = np.min(d, axis=1)
-    e2 = np.square(e, out=e)
+    e2 = np.square(e)
     for _ in range(_MAX_SWEEPS):
         tol = np.maximum(_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi)), _FLOOR)
         rows = np.flatnonzero(hi - lo > tol)
@@ -217,21 +229,6 @@ def _scaled_symmetric_parts(matrices: list) -> tuple:
     largest = np.maximum(np.max(np.abs(d), axis=1), np.max(e, axis=1, initial=0.0))
     scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)
     return d / scale[:, None], e / scale[:, None], scale
-
-
-def _certify_steps(system: assembly.DiscreteSystem):
-    """Refuse unless every step in ``(0, dt]`` is certified: one inertia test of ``Mf`` and ``V``.
-
-    Each symmetric part is shifted by the report's threshold ``1e-12 * max|entry|``.
-    ``sym V(theta dt) = (1 - theta) sym Mf + theta sym V(dt)``, and ``max|V(theta dt)|``
-    is at most the same blend of the two maxima, so the pair covers a shorter last step.
-    """
-    matrices = [system.Mf, system.V]
-    d, e, scale = _scaled_symmetric_parts(matrices)
-    shift = 1e-12 * np.array([matrix.max_abs() for matrix in matrices]) / scale
-    if np.any(_has_nonpositive_pivot(d - shift[:, None], np.square(e))):
-        raise AssumptionError("(PD)", "step matrix Mf + T_e dt C not certified positive "
-                              f"definite for dt in (0, {system.dt:.17g}]")
 
 
 def _has_nonpositive_pivot(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -361,7 +358,10 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     assumptions (5) and (6), condition (cond:WI) through ``B0``, the trace
     constant ``C0``, the step bound, continuity (9), a step above ``dt_max``
     (:class:`TimeStepError`), and last the certificate of every step up to
-    the plan's (:func:`_certify_steps`, an :class:`AssumptionError`).  ``dt``
+    the plan's, an :class:`AssumptionError`: the report's rule :func:`_certified`
+    on ``Mf`` and ``V`` at the plan's step.  ``sym V(theta dt) = (1 - theta)
+    sym Mf + theta sym V(dt)``, and ``max|V(theta dt)|`` is at most the same
+    blend of the two maxima, so the pair covers a shorter last step.  ``dt``
     is a number or ``"auto"``, which becomes ``min(0.9 * dt_max, 1)``.  Only
     reading :attr:`Plan.report` adds the PD verdicts, at the plan's step.
     Each profile is sampled at the nodes once, which also gives ``D(1)``.
@@ -416,8 +416,9 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     if not (auto or force) and step > dt_max:
         raise TimeStepError(step, dt_max)
     operators = assembly.assemble_system(mesh, f_nodes, d_nodes, context, step)
-    if not force:
-        _certify_steps(operators)
+    if not (force or _certified([operators.Mf, operators.V]).all()):
+        raise AssumptionError("(PD)", "step matrix Mf + T_e dt C not certified positive "
+                              f"definite for dt in (0, {step:.17g}]")
     return Plan(operators, dt_max, constants)
 
 

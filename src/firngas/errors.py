@@ -28,8 +28,9 @@ class AssumptionError(FirngasError):
 class SingularMatrixError(FirngasError):
     """A linear solve hit a zero or near-zero pivot.
 
-    ``pivot_index`` is the 0-based row at which elimination broke down, or,
-    for a factor whose stored inverse overflows, its first non-finite row.
+    ``pivot_index`` is the 0-based row at which elimination broke down, the
+    first non-finite row of a stored inverse that overflows, or the first
+    non-finite entry of a larger factor's solve that overflows, mid-run.
     """
 
     def __init__(self, pivot_index, message=None):

@@ -46,7 +46,8 @@ class _Factor:
     inverse ``W^T``, whose row j is the substitution applied to ``e_j``, and
     refuses one with a non-finite entry; its ``solve`` is then one product
     that adds ``rhs_j W[:, j]`` in the order j = 0..m-1.  A larger factor
-    substitutes on Python floats.  Either way every solve of one factor runs
+    substitutes on Python floats, and refuses a solution with a non-finite
+    entry at solve time.  Either way every solve of one factor runs
     the same arithmetic, so a reused factor gives bitwise the result of a
     fresh solve.
     """
@@ -128,7 +129,12 @@ class _Factor:
             raise ValidationError(f"right-hand side must have shape ({self.dim},), "
                                   f"got {rhs.shape}")
         if self._inverse_t is None:
-            return np.fromiter(self._substitute(rhs.tolist()), dtype=float, count=self.dim)
+            x = np.fromiter(self._substitute(rhs.tolist()), dtype=float, count=self.dim)
+            if not np.isfinite(x).all():  # Python floats overflow to inf without a warning
+                k = int(np.argmin(np.isfinite(x)))
+                raise SingularMatrixError(k, f"singular matrix: entry {k} of the solution "
+                                             f"is not finite")
+            return x
         # einsum's own loop adds rhs_j * W^T[j] in order of j, a multiply and
         # an add apiece.  Never ``@`` or ``np.dot``: BLAS picks its summation
         # order and its use of FMA by CPU kernel, so the bytes would follow the host.
@@ -142,7 +148,7 @@ def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Factor:
     step matrix in the tests swaps a row; forced steps where advection
     outweighs the diagonal do.  Raises :class:`SingularMatrixError` with the
     failing pivot's index, or with the first row of a stored inverse that is
-    not finite.
+    not finite, and ``solve`` above ``_DENSE_MAX`` rows with the first non-finite entry.
     """
     return _Factor(matrix)
 

@@ -315,6 +315,13 @@ class TestCheckPd:
         assert not verdict.positive_definite
         assert abs(verdict.min_eigenvalue) <= 4.0 * np.finfo(float).eps * scale
 
+    @pytest.mark.parametrize("t, definite", [(np.nextafter(1e-12, 1.0), True), (1e-12, False),
+                                             (np.nextafter(1e-12, 0.0), False)])
+    def test_threshold_is_strict(self, t, definite):
+        """Definite iff the smallest eigenvalue ``t`` exceeds ``1e-12 * max|entry|``, here 1e-12."""
+        verdict = check_pd_all({"T": Tridiagonal([0.0], [1.0, t], [0.0])})["T"]
+        assert verdict.positive_definite is definite and verdict.min_eigenvalue == t
+
     def test_unequal_dimensions_refused(self):
         with pytest.raises(ValidationError, match="one dimension"):
             check_pd_all({"M": assemble_M(build_uniform(3)), "S": assemble_M(build_uniform(4))})
@@ -456,10 +463,11 @@ class TestWholePlans:
     @given(power_law_runs(mcoef_max=3.0, q_min=0.25),
            st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)), st.floats(-0.2, 0.2))
     def test_step_certificate_agrees_with_the_bisection(self, case, fraction, cancellation):
-        """``plan_run`` refuses by its step certificate exactly where the bisection refuses.
+        """``plan_run``'s gate refuses exactly where ``check_pd_all`` is not definite.
 
-        The O(n) inertia test against ``check_pd_all``, on ``Mf`` and ``V`` at
-        the plan's step; a plan returned without ``force`` also has ``V``
+        Both read one rule, so this checks the gate's wiring: it tests ``Mf``
+        and ``V`` at the plan's step, the step the run takes.  It also checks
+        the last-step claim: a plan returned without ``force`` has ``V``
         certified at the grid's last step, unless its step count is refused.
         An explicit step is ``fraction`` of ``min(dt_max, 1)``.  ``gcoef`` is
         set so that ``z_F gcoef`` lies within 20% of ``|K_G|``, where the
@@ -522,6 +530,26 @@ class TestWholePlans:
         trajectory = firngas.run(mesh, DECAY, d_profile, context, AtmosphereSeries.ramp(),
                                  force=True)
         assert trajectory.n_levels == 6 and np.all(np.isfinite(trajectory.interior))
+
+    @pytest.mark.parametrize("n, gcoef, denominator, n_levels",
+                             [(41, 0.02166, 0.050, 38), (81, 0.03758, 0.020, 50)])
+    def test_auto_step_refused_on_finer_meshes(self, n, gcoef, denominator, n_levels):
+        """The auto step fails the certificate beyond n = 11: D = (1 - z)^(1/4), f = 1 - z.
+
+        ``|z_F gcoef - |K_G||`` is ``denominator`` of the larger of the two.
+        Every other check passes; a forced run completes with finite levels.
+        """
+        context = RescaledContext(T_e=30.0, z_F=80.0, mcoef=1.0, gcoef=gcoef, fcoef=0.1)
+        mesh, d_profile = build_uniform(n), CoefficientProfile(lambda z: (1.0 - z) ** 0.25)
+        with pytest.raises(AssumptionError, match=r"\(PD\)"):
+            plan_run(DECAY, d_profile, mesh, context)
+        plan = plan_run(DECAY, d_profile, mesh, context, force=True)
+        reaction, k_g = context.z_F * context.gcoef, abs(plan.constants["K_G"])
+        assert abs(reaction - k_g) / max(reaction, k_g) == pytest.approx(denominator, abs=5e-4)
+        assert not plan.report.pd_verdicts["V"].positive_definite
+        trajectory = firngas.run(mesh, DECAY, d_profile, context, AtmosphereSeries.ramp(),
+                                 force=True)
+        assert trajectory.n_levels == n_levels and np.all(np.isfinite(trajectory.interior))
 
 
 @pytest.mark.parametrize("q", [1, 2])

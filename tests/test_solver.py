@@ -685,10 +685,17 @@ def test_singular_refused_at_factor_time_on_both_sides(m):
     assert info.value.pivot_index == m // 2
 
 
-def test_overflowing_inverse_refused():
-    """Unit diagonal, superdiagonal 1e15: every pivot is 1, but ``W[0, j] = (-1e15)**j`` overflows."""
-    m = _DENSE_MAX
+@pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
+def test_overflowing_inverse_refused(m):
+    """Unit diagonal, superdiagonal 1e15: every pivot is 1, but ``W[0, j] = (-1e15)**j`` overflows.
+
+    Refused at factor time with a stored inverse, and at solve time without one.
+    """
     band = Tridiagonal(np.zeros(m - 1), np.ones(m), np.full(m - 1, 1e15))
-    with pytest.raises(SingularMatrixError, match="row 0 of the inverse") as info:
-        factor_tridiagonal(band)
+    with pytest.raises(SingularMatrixError) as info:
+        factor_tridiagonal(band).solve(np.ones(m))
     assert info.value.pivot_index == 0
+    where = "row 0 of the inverse" if m <= _DENSE_MAX else "entry 0 of the solution"
+    assert str(info.value) == f"singular matrix: {where} is not finite"
+    if m > _DENSE_MAX:
+        factor_tridiagonal(band)  # the factor itself is accepted
