@@ -1,4 +1,4 @@
-"""Implicit-Euler time loop: each step matrix is factored once; a step is one solve.
+"""Implicit-Euler time loop: each step matrix is set up once; a step is one product or one solve.
 
 The homogenized unknown carries the interior-plus-bottom coefficients; the
 Dirichlet surface value is re-attached when reconstructing the full node
@@ -6,16 +6,20 @@ vector.  A run's uniform time grid has at most two step matrices, the uniform
 step and a last one of another length, each derived from one system's operators and
 factored once per run by one partially pivoted elimination; an admissible
 step swaps no row, so its factor is plain Thomas elimination.  A factor of
-at most ``_DENSE_MAX`` rows also stores its inverse, built by that
-substitution, and solves by one in-order product with it.  The atmosphere
-enters only row 0 of the right-hand side, so :func:`levels` evaluates it
-once for every level when it is called, with the factorizations, and the
-generator it returns costs one ``Mf`` product and one solve per step.
-:func:`run` and :func:`write_csv` are plain loops over it.
+at most ``_DENSE_MAX`` rows also stores its inverse ``W``, built by that
+substitution.  The atmosphere enters only row 0 of the right-hand side, so a
+step is the fixed linear map ``x -> W Mf x - g_k W e_0``: :func:`levels`
+evaluates the row-0 forcings ``g_k`` once for every level when it is called,
+with the factorizations, and a step of at most ``_DENSE_MAX`` rows is one
+in-order product with its propagator ``P = W Mf`` and one scaled column
+subtracted; a larger one is one ``Mf`` product and one substitution.
+:func:`run` and :func:`write_csv` are plain loops over it, and both refuse a
+level that is not finite.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, replace
 
@@ -153,6 +157,65 @@ def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Factor:
     return _Factor(matrix)
 
 
+def _propagate(propagator_t, surface_column, x, g):
+    """``P x - g w``: the rows of ``P^T`` scaled by ``x`` and added in order, less ``g w``."""
+    x = np.einsum("ji,j->i", propagator_t, x)  # in order of j, as in ``_Factor.solve``
+    x -= g * surface_column
+    return x
+
+
+def _substitute_step(Mf, factor, x, g):
+    """``V^{-1} (Mf x - g e_0)`` by the ``Mf`` product and the factor's substitution."""
+    rhs = Mf.matvec(x)
+    rhs[0] -= g
+    return factor.solve(rhs)
+
+
+def _step(V, Mf):
+    """The implicit-Euler step ``x -> V^{-1} (Mf x - g e_0)`` as a call ``step(x, g)``.
+
+    For ``V`` of at most ``_DENSE_MAX`` rows it is :func:`_propagate` on the
+    transposed propagator ``P^T = (W Mf)^T`` and the surface column
+    ``w = W e_0``, which is row 0 of ``W^T``.  Row j of ``P^T`` is
+    ``W^T[j] diag[j] + W^T[j-1] sup[j-1] + W^T[j+1] sub[j]`` over ``Mf``'s
+    bands, summed in that order by numpy's elementwise operations (no BLAS),
+    and one with a non-finite entry is refused with
+    :class:`SingularMatrixError`.  ``P^T`` overwrites ``W^T`` row by row, so
+    no second m x m array is made and ``W^T`` is not kept.  A larger ``V``
+    steps by :func:`_substitute_step`.
+    """
+    factor = factor_tridiagonal(V)
+    if factor._inverse_t is None:
+        return functools.partial(_substitute_step, Mf, factor)
+    propagator_t = factor._inverse_t  # the factor is dropped: its W^T becomes P^T
+    surface_column = propagator_t[0].copy()
+    diag, sub, sup = Mf.diag.tolist(), Mf.sub.tolist(), Mf.sup.tolist()
+    above = None  # W^T[j-1] sup[j-1], taken before row j-1 is overwritten
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for j, row in enumerate(propagator_t):
+            term = row * sup[j] if j < len(sup) else None
+            row *= diag[j]
+            if above is not None:
+                row += above
+            if j < len(sub):
+                row += propagator_t[j + 1] * sub[j]
+            above = term
+    finite = np.isfinite(propagator_t).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise SingularMatrixError(j, f"singular matrix: row {j} of the propagator is not finite")
+    return functools.partial(_propagate, propagator_t, surface_column)
+
+
+def _refuse_non_finite(t, interior):
+    """Raise :class:`SingularMatrixError` at the first non-finite entry of the level at ``t``."""
+    finite = np.isfinite(interior)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise SingularMatrixError(i, f"singular matrix: entry {i} of the level at "
+                                     f"t = {t:.17g} is not finite")
+
+
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class Trajectory:
     """Discrete solution: interior coefficients plus boundary values per level."""
@@ -193,6 +256,9 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
     bound, at most 1).  Failed checks, steps above the bound and uncertified
     steps abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
     A step count past the limit is refused before the K+1 levels are allocated.
+    The filled levels are checked once: one with a non-finite entry, which a
+    step of at most ``_DENSE_MAX`` rows does not refuse as it runs, raises
+    :class:`SingularMatrixError`.
     """
     system = analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force).operators
     n_levels = analysis._time_grid(system.dt)[0] + 1
@@ -200,6 +266,9 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
     interior = np.empty((n_levels, mesh.n - 1))
     for k, level in enumerate(levels(system, atmosphere)):
         times[k], boundary[k], interior[k] = level
+    if not (np.isfinite(interior.min()) and np.isfinite(interior.max())):  # no K-long temporary
+        for t, level in zip(times, interior):
+            _refuse_non_finite(t, level)
     return Trajectory(times=times, interior=interior, boundary=boundary, mesh=mesh)
 
 
@@ -209,13 +278,17 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     Set-up runs at the call: the stride check, the time grid ``t_k = k dt``
     up to ``t_K = 1`` (``analysis._time_grid``; a last step other than ``dt``
     gets a step matrix of its own), the atmosphere at every level, the row-0
-    forcings and the factorizations, so a bad stride or step, or a singular
-    step matrix, raises here.  The returned generator yields ``(t, surface
-    value, interior)``, each interior a fresh array, at level 0, every
-    ``stride``-th level and the last.  It is the package's one implicit-Euler
-    step: ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k`` (``assembly.assemble_rhs``)
-    with only row 0 of the forcing (``surface_v1``/``surface_v3``), bitwise as
-    a fresh solve of that right-hand side.
+    forcings ``g_k = v1_k + T_e dt_k v3_k`` (``surface_v1``/``surface_v3``)
+    and each step matrix's step (:func:`_step`), so a bad stride or step, or
+    a singular step matrix or propagator, raises here.  The returned
+    generator yields ``(t, surface value, interior)``, each interior a fresh
+    array, at level 0, every ``stride``-th level and the last.  It is the
+    package's one implicit-Euler step, ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k``
+    (``assembly.assemble_rhs``) with only row 0 of the forcing: up to
+    ``_DENSE_MAX`` rows ``x_{k+1} = P x_k - g_k w`` by one in-order product,
+    bitwise as a fresh propagator's step; above, a fresh solve of
+    ``Mf x_k - g_k e_0``.  Only the larger side refuses a non-finite level
+    as it steps; :func:`run` and :func:`write_csv` check every level they take.
     """
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
@@ -225,22 +298,20 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     last_system = system if last_dt == dt else replace(system, dt=last_dt)
 
     boundary = np.asarray(atmosphere(times), dtype=float)
-    v1 = assembly.surface_v1(boundary[:-1], boundary[1:], mesh, system.f_samples)
+    forcing = assembly.surface_v1(boundary[:-1], boundary[1:], mesh, system.f_samples)
     v3 = assembly.surface_v3(boundary[1:], mesh, system.f_samples, system.d_samples,
                              system.context)
     v3[:-1] *= system.context.T_e * dt  # in place: T_e * dt_k * v3[k]
     v3[-1] *= system.context.T_e * last_system.dt
-    uniform = factor_tridiagonal(system.V)
-    last = uniform if last_system is system else factor_tridiagonal(last_system.V)
+    forcing += v3
+    uniform = _step(system.V, system.Mf)  # Mf is independent of the step length
+    last = uniform if last_system is system else _step(last_system.V, system.Mf)
 
     def steps():
-        Mf = system.Mf  # independent of the step length
         interior = np.zeros(mesh.n - 1)
         yield float(times[0]), float(boundary[0]), interior
         for k in range(n_steps):
-            rhs = Mf.matvec(interior)
-            rhs[0] = (rhs[0] - v1[k]) - v3[k]
-            interior = (last if k == n_steps - 1 else uniform).solve(rhs)
+            interior = (last if k == n_steps - 1 else uniform)(interior, forcing[k])
             if (k + 1) % stride == 0 or k + 1 == n_steps:
                 yield float(times[k + 1]), float(boundary[k + 1]), interior
 
@@ -250,9 +321,12 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
 def write_csv(handle, nodes, rows):
     """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``.
 
-    Each row is formatted and written as it comes, so streamed rows are never held together.
+    Each row is checked, formatted and written as it comes, so streamed rows
+    are never held together; an interior with a non-finite entry raises
+    :class:`SingularMatrixError` before its line is written.
     """
     handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
     row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
-    handle.writelines(row_format % (t, surface, *interior.tolist())
-                      for t, surface, interior in rows)
+    for t, surface, interior in rows:
+        _refuse_non_finite(t, interior)
+        handle.write(row_format % (t, surface, *interior.tolist()))

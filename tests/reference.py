@@ -5,8 +5,8 @@ closed-form hat inner products (:func:`exact_inner`), their endpoint-average
 approximations (:func:`mvt_inner`), the dense symmetric eigensolver
 (:func:`min_symmetric_eigenvalue`, capped at dimension 2000) that the O(n)
 positive-definiteness verdicts of :func:`firngas.analysis.check_pd_all` are
-held to, and one implicit-Euler step built from the full-length assembly
-helpers and a fresh band solve (:func:`reference_step`).  Nothing outside
+held to, and one implicit-Euler step from the full-length assembly helpers
+and a fresh factor (:func:`reference_step`).  Nothing outside
 the tests runs them; the quadrature and dense-solve references that
 ``--oracle-compare`` and the benchmark use stay in :mod:`firngas.oracle`.
 The tooling is here too: the unit config file (:func:`write_config`,
@@ -115,16 +115,32 @@ def fresh_output(code):
 
 
 def reference_step(system, before, t_k, t_k1, atmosphere):
-    """One implicit-Euler step from ``before``: the full-length right-hand side and its solve.
+    """One implicit-Euler step from ``before``: the assembled right-hand side and a fresh step.
 
-    The right-hand side comes from ``assemble_v1``, ``assemble_v3`` and
-    ``assemble_rhs``, and is solved by a fresh factor of ``system.V``.
+    The forcing comes from ``assemble_v1`` and ``assemble_v3``, which must
+    be zero past row 0, and the right-hand side from ``assemble_rhs``.  The
+    step is built afresh from a fresh factor of ``system.V``, for the
+    row-0 forcing ``g = v1[0] + T_e dt v3[0]``.  With a stored inverse
+    ``W^T`` it forms ``P^T`` (row j is ``W^T[j] diag[j] + W^T[j-1] sup[j-1]
+    + W^T[j+1] sub[j]`` over ``Mf``'s bands) and ``w = W^T[0]``, and
+    returns ``P before - g w``; without one, the solve of ``Mf before - g e_0``.
     """
-    mesh, f = system.mesh, system.f_samples
+    mesh, f, Mf = system.mesh, system.f_samples, system.Mf
     v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, mesh, f)
     v3 = assembly.assemble_v3(t_k1, atmosphere, mesh, f, system.d_samples, system.context)
-    rhs = assembly.assemble_rhs(before, v1, v3, system.Mf, system.context.T_e, system.dt)
-    return rhs, factor_tridiagonal(system.V).solve(rhs)
+    assert not v1[1:].any() and not v3[1:].any()
+    rhs = assembly.assemble_rhs(before, v1, v3, Mf, system.context.T_e, system.dt)
+    forcing = v1[0] + system.context.T_e * system.dt * v3[0]
+    factor = factor_tridiagonal(system.V)
+    inverse_t = factor._inverse_t
+    if inverse_t is None:
+        surface_rhs = Mf.matvec(before)
+        surface_rhs[0] -= forcing
+        return rhs, factor.solve(surface_rhs)
+    propagator_t = inverse_t * Mf.diag[:, None]
+    propagator_t[1:] += inverse_t[:-1] * Mf.sup[:, None]
+    propagator_t[:-1] += inverse_t[1:] * Mf.sub[:, None]
+    return rhs, np.einsum("ji,j->i", propagator_t, before) - forcing * inverse_t[0]
 
 
 def _check_indices(i: int, j: int, n: int):

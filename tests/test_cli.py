@@ -364,6 +364,25 @@ class TestCmdRun:
         assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_OK
         assert "dt_max: 8.3333333333309605e-202\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [257, 258], ids=["propagator", "substitution"])
+    def test_overflowing_level_exit_3(self, tmp_path, capsys, n):
+        """v = 500 at README scale amplifies the surface value about 1,000-fold: 1e306 overflows.
+
+        Both sides of the size rule exit 3 at the first level that is not
+        finite, and the rows before it stay in the CSV.  numpy's overflow
+        warnings, which only print outside the tests, are silenced.
+        """
+        cfg = edit_config(write_config(tmp_path, z_F=80.0, T_e=30.0, n=n, dt="0.3"),
+                          "\nv = 0.5\n", "\nv = 500.0\n")
+        cfg = edit_config(cfg, "amplitude = 1.0", "amplitude = 1e306")
+        out = tmp_path / "o.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["--config", cfg, "--out", str(out), "--force"]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: singular matrix: entry ")
+        rows = [row for row in out.read_text().splitlines() if not row.startswith("#")]
+        assert rows[0].startswith("t,0,") and rows[1].startswith("0,0,")
+        assert all(row.count("inf") == row.count("nan") == 0 for row in rows)
+
     @pytest.mark.parametrize("make_config, dt, above_bound", [
         (lambda tmp_path: write_config(tmp_path, z_F=80.0, T_e=30.0, n=2001), "1e-9", False),
         (huge_d_config, "1e-8", True),

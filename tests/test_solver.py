@@ -225,13 +225,15 @@ class TestTrajectory:
     @pytest.mark.parametrize("stride", [1, 7])
     def test_csv_bytes_match_per_value_formatting(self, tmp_path, stride):
         # Edge values of 17-digit text over 2,500 rows; the reference formats
-        # each value of each reconstructed row on its own.
-        special = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1.0 / 3.0, 2.0**52 + 1.0,
-                   1e-5, 123456789.12345678, 1e16, np.inf, -np.inf, np.nan]
+        # each value of each reconstructed row on its own.  The writer refuses
+        # a non-finite interior, so inf and nan appear in the surface column.
+        finite = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1.0 / 3.0, 2.0**52 + 1.0,
+                  1e-5, 123456789.12345678, 1e16]
+        special = finite + [np.inf, -np.inf, np.nan]
         rng = np.random.default_rng(3)
         mesh = build_uniform(6)
         n_levels = 2500
-        interior = rng.choice(special, size=(n_levels, 5)) * rng.choice([1.0, 1.7], (n_levels, 5))
+        interior = rng.choice(finite, size=(n_levels, 5)) * rng.choice([1.0, 1.7], (n_levels, 5))
         interior[0] = 0.0
         traj = Trajectory(times=np.cumsum(np.r_[0.0, rng.uniform(1e-9, 1.0, n_levels - 1)]),
                           interior=interior, boundary=rng.choice(special, n_levels), mesh=mesh)
@@ -245,6 +247,19 @@ class TestTrajectory:
             f"{traj.times[k]:.17g}," + ",".join(f"{v:.17g}" for v in traj.reconstruct_full(k))
             + "\n" for k in kept)
         assert path.read_bytes() == want.encode()
+
+    def test_csv_refuses_a_non_finite_row(self, tmp_path):
+        # The rows before it are written; the refused row and those after it are not.
+        mesh = build_uniform(4)
+        rows = [(0.0, 0.0, np.zeros(3)), (0.5, 1.0, np.array([0.25, 0.5, 0.75])),
+                (0.75, 1.0, np.array([0.5, np.inf, 1.0])), (1.0, 1.0, np.ones(3))]
+        path = tmp_path / "traj.csv"
+        with open(path, "w", newline="\n") as handle:
+            with pytest.raises(SingularMatrixError, match="entry 1 of the level at t = 0.75 ") \
+                    as info:
+                write_csv(handle, mesh.nodes, iter(rows))
+        assert info.value.pivot_index == 1
+        assert path.read_text().splitlines()[1:] == ["0,0,0,0,0", "0.5,1,0.25,0.5,0.75"]
 
 
 class TestRun:
@@ -374,7 +389,7 @@ class TestRun:
 
 
 def step_by_step(plan, atmosphere, times):
-    """The reference loop: a fresh solve of the public assembled right-hand side per interval."""
+    """The reference loop: a fresh step of the public assembled forcing per interval."""
     n_steps, last_dt = _time_grid(plan.operators.dt)
     interior = np.zeros((n_steps + 1, plan.operators.mesh.n - 1))
     for k in range(n_steps):
@@ -463,6 +478,9 @@ BIT_CASES = {
                              zero_corner_step(build_uniform(11), DRIFT_CONTEXT), True, 2),
     # README scale with v = 500: advection outweighs the diagonal, rows swap
     "readme_v500_forced_dt0.3": (build_uniform(11), V500_CONTEXT, 0.3, True, 4),
+    # the two sides of _DENSE_MAX: a propagator of m = 256 rows, a substitution of 257
+    "unit_m256_forced_dt0.3": (build_uniform(_DENSE_MAX + 1), UNIT_CONTEXT, 0.3, True, 4),
+    "unit_m257_forced_dt0.3": (build_uniform(_DENSE_MAX + 2), UNIT_CONTEXT, 0.3, True, 4),
 }
 ATMOSPHERES = {
     "ramp": AtmosphereSeries.ramp(),
@@ -474,8 +492,9 @@ ATMOSPHERES = {
 @pytest.mark.parametrize("atm_name", sorted(ATMOSPHERES))
 @pytest.mark.parametrize("case", sorted(BIT_CASES))
 def test_run_bitwise_equals_step_loop(case, atm_name):
-    # The loop is bitwise K fresh solves of the assembled right-hand side; the
-    # golden CSVs in tests/data pin that arithmetic itself.
+    # The loop is bitwise K fresh steps of the assembled forcing, propagator
+    # products up to _DENSE_MAX rows and solves above; the golden CSVs in
+    # tests/data pin that arithmetic itself.
     mesh, context, dt, force, n_steps = BIT_CASES[case]
     atmosphere = ATMOSPHERES[atm_name]
     plan = analysis.plan_run(DECAY, DECAY, mesh, context, dt=dt, force=force)
@@ -545,8 +564,8 @@ def test_swap_cases_step_on_swapped_factors():
         assert len(swapped_rows(replace(plan.operators, dt=step).V)) == 4
 
 
-def test_loop_holds_four_doubles_per_step():
-    # After its set-up the loop holds the times, the surface values and the two
+def test_loop_holds_three_doubles_per_step():
+    # After its set-up the loop holds the times, the surface values and the
     # row-0 forcings, K + O(1) doubles each, and nothing else that grows with K.
     mesh = build_uniform(11)
     system = assemble_system(mesh, DECAY(mesh.nodes), DECAY(mesh.nodes), UNIT_CONTEXT, 1e-5)
@@ -558,7 +577,7 @@ def test_loop_holds_four_doubles_per_step():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 4.25 * 8 * n_steps
+    assert held <= 3.25 * 8 * n_steps
 
 
 def test_streamed_levels_do_not_grow_with_step_count():
@@ -651,6 +670,56 @@ class TestStoredInverse:
             assert factor.solve(e_j).tobytes() == row
 
 
+def in_order_propagator_t(inverse_t, Mf):
+    """``P^T`` on Python floats, summed in order.
+
+    Row j is ``W^T[j] diag[j] + W^T[j-1] sup[j-1] + W^T[j+1] sub[j]`` over ``Mf``'s bands.
+    """
+    rows, diag, sub, sup = inverse_t.tolist(), Mf.diag.tolist(), Mf.sub.tolist(), Mf.sup.tolist()
+    out = []
+    for j, row in enumerate(rows):
+        p = [w * diag[j] for w in row]
+        if j > 0:
+            p = [p_i + w * sup[j - 1] for p_i, w in zip(p, rows[j - 1])]
+        if j < len(rows) - 1:
+            p = [p_i + w * sub[j] for p_i, w in zip(p, rows[j + 1])]
+        out.append(p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dominant", [True, False])
+@pytest.mark.parametrize("m", [2, 10, 100, _DENSE_MAX])
+class TestPropagator:
+    @staticmethod
+    def bands(m, dominant):
+        """A step matrix V, usually row-swapping unless dominant, a dominant Mf, and their step."""
+        rng = np.random.default_rng(m)
+        V, Mf = random_band(rng, m, dominant), random_band(rng, m, dominant=True)
+        return V, Mf, solver._step(V, Mf), rng
+
+    def test_propagator_rows_are_in_order_sums(self, m, dominant):
+        V, Mf, step, _ = self.bands(m, dominant)
+        assert step.func is solver._propagate
+        propagator_t, surface_column = step.args
+        inverse_t = factor_tridiagonal(V)._inverse_t  # fresh
+        assert propagator_t.tobytes() == in_order_propagator_t(inverse_t, Mf).tobytes()
+        assert surface_column.tobytes() == inverse_t[0].tobytes()
+
+    def test_step_is_the_in_order_product(self, m, dominant):
+        V, Mf, step, rng = self.bands(m, dominant)
+        propagator_t, surface_column = step.args
+        scales = 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+        for x, g in zip(rng.normal(size=(4, m)) * scales, rng.normal(size=4) * scales[:, 0]):
+            got = step(x, g)
+            want = [p_i - g * w for p_i, w in zip(in_order_product(propagator_t, x).tolist(),
+                                                  surface_column.tolist())]
+            assert got.tobytes() == np.array(want).tobytes()
+            forcing = np.zeros(m)
+            forcing[0] = g
+            rhs = assembly.assemble_rhs(x, forcing, np.zeros(m), Mf, 1.0, 1.0)
+            assert_residual_as_dense(V, rhs, got)
+
+
 def size_rule_matrices(m):
     """Step matrices of dimension m: admissible at the auto step, forced, and forced with swaps."""
     mesh = build_uniform(m + 1)
@@ -669,11 +738,19 @@ def test_size_rule_sides_agree_with_the_dense_solve(m):
     matrices = size_rule_matrices(m)
     assert swapped_rows(matrices["swapped"]) and not swapped_rows(matrices["admissible"])
     rng = np.random.default_rng(m)
+    Mf = analysis.plan_run(DECAY, DECAY, build_uniform(m + 1), UNIT_CONTEXT).operators.Mf
     for name, matrix in matrices.items():
         factor = factor_tridiagonal(matrix)
         assert (factor._inverse_t is not None) == (m <= _DENSE_MAX), name
         for rhs in rng.normal(size=(3, m)):
             assert_residual_as_dense(matrix, rhs, factor.solve(rhs))
+        # the step on either side: a propagator product, or the product with Mf and a solve
+        step = solver._step(matrix, Mf)
+        assert (step.func is solver._propagate) == (m <= _DENSE_MAX), name
+        for x, g in zip(rng.normal(size=(3, m)), rng.normal(size=3)):
+            rhs = Mf.matvec(x)
+            rhs[0] -= g
+            assert_residual_as_dense(matrix, rhs, step(x, g))
 
 
 @pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
@@ -699,3 +776,34 @@ def test_overflowing_inverse_refused(m):
     assert str(info.value) == f"singular matrix: {where} is not finite"
     if m > _DENSE_MAX:
         factor_tridiagonal(band)  # the factor itself is accepted
+
+
+@pytest.mark.parametrize("m", [2, _DENSE_MAX])
+def test_overflowing_propagator_refused(m):
+    """``W = 1e300 I`` is finite, but ``P = W Mf`` with ``Mf = 1e10 I`` is not: refused."""
+    band = Tridiagonal(np.zeros(m - 1), np.full(m, 1e-300), np.zeros(m - 1))
+    factor_tridiagonal(band)  # the inverse itself is finite
+    mass = Tridiagonal(np.zeros(m - 1), np.full(m, 1e10), np.zeros(m - 1))
+    with pytest.raises(SingularMatrixError) as info:
+        solver._step(band, mass)
+    assert info.value.pivot_index == 0
+    assert str(info.value) == "singular matrix: row 0 of the propagator is not finite"
+
+
+@pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
+def test_overflowing_levels_refused_by_run_and_writer(m):
+    """v = 500 at README scale amplifies the surface value about 1,000-fold: 1e306 overflows.
+
+    A propagator step lets the overflow through, so ``run`` refuses its
+    filled levels and ``write_csv`` the first row that is not finite; a
+    substitution step refuses it itself.  numpy's overflow warnings, which
+    only print outside the tests, are silenced.
+    """
+    mesh, atmosphere = build_uniform(m + 1), AtmosphereSeries.ramp(1e306)
+    plan = analysis.plan_run(DECAY, DECAY, mesh, V500_CONTEXT, dt=0.3, force=True)
+    where = "the level at t = " if m <= _DENSE_MAX else "the solution"
+    with np.errstate(over="ignore", invalid="ignore"), open(os.devnull, "w") as handle:
+        with pytest.raises(SingularMatrixError, match=rf"singular matrix: entry \d+ of {where}"):
+            run(mesh, DECAY, DECAY, V500_CONTEXT, atmosphere, dt=0.3, force=True)
+        with pytest.raises(SingularMatrixError, match=rf"singular matrix: entry \d+ of {where}"):
+            write_csv(handle, mesh.nodes, levels(plan.operators, atmosphere))
