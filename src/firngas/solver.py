@@ -8,13 +8,13 @@ factored once per run by one partially pivoted elimination; an admissible
 step swaps no row, so its factor is plain Thomas elimination.  A factor of
 at most ``_DENSE_MAX`` rows also stores its inverse ``W``, built by that
 substitution.  The atmosphere enters only row 0 of the right-hand side, so a
-step is the fixed linear map ``x -> W Mf x - g_k W e_0``: :func:`levels`
-evaluates the row-0 forcings ``g_k`` once for every level when it is called,
-with the factorizations, and a step of at most ``_DENSE_MAX`` rows is one
-in-order product with its propagator ``P = W Mf`` and one scaled column
-subtracted; a larger one is one ``Mf`` product and one substitution.
-:func:`run` and :func:`write_csv` are plain loops over it, and both refuse a
-level that is not finite.
+step is the fixed linear map ``x -> P x - g_k w``, ``P = W Mf`` and ``w = W e_0``.
+One set-up evaluates every level's row-0 forcing ``g_k`` and factors, and one
+loop keeps the state ``[x_k; g_k]`` and writes each level in place: up to
+``_DENSE_MAX`` rows by one in-order product with ``[P^T; -w^T]``, above by
+one ``Mf`` product and one substitution, into the rows of :func:`run`'s
+trajectory or fresh arrays for :func:`levels`.  :func:`run` and :func:`write_csv`
+refuse a level that is not finite.
 """
 
 from __future__ import annotations
@@ -34,6 +34,20 @@ _PIVOT_TOL = 1e-16  # pivot-magnitude guard relative to max|entry|
 # Largest factor that stores its inverse (512 KB at m = 256).  The product
 # beats the substitution up to m of about 500 on a 2-core x86-64 host.
 _DENSE_MAX = 256
+# np.einsum without its ``__array_function__`` dispatch, about 1.5 us of a 7 us step
+# at m = 100 on a 2-core x86-64 host; the loop's operands are always plain arrays.
+_EINSUM = getattr(np.einsum, "__wrapped__", np.einsum)
+
+
+def _refuse_non_finite(values, what: str):
+    """Raise :class:`SingularMatrixError` at the first row of ``values`` that is not finite.
+
+    ``what.format(k)`` names row k; the rows of a 1-d array are its entries.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise SingularMatrixError(k, f"singular matrix: {what.format(k)} is not finite")
 
 
 class _Factor:
@@ -47,13 +61,11 @@ class _Factor:
     Thomas elimination, and the substitution is its two list recurrences.
 
     A factor of dimension m <= ``_DENSE_MAX`` also stores the transposed
-    inverse ``W^T``, whose row j is the substitution applied to ``e_j``, and
-    refuses one with a non-finite entry; its ``solve`` is then one product
-    that adds ``rhs_j W[:, j]`` in the order j = 0..m-1.  A larger factor
-    substitutes on Python floats, and refuses a solution with a non-finite
-    entry at solve time.  Either way every solve of one factor runs
-    the same arithmetic, so a reused factor gives bitwise the result of a
-    fresh solve.
+    inverse ``W^T``, whose row j is the substitution of ``e_j``, refuses a
+    non-finite one, and solves by one product that adds ``rhs_j W[:, j]`` in
+    the order j = 0..m-1; a larger one substitutes on Python floats.  Either
+    way ``solve`` refuses a solution with a non-finite entry, and a reused
+    factor runs the same arithmetic: bitwise the result of a fresh solve.
     """
 
     def __init__(self, matrix: assembly.Tridiagonal):
@@ -90,12 +102,11 @@ class _Factor:
             # substitution run on those rows, entry by entry, gives row k of W.
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
                 inverse = np.array([*self._substitute(list(np.eye(m)))])
-            finite = np.isfinite(inverse).all(axis=1)
-            if not finite.all():
-                k = int(np.argmin(finite))
-                raise SingularMatrixError(k, f"singular matrix: row {k} of the inverse "
-                                             f"is not finite")
-            self._inverse_t = np.ascontiguousarray(inverse.T)
+            _refuse_non_finite(inverse, "row {} of the inverse")
+            # W^T in C order (einsum's summation order follows the layout) and a spare
+            # last row, which a step fills to make W^T its operator in place.
+            self._inverse_t = np.empty((m + 1, m))[:m]
+            self._inverse_t[...] = inverse.T
 
     def _substitute(self, r: list):
         """The m entries of x, in order, by forward and back substitution of ``r``.
@@ -134,15 +145,13 @@ class _Factor:
                                   f"got {rhs.shape}")
         if self._inverse_t is None:
             x = np.fromiter(self._substitute(rhs.tolist()), dtype=float, count=self.dim)
-            if not np.isfinite(x).all():  # Python floats overflow to inf without a warning
-                k = int(np.argmin(np.isfinite(x)))
-                raise SingularMatrixError(k, f"singular matrix: entry {k} of the solution "
-                                             f"is not finite")
-            return x
-        # einsum's own loop adds rhs_j * W^T[j] in order of j, a multiply and
-        # an add apiece.  Never ``@`` or ``np.dot``: BLAS picks its summation
-        # order and its use of FMA by CPU kernel, so the bytes would follow the host.
-        return np.einsum("ji,j->i", self._inverse_t, rhs)
+        else:
+            # einsum's own loop adds rhs_j * W^T[j] in order of j, a multiply and an add
+            # apiece; BLAS (``@``, ``np.dot``) orders and fuses by CPU kernel, so by host.
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                x = np.einsum("ji,j->i", self._inverse_t, rhs)
+        _refuse_non_finite(x, "entry {} of the solution")  # Python floats overflow silently
+        return x
 
 
 def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Factor:
@@ -152,68 +161,73 @@ def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Factor:
     step matrix in the tests swaps a row; forced steps where advection
     outweighs the diagonal do.  Raises :class:`SingularMatrixError` with the
     failing pivot's index, or with the first row of a stored inverse that is
-    not finite, and ``solve`` above ``_DENSE_MAX`` rows with the first non-finite entry.
+    not finite, and ``solve`` with the first non-finite entry of its solution.
     """
     return _Factor(matrix)
 
 
-def _propagate(propagator_t, surface_column, x, g):
-    """``P x - g w``: the rows of ``P^T`` scaled by ``x`` and added in order, less ``g w``."""
-    x = np.einsum("ji,j->i", propagator_t, x)  # in order of j, as in ``_Factor.solve``
-    x -= g * surface_column
-    return x
-
-
-def _substitute_step(Mf, factor, x, g):
-    """``V^{-1} (Mf x - g e_0)`` by the ``Mf`` product and the factor's substitution."""
-    rhs = Mf.matvec(x)
-    rhs[0] -= g
-    return factor.solve(rhs)
-
-
 def _step(V, Mf):
-    """The implicit-Euler step ``x -> V^{-1} (Mf x - g e_0)`` as a call ``step(x, g)``.
+    """The implicit-Euler step ``x -> V^{-1} (Mf x - g e_0)`` as a call ``step(s, out=row)``.
 
-    For ``V`` of at most ``_DENSE_MAX`` rows it is :func:`_propagate` on the
-    transposed propagator ``P^T = (W Mf)^T`` and the surface column
-    ``w = W e_0``, which is row 0 of ``W^T``.  Row j of ``P^T`` is
-    ``W^T[j] diag[j] + W^T[j-1] sup[j-1] + W^T[j+1] sub[j]`` over ``Mf``'s
-    bands, summed in that order by numpy's elementwise operations (no BLAS),
-    and one with a non-finite entry is refused with
-    :class:`SingularMatrixError`.  ``P^T`` overwrites ``W^T`` row by row, so
-    no second m x m array is made and ``W^T`` is not kept.  A larger ``V``
-    steps by :func:`_substitute_step`.
+    ``s = [x; g]`` has m+1 entries.  Up to ``_DENSE_MAX`` rows the step is one
+    in-order product with ``A = [P^T; -w^T]``, ``w = W e_0`` added last:
+    ``a + (-b)`` is ``a - b`` in IEEE arithmetic, so entry i is bitwise
+    ``(P x)_i - g w_i``.  ``A`` overwrites ``W^T`` and its spare row, so no
+    second m x m array is made: row j of ``P^T = (W Mf)^T`` is ``W^T[j] diag[j]
+    + W^T[j-1] sup[j-1] + W^T[j+1] sub[j]`` over ``Mf``'s bands, summed in that
+    order by numpy (no BLAS), and a non-finite row raises :class:`SingularMatrixError`.
+    A larger ``V`` steps by the ``Mf`` product and the factor's substitution.
     """
     factor = factor_tridiagonal(V)
     if factor._inverse_t is None:
-        return functools.partial(_substitute_step, Mf, factor)
-    propagator_t = factor._inverse_t  # the factor is dropped: its W^T becomes P^T
-    surface_column = propagator_t[0].copy()
+        def substitute(s, out):
+            rhs = Mf.matvec(s[:-1])
+            rhs[0] -= s[-1]
+            out[:] = factor.solve(rhs)
+        return substitute
+    operator = factor._inverse_t.base  # the factor is dropped: its W^T becomes P^T
+    np.negative(operator[0], out=operator[-1])  # -w, before row 0 is overwritten
     diag, sub, sup = Mf.diag.tolist(), Mf.sub.tolist(), Mf.sup.tolist()
     above = None  # W^T[j-1] sup[j-1], taken before row j-1 is overwritten
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for j, row in enumerate(propagator_t):
+        for j, row in enumerate(operator[:-1]):
             term = row * sup[j] if j < len(sup) else None
             row *= diag[j]
             if above is not None:
                 row += above
             if j < len(sub):
-                row += propagator_t[j + 1] * sub[j]
+                row += operator[j + 1] * sub[j]
             above = term
-    finite = np.isfinite(propagator_t).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        raise SingularMatrixError(j, f"singular matrix: row {j} of the propagator is not finite")
-    return functools.partial(_propagate, propagator_t, surface_column)
+    _refuse_non_finite(operator, "row {} of the propagator")
+    return functools.partial(_EINSUM, "ji,j->i", operator)
 
 
-def _refuse_non_finite(t, interior):
-    """Raise :class:`SingularMatrixError` at the first non-finite entry of the level at ``t``."""
-    finite = np.isfinite(interior)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise SingularMatrixError(i, f"singular matrix: entry {i} of the level at "
-                                     f"t = {t:.17g} is not finite")
+def _set_up(system: assembly.DiscreteSystem, atmosphere):
+    """Level times, surface values and ``march(rows)``, which steps into each row and yields it."""
+    dt, mesh = system.dt, system.mesh
+    n_steps, last_dt = analysis._time_grid(dt)
+    times = np.append(np.arange(n_steps) * float(dt), 1.0)
+    last_system = system if last_dt == dt else replace(system, dt=last_dt)
+    boundary = np.asarray(atmosphere(times), dtype=float)
+    forcing = assembly.surface_v1(boundary[:-1], boundary[1:], mesh, system.f_samples)
+    v3 = assembly.surface_v3(boundary[1:], mesh, system.f_samples, system.d_samples,
+                             system.context)
+    v3[:-1] *= system.context.T_e * dt  # in place: T_e * dt_k * v3[k]
+    v3[-1] *= system.context.T_e * last_system.dt
+    forcing += v3
+    uniform = _step(system.V, system.Mf)  # Mf is independent of the step length
+    last = uniform if last_system is system else _step(last_system.V, system.Mf)
+
+    def march(rows):
+        state = np.zeros(mesh.n)  # [x_k; g_k]
+        x = state[:-1]
+        for k, row in enumerate(rows):
+            state[-1] = forcing[k]
+            (last if k == n_steps - 1 else uniform)(state, out=row)
+            x[...] = row
+            yield row
+
+    return times, boundary, march
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
@@ -255,20 +269,21 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
     ``dt`` is either a number or ``"auto"`` (0.9 times the computed step
     bound, at most 1).  Failed checks, steps above the bound and uncertified
     steps abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
-    A step count past the limit is refused before the K+1 levels are allocated.
-    The filled levels are checked once: one with a non-finite entry, which a
-    step of at most ``_DENSE_MAX`` rows does not refuse as it runs, raises
-    :class:`SingularMatrixError`.
+    A step count past the limit is refused before the K+1 levels are allocated,
+    and the loop of :func:`levels` writes each into its row.  They are checked
+    once: a level with a non-finite entry, which a step of at most
+    ``_DENSE_MAX`` rows does not refuse as it runs, raises :class:`SingularMatrixError`.
     """
     system = analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force).operators
     n_levels = analysis._time_grid(system.dt)[0] + 1
-    times, boundary = np.empty(n_levels), np.empty(n_levels)
-    interior = np.empty((n_levels, mesh.n - 1))
-    for k, level in enumerate(levels(system, atmosphere)):
-        times[k], boundary[k], interior[k] = level
+    interior = np.empty((n_levels, mesh.n - 1))  # before the set-up's m x m arrays:
+    interior[0] = 0.0  # above their freed space it would lift the peak resident memory
+    times, boundary, march = _set_up(system, atmosphere)
+    for _ in march(interior[1:]):
+        pass
     if not (np.isfinite(interior.min()) and np.isfinite(interior.max())):  # no K-long temporary
         for t, level in zip(times, interior):
-            _refuse_non_finite(t, level)
+            _refuse_non_finite(level, f"entry {{}} of the level at t = {t:.17g}")
     return Trajectory(times=times, interior=interior, boundary=boundary, mesh=mesh)
 
 
@@ -284,36 +299,21 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     generator yields ``(t, surface value, interior)``, each interior a fresh
     array, at level 0, every ``stride``-th level and the last.  It is the
     package's one implicit-Euler step, ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k``
-    (``assembly.assemble_rhs``) with only row 0 of the forcing: up to
-    ``_DENSE_MAX`` rows ``x_{k+1} = P x_k - g_k w`` by one in-order product,
-    bitwise as a fresh propagator's step; above, a fresh solve of
-    ``Mf x_k - g_k e_0``.  Only the larger side refuses a non-finite level
-    as it steps; :func:`run` and :func:`write_csv` check every level they take.
+    (``assembly.assemble_rhs``) with only row 0 of the forcing: bitwise a
+    fresh propagator's step ``P x_k - g_k w`` up to ``_DENSE_MAX`` rows, a
+    fresh solve above.  Only the larger side refuses a non-finite level as it
+    steps; :func:`run` and :func:`write_csv` check every level they take.
     """
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
-    dt, mesh = system.dt, system.mesh
-    n_steps, last_dt = analysis._time_grid(dt)
-    times = np.append(np.arange(n_steps) * float(dt), 1.0)
-    last_system = system if last_dt == dt else replace(system, dt=last_dt)
-
-    boundary = np.asarray(atmosphere(times), dtype=float)
-    forcing = assembly.surface_v1(boundary[:-1], boundary[1:], mesh, system.f_samples)
-    v3 = assembly.surface_v3(boundary[1:], mesh, system.f_samples, system.d_samples,
-                             system.context)
-    v3[:-1] *= system.context.T_e * dt  # in place: T_e * dt_k * v3[k]
-    v3[-1] *= system.context.T_e * last_system.dt
-    forcing += v3
-    uniform = _step(system.V, system.Mf)  # Mf is independent of the step length
-    last = uniform if last_system is system else _step(last_system.V, system.Mf)
+    times, boundary, march = _set_up(system, atmosphere)
+    n_steps, m = len(times) - 1, system.mesh.n - 1
 
     def steps():
-        interior = np.zeros(mesh.n - 1)
-        yield float(times[0]), float(boundary[0]), interior
-        for k in range(n_steps):
-            interior = (last if k == n_steps - 1 else uniform)(interior, forcing[k])
-            if (k + 1) % stride == 0 or k + 1 == n_steps:
-                yield float(times[k + 1]), float(boundary[k + 1]), interior
+        yield float(times[0]), float(boundary[0]), np.zeros(m)
+        for k, interior in enumerate(march(np.empty(m) for _ in range(n_steps)), 1):
+            if k % stride == 0 or k == n_steps:
+                yield float(times[k]), float(boundary[k]), interior
 
     return steps()
 
@@ -328,5 +328,5 @@ def write_csv(handle, nodes, rows):
     handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
     row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
     for t, surface, interior in rows:
-        _refuse_non_finite(t, interior)
+        _refuse_non_finite(interior, f"entry {{}} of the level at t = {t:.17g}")
         handle.write(row_format % (t, surface, *interior.tolist()))

@@ -580,6 +580,21 @@ def test_loop_holds_three_doubles_per_step():
     assert held <= 3.25 * 8 * n_steps
 
 
+def test_run_holds_each_step_count_array_once():
+    # The K+1 levels of m doubles, and the set-up's times, surface values and
+    # row-0 forcings, one array each; a second copy of any K-long array fails.
+    mesh = build_uniform(11)
+    tracemalloc.start()
+    try:
+        traj = run(mesh, DECAY, DECAY, UNIT_CONTEXT, AtmosphereSeries.ramp(), dt=1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_steps = traj.n_levels - 1
+    assert n_steps == 100_000
+    assert peak <= (mesh.n - 1 + 4.25) * 8 * n_steps
+
+
 def test_streamed_levels_do_not_grow_with_step_count():
     # K = 1,250 and then 12,500 at stride 100: only the per-step scalars grow.
     mesh = build_uniform(51)
@@ -634,6 +649,18 @@ def in_order_product(inverse_t, rhs):
     for r_j, row in zip(rhs.tolist(), inverse_t.tolist()):
         x = [x_i + r_j * w for x_i, w in zip(x, row)]
     return np.array(x)
+
+
+def take_step(step, x, g):
+    """One call of a :func:`solver._step` step from the state ``[x; g]``, into a fresh array."""
+    out = np.empty(len(x))
+    step(np.append(x, g), out=out)
+    return out
+
+
+def is_propagator_step(step):
+    """Whether ``step`` is the one in-order product ``einsum("ji,j->i", A, s)``."""
+    return getattr(step, "func", None) is solver._EINSUM and step.args[0] == "ji,j->i"
 
 
 def random_band(rng, m, dominant):
@@ -698,19 +725,22 @@ class TestPropagator:
         return V, Mf, solver._step(V, Mf), rng
 
     def test_propagator_rows_are_in_order_sums(self, m, dominant):
+        # The step's operator is [P^T; -w^T], its last row the negated surface column.
         V, Mf, step, _ = self.bands(m, dominant)
-        assert step.func is solver._propagate
-        propagator_t, surface_column = step.args
+        assert is_propagator_step(step)
+        operator = step.args[1]
+        assert operator.shape == (m + 1, m) and operator.flags.c_contiguous
         inverse_t = factor_tridiagonal(V)._inverse_t  # fresh
-        assert propagator_t.tobytes() == in_order_propagator_t(inverse_t, Mf).tobytes()
-        assert surface_column.tobytes() == inverse_t[0].tobytes()
+        assert operator[:m].tobytes() == in_order_propagator_t(inverse_t, Mf).tobytes()
+        assert (-operator[m]).tobytes() == inverse_t[0].tobytes()
 
     def test_step_is_the_in_order_product(self, m, dominant):
         V, Mf, step, rng = self.bands(m, dominant)
-        propagator_t, surface_column = step.args
+        operator = step.args[1]
+        propagator_t, surface_column = operator[:m], -operator[m]
         scales = 10.0 ** rng.uniform(-3, 3, size=(4, 1))
         for x, g in zip(rng.normal(size=(4, m)) * scales, rng.normal(size=4) * scales[:, 0]):
-            got = step(x, g)
+            got = take_step(step, x, g)
             want = [p_i - g * w for p_i, w in zip(in_order_product(propagator_t, x).tolist(),
                                                   surface_column.tolist())]
             assert got.tobytes() == np.array(want).tobytes()
@@ -718,6 +748,23 @@ class TestPropagator:
             forcing[0] = g
             rhs = assembly.assemble_rhs(x, forcing, np.zeros(m), Mf, 1.0, 1.0)
             assert_residual_as_dense(V, rhs, got)
+
+    def test_folded_surface_column_is_the_subtraction(self, m, dominant):
+        # Adding g * (-w) as the product's last term is bitwise subtracting
+        # g * w from it: signed zeros, subnormal and huge forcings included.
+        V, Mf, step, rng = self.bands(m, dominant)
+        inverse_t = factor_tridiagonal(V)._inverse_t  # fresh
+        propagator_t, surface_column = in_order_propagator_t(inverse_t, Mf), inverse_t[0]
+        xs = rng.normal(size=(3, m))
+        xs[0] = 0.0
+        xs[1, ::2] = -0.0
+        xs[2, ::3] = np.copysign(0.0, rng.normal(size=len(xs[2, ::3])))
+        forcings = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, *rng.normal(size=4)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in xs:
+                for g in forcings:
+                    want = np.einsum("ji,j->i", propagator_t, x) - g * surface_column
+                    assert take_step(step, x, g).tobytes() == want.tobytes(), g
 
 
 def size_rule_matrices(m):
@@ -746,11 +793,11 @@ def test_size_rule_sides_agree_with_the_dense_solve(m):
             assert_residual_as_dense(matrix, rhs, factor.solve(rhs))
         # the step on either side: a propagator product, or the product with Mf and a solve
         step = solver._step(matrix, Mf)
-        assert (step.func is solver._propagate) == (m <= _DENSE_MAX), name
+        assert is_propagator_step(step) == (m <= _DENSE_MAX), name
         for x, g in zip(rng.normal(size=(3, m)), rng.normal(size=3)):
             rhs = Mf.matvec(x)
             rhs[0] -= g
-            assert_residual_as_dense(matrix, rhs, step(x, g))
+            assert_residual_as_dense(matrix, rhs, take_step(step, x, g))
 
 
 @pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
@@ -776,6 +823,18 @@ def test_overflowing_inverse_refused(m):
     assert str(info.value) == f"singular matrix: {where} is not finite"
     if m > _DENSE_MAX:
         factor_tridiagonal(band)  # the factor itself is accepted
+
+
+@pytest.mark.parametrize("m", [10, _DENSE_MAX + 1])
+def test_overflowing_solution_refused_on_both_sides(m):
+    """A finite factor and right-hand side, but ``x_k`` sums the m - k entries from k on."""
+    band = Tridiagonal(np.zeros(m - 1), np.ones(m), np.full(m - 1, -1.0))
+    factor = factor_tridiagonal(band)
+    with pytest.raises(SingularMatrixError) as info:
+        factor.solve(np.full(m, 1e308))
+    assert info.value.pivot_index == 0
+    assert str(info.value) == "singular matrix: entry 0 of the solution is not finite"
+    assert factor.solve(np.full(m, 1.0)).tolist() == list(range(m, 0, -1))
 
 
 @pytest.mark.parametrize("m", [2, _DENSE_MAX])
