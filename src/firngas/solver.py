@@ -5,16 +5,16 @@ Dirichlet surface value is re-attached when reconstructing the full node
 vector.  A run's uniform time grid has at most two step matrices, the uniform
 step and a last one of another length, each derived from one system's operators and
 factored once per run by one partially pivoted elimination; an admissible
-step swaps no row, so its factor is plain Thomas elimination.  A factor of
-at most ``_DENSE_MAX`` rows also stores its inverse ``W``, built by that
-substitution.  The atmosphere enters only row 0 of the right-hand side, so a
-step is the fixed linear map ``x -> P x - g_k w``, ``P = W Mf`` and ``w = W e_0``.
-One set-up evaluates every level's row-0 forcing ``g_k`` and factors, and one
-loop keeps the state ``[x_k; g_k]`` and writes each level in place: up to
-``_DENSE_MAX`` rows by one in-order product with ``[P^T; -w^T]``, above by
-one ``Mf`` product and one substitution, into the rows of :func:`run`'s
-trajectory or fresh arrays for :func:`levels`.  :func:`run` and :func:`write_csv`
-refuse a level that is not finite.
+step swaps no row, so its factor is plain Thomas elimination.  The
+atmosphere enters only row 0 of the right-hand side, so a step is the fixed
+linear map ``x -> P x - g_k w``, ``P = W Mf`` and ``w = W e_0``, where row j
+of ``W^T`` is the factor's substitution of ``e_j``.
+One set-up evaluates every level's row-0 forcing ``g_k`` and builds each
+step, and one loop keeps the state ``[x_k; g_k]`` and writes each level in
+place: up to ``_DENSE_MAX`` rows by one in-order product with
+``[P^T; -w^T]``, above by one ``Mf`` product and one substitution, into the
+rows of :func:`run`'s trajectory or fresh arrays for :func:`levels`.
+:func:`run` and :func:`write_csv` refuse a level that is not finite.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 
-__all__ = ["Trajectory", "factor_tridiagonal", "run", "levels", "write_csv"]
+__all__ = ["Trajectory", "run", "levels", "write_csv"]
 
 _PIVOT_TOL = 1e-16  # pivot-magnitude guard relative to max|entry|
-# Largest factor that stores its inverse (512 KB at m = 256).  The product
-# beats the substitution up to m of about 500 on a 2-core x86-64 host.
+# Largest step matrix whose step is a propagator product (514 KB at m = 256).
+# The product beats the substitution up to m of about 500 on a 2-core x86-64 host.
 _DENSE_MAX = 256
 # np.einsum without its ``__array_function__`` dispatch, about 1.5 us of a 7 us step
 # at m = 100 on a 2-core x86-64 host; the loop's operands are always plain arrays.
@@ -56,16 +56,14 @@ class _Factor:
     Column k pivots on the reduced row k unless ``|sub[k]|`` exceeds its
     entry, in which case row k+1 takes its place (LAPACK ``dgttrf``'s rule)
     and its row of the unit upper factor carries a second superdiagonal.
-    Raises :class:`SingularMatrixError` at the first pivot below the guard.
-    Without a swap the pivots and the ``c`` multipliers are those of plain
-    Thomas elimination, and the substitution is its two list recurrences.
-
-    A factor of dimension m <= ``_DENSE_MAX`` also stores the transposed
-    inverse ``W^T``, whose row j is the substitution of ``e_j``, refuses a
-    non-finite one, and solves by one product that adds ``rhs_j W[:, j]`` in
-    the order j = 0..m-1; a larger one substitutes on Python floats.  Either
-    way ``solve`` refuses a solution with a non-finite entry, and a reused
-    factor runs the same arithmetic: bitwise the result of a fresh solve.
+    No admissible step matrix in the tests swaps a row; forced steps where
+    advection outweighs the diagonal do.  Without a swap the pivots and the
+    ``c`` multipliers are those of plain Thomas elimination, and the
+    substitution is its two list recurrences.  Raises
+    :class:`SingularMatrixError` with the index of the first pivot below the
+    guard.  ``solve`` substitutes on Python floats at every size and refuses
+    a solution with a non-finite entry; a reused factor runs the same
+    arithmetic: bitwise the result of a fresh solve.
     """
 
     def __init__(self, matrix: assembly.Tridiagonal):
@@ -96,17 +94,6 @@ class _Factor:
         self.dim = m
         self._pivots, self._lower, self._c_reversed, self._c2 = pivots, lower, c[::-1], c2
         self._swapped_rows = swapped
-        self._inverse_t = None
-        if m <= _DENSE_MAX:
-            # Row k of the identity holds component k of every e_j, so the
-            # substitution run on those rows, entry by entry, gives row k of W.
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                inverse = np.array([*self._substitute(list(np.eye(m)))])
-            _refuse_non_finite(inverse, "row {} of the inverse")
-            # W^T in C order (einsum's summation order follows the layout) and a spare
-            # last row, which a step fills to make W^T its operator in place.
-            self._inverse_t = np.empty((m + 1, m))[:m]
-            self._inverse_t[...] = inverse.T
 
     def _substitute(self, r: list):
         """The m entries of x, in order, by forward and back substitution of ``r``.
@@ -143,27 +130,9 @@ class _Factor:
         if rhs.shape != (self.dim,):
             raise ValidationError(f"right-hand side must have shape ({self.dim},), "
                                   f"got {rhs.shape}")
-        if self._inverse_t is None:
-            x = np.fromiter(self._substitute(rhs.tolist()), dtype=float, count=self.dim)
-        else:
-            # einsum's own loop adds rhs_j * W^T[j] in order of j, a multiply and an add
-            # apiece; BLAS (``@``, ``np.dot``) orders and fuses by CPU kernel, so by host.
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                x = np.einsum("ji,j->i", self._inverse_t, rhs)
+        x = np.fromiter(self._substitute(rhs.tolist()), dtype=float, count=self.dim)
         _refuse_non_finite(x, "entry {} of the solution")  # Python floats overflow silently
         return x
-
-
-def factor_tridiagonal(matrix: assembly.Tridiagonal) -> _Factor:
-    """Factor a tridiagonal matrix once; ``.solve(rhs)`` then solves by the factor alone.
-
-    One partially pivoted elimination serves every matrix.  No admissible
-    step matrix in the tests swaps a row; forced steps where advection
-    outweighs the diagonal do.  Raises :class:`SingularMatrixError` with the
-    failing pivot's index, or with the first row of a stored inverse that is
-    not finite, and ``solve`` with the first non-finite entry of its solution.
-    """
-    return _Factor(matrix)
 
 
 def _step(V, Mf):
@@ -172,20 +141,33 @@ def _step(V, Mf):
     ``s = [x; g]`` has m+1 entries.  Up to ``_DENSE_MAX`` rows the step is one
     in-order product with ``A = [P^T; -w^T]``, ``w = W e_0`` added last:
     ``a + (-b)`` is ``a - b`` in IEEE arithmetic, so entry i is bitwise
-    ``(P x)_i - g w_i``.  ``A`` overwrites ``W^T`` and its spare row, so no
-    second m x m array is made: row j of ``P^T = (W Mf)^T`` is ``W^T[j] diag[j]
-    + W^T[j-1] sup[j-1] + W^T[j+1] sub[j]`` over ``Mf``'s bands, summed in that
-    order by numpy (no BLAS), and a non-finite row raises :class:`SingularMatrixError`.
-    A larger ``V`` steps by the ``Mf`` product and the factor's substitution.
+    ``(P x)_i - g w_i``.  Row j of ``W^T`` is the factor's substitution of
+    ``e_j``.  ``W^T`` is copied into ``A``'s buffer and ``P^T`` overwrites it
+    there: row j of ``P^T = (W Mf)^T`` is ``W^T[j] diag[j] + W^T[j-1] sup[j-1]
+    + W^T[j+1] sub[j]`` over ``Mf``'s bands, summed in that order by numpy (no
+    BLAS).  A non-finite row of ``W`` or of ``P^T`` raises
+    :class:`SingularMatrixError`.  The product is not backward stable as the
+    substitution is, but its forward error is of the same order (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 14).  A larger
+    ``V`` steps by the ``Mf`` product and the factor's substitution.
     """
-    factor = factor_tridiagonal(V)
-    if factor._inverse_t is None:
+    factor = _Factor(V)
+    m = factor.dim
+    if m > _DENSE_MAX:
         def substitute(s, out):
             rhs = Mf.matvec(s[:-1])
             rhs[0] -= s[-1]
             out[:] = factor.solve(rhs)
         return substitute
-    operator = factor._inverse_t.base  # the factor is dropped: its W^T becomes P^T
+    # Row k of the identity holds component k of every e_j, so the
+    # substitution run on those rows, entry by entry, gives row k of W.
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        inverse = np.array([*factor._substitute(list(np.eye(m)))])
+    _refuse_non_finite(inverse, "row {} of the inverse")
+    # W^T in C order (einsum's summation order follows the layout), then -w last.
+    operator = np.empty((m + 1, m))
+    operator[:m] = inverse.T
+    del inverse  # freed first: the order of allocations shows in the peak resident memory
     np.negative(operator[0], out=operator[-1])  # -w, before row 0 is overwritten
     diag, sub, sup = Mf.diag.tolist(), Mf.sub.tolist(), Mf.sup.tolist()
     above = None  # W^T[j-1] sup[j-1], taken before row j-1 is overwritten

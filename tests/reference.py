@@ -5,8 +5,10 @@ closed-form hat inner products (:func:`exact_inner`), their endpoint-average
 approximations (:func:`mvt_inner`), the dense symmetric eigensolver
 (:func:`min_symmetric_eigenvalue`, capped at dimension 2000) that the O(n)
 positive-definiteness verdicts of :func:`firngas.analysis.check_pd_all` are
-held to, and one implicit-Euler step from the full-length assembly helpers
-and a fresh factor (:func:`reference_step`).  Nothing outside
+held to, one implicit-Euler step from the full-length assembly helpers
+and a fresh factor (:func:`reference_step`), and the exact semi-discrete
+solution that implicit Euler approaches as dt -> 0 (:func:`semi_discrete`).
+Nothing outside
 the tests runs them; the quadrature and dense-solve references that
 ``--oracle-compare`` and the benchmark use stay in :mod:`firngas.oracle`.
 The tooling is here too: the unit config file (:func:`write_config`,
@@ -21,12 +23,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import expm
 
 from firngas import assembly
 from firngas.assembly import Tridiagonal
 from firngas.errors import DomainError, ValidationError
 from firngas.model import CoefficientProfile, ModelParams, RescaledContext, rescale
-from firngas.solver import factor_tridiagonal
+from firngas.solver import _DENSE_MAX, _Factor
 
 _EIG_DIM_CAP = 2000
 
@@ -114,16 +117,22 @@ def fresh_output(code):
     return result.stdout.strip()
 
 
+def transposed_inverse(matrix):
+    """``W^T`` for ``W = matrix^{-1}``: row j is a fresh factor's solve of ``e_j``."""
+    factor = _Factor(matrix)
+    return np.array([factor.solve(e_j) for e_j in np.eye(matrix.dim)])
+
+
 def reference_step(system, before, t_k, t_k1, atmosphere):
     """One implicit-Euler step from ``before``: the assembled right-hand side and a fresh step.
 
     The forcing comes from ``assemble_v1`` and ``assemble_v3``, which must
     be zero past row 0, and the right-hand side from ``assemble_rhs``.  The
-    step is built afresh from a fresh factor of ``system.V``, for the
-    row-0 forcing ``g = v1[0] + T_e dt v3[0]``.  With a stored inverse
-    ``W^T`` it forms ``P^T`` (row j is ``W^T[j] diag[j] + W^T[j-1] sup[j-1]
-    + W^T[j+1] sub[j]`` over ``Mf``'s bands) and ``w = W^T[0]``, and
-    returns ``P before - g w``; without one, the solve of ``Mf before - g e_0``.
+    step is built afresh from fresh factors of ``system.V``, for the
+    row-0 forcing ``g = v1[0] + T_e dt v3[0]``.  Up to ``_DENSE_MAX`` rows it
+    forms ``P^T`` from :func:`transposed_inverse` (row j is ``W^T[j] diag[j] +
+    W^T[j-1] sup[j-1] + W^T[j+1] sub[j]`` over ``Mf``'s bands) and ``w = W^T[0]``,
+    and returns ``P before - g w``; above, the solve of ``Mf before - g e_0``.
     """
     mesh, f, Mf = system.mesh, system.f_samples, system.Mf
     v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, mesh, f)
@@ -131,16 +140,53 @@ def reference_step(system, before, t_k, t_k1, atmosphere):
     assert not v1[1:].any() and not v3[1:].any()
     rhs = assembly.assemble_rhs(before, v1, v3, Mf, system.context.T_e, system.dt)
     forcing = v1[0] + system.context.T_e * system.dt * v3[0]
-    factor = factor_tridiagonal(system.V)
-    inverse_t = factor._inverse_t
-    if inverse_t is None:
+    if system.V.dim > _DENSE_MAX:
         surface_rhs = Mf.matvec(before)
         surface_rhs[0] -= forcing
-        return rhs, factor.solve(surface_rhs)
+        return rhs, _Factor(system.V).solve(surface_rhs)
+    inverse_t = transposed_inverse(system.V)
     propagator_t = inverse_t * Mf.diag[:, None]
     propagator_t[1:] += inverse_t[:-1] * Mf.sup[:, None]
     propagator_t[:-1] += inverse_t[1:] * Mf.sub[:, None]
     return rhs, np.einsum("ji,j->i", propagator_t, before) - forcing * inverse_t[0]
+
+
+def semi_discrete(system, atmosphere, times):
+    """The semi-discrete solution ``x(t)`` at uniformly spaced ``times`` from 0, for a ramp.
+
+    As dt -> 0 the implicit-Euler levels of ``system`` approach the solution of
+    ``Mf x' + T_e C x = -(a rho'(t) + T_e c1 rho(t)) e_0``, ``x(0) = 0``, where
+    ``a`` and ``c1`` are the row-0 forcings of ``surface_v1`` and
+    ``surface_v3`` at a unit boundary value.  For the surface value
+    ``rho = s t`` it is exact on ``[x; t; 1]`` under the augmented matrix
+    ``Z = [[-T_e Mf^{-1} C, -T_e c1 s Mf^{-1} e_0, -a s Mf^{-1} e_0], [0, 0, 1],
+    [0, 0, 0]]`` (Van Loan, IEEE TAC 23, 1978): one ``expm(Z dt)``, applied
+    once per interval.  Returns a (len(times), m) array.
+    """
+    times = np.asarray(times, dtype=float)
+    dt = times[1]
+    assert times[0] == 0.0 and np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0)
+    slope = atmosphere(1.0)
+    assert np.allclose(atmosphere(times), slope * times, rtol=1e-12, atol=0.0), "not a ramp"
+    mesh, f, m = system.mesh, system.f_samples, system.Mf.dim
+    T_e = system.context.T_e
+    a = assembly.surface_v1(0.0, 1.0, mesh, f)
+    c1 = assembly.surface_v3(1.0, mesh, f, system.d_samples, system.context)
+    mass = system.Mf.to_dense()
+    surface = np.linalg.solve(mass, np.eye(m)[0])
+    Z = np.zeros((m + 2, m + 2))
+    Z[:m, :m] = -T_e * np.linalg.solve(mass, system.C.to_dense())
+    Z[:m, m] = -T_e * c1 * slope * surface
+    Z[:m, m + 1] = -a * slope * surface
+    Z[m, m + 1] = 1.0
+    step = expm(Z * dt)
+    state = np.zeros(m + 2)
+    state[m + 1] = 1.0
+    out = [state[:m].copy()]
+    for _ in times[1:]:
+        state = step @ state
+        out.append(state[:m])
+    return np.array(out)
 
 
 def _check_indices(i: int, j: int, n: int):

@@ -12,7 +12,7 @@ from firngas.assembly import (Tridiagonal, assemble_Kf, assemble_M,
 from firngas.errors import SingularMatrixError, ValidationError
 from firngas.mesh import Mesh, build_uniform
 from firngas.oracle import assemble_reference, dense_solve, quad_inner
-from firngas.solver import factor_tridiagonal
+from firngas.solver import _Factor
 from reference import min_symmetric_eigenvalue
 
 
@@ -124,7 +124,7 @@ class TestDenseSolve:
             band = Tridiagonal(sub, diag, sup)
             rhs = rng.normal(size=m)
             np.testing.assert_allclose(
-                factor_tridiagonal(band).solve(rhs), dense_solve(band, rhs), atol=1e-10)
+                _Factor(band).solve(rhs), dense_solve(band, rhs), atol=1e-10)
 
     def test_shape_guards(self):
         with pytest.raises(ValidationError):

@@ -15,9 +15,9 @@ from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, RescaledContext,
                            rescale)
 from firngas.analysis import _EPS, _GRID_TOL, _MAX_STEPS, _time_grid
-from firngas.solver import _DENSE_MAX, Trajectory, factor_tridiagonal, levels, run, write_csv
+from firngas.solver import _DENSE_MAX, Trajectory, _Factor, levels, run, write_csv
 from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, count_calls, ctx,
-                       reference_step)
+                       reference_step, transposed_inverse)
 
 
 def assert_solves(matrix, rhs, x):
@@ -61,7 +61,7 @@ def general_tridiagonals(draw):
 
 
 def swapped_rows(matrix):
-    return factor_tridiagonal(matrix)._swapped_rows
+    return _Factor(matrix)._swapped_rows
 
 
 @st.composite
@@ -84,11 +84,11 @@ class TestBandSolve:
     def test_identity(self):
         band = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
         rhs = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(factor_tridiagonal(band).solve(rhs), rhs)
+        np.testing.assert_allclose(_Factor(band).solve(rhs), rhs)
 
     def test_hand_elimination(self):
         band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
-        np.testing.assert_allclose(factor_tridiagonal(band).solve([3.0, 3.0]),
+        np.testing.assert_allclose(_Factor(band).solve([3.0, 3.0]),
                                    [1.0, 1.0], atol=1e-14)
 
     def test_residual_on_random_dominant(self):
@@ -99,38 +99,41 @@ class TestBandSolve:
                                np.abs(rng.normal(size=m)) + 3.0,
                                rng.normal(size=m - 1))
             rhs = rng.normal(size=m)
-            x = factor_tridiagonal(band).solve(rhs)
+            x = _Factor(band).solve(rhs)
             residual = np.max(np.abs(band.matvec(x) - rhs))
             assert residual <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
     @given(general_tridiagonals())
     def test_residual_on_random_general(self, case):
-        # Partial pivoting is backward stable.  The product with a stored
-        # inverse is not, but on these bands it keeps the same bound.
+        # Partial pivoting is backward stable.  The propagator step's product
+        # is not, but on these bands it keeps the same bound: with Mf = I and
+        # g = 0 the step is W rhs.
         band, rhs = case
-        assert_residual_as_dense(band, rhs, factor_tridiagonal(band).solve(rhs))
+        assert_residual_as_dense(band, rhs, _Factor(band).solve(rhs))
+        identity = Tridiagonal(np.zeros(band.dim - 1), np.ones(band.dim), np.zeros(band.dim - 1))
+        assert_residual_as_dense(band, rhs, take_step(solver._step(band, identity), rhs, 0.0))
 
     def test_zero_first_pivot_swaps(self):
         band = Tridiagonal([1.0], [0.0, 1.0], [1.0])
         assert swapped_rows(band) == [0]
-        x = factor_tridiagonal(band).solve(np.array([1.0, 1.0]))
+        x = _Factor(band).solve(np.array([1.0, 1.0]))
         np.testing.assert_allclose(band.matvec(x), [1.0, 1.0], atol=1e-12)
 
     def test_singular_carries_pivot_index(self):
         band = Tridiagonal([0.0], [0.0, 1.0], [0.0])
         with pytest.raises(SingularMatrixError) as info:
-            factor_tridiagonal(band).solve(np.array([1.0, 1.0]))
+            _Factor(band).solve(np.array([1.0, 1.0]))
         assert info.value.pivot_index == 0
 
     def test_dimension_guard(self):
         band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
         with pytest.raises(ValidationError):
-            factor_tridiagonal(band).solve(np.zeros(3))
+            _Factor(band).solve(np.zeros(3))
 
     def test_column_right_hand_side_refused(self):
         band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
         with pytest.raises(ValidationError, match=r"shape \(2,\)"):
-            factor_tridiagonal(band).solve(np.zeros((2, 1)))
+            _Factor(band).solve(np.zeros((2, 1)))
 
 
 class TestFactorTridiagonal:
@@ -138,11 +141,11 @@ class TestFactorTridiagonal:
     def check_reuse(matrix, rhs_rows):
         # One factor for every right-hand side: bitwise the fresh solves.  No
         # row is swapped, so these keep plain Thomas elimination's arithmetic.
-        factor = factor_tridiagonal(matrix)
+        factor = _Factor(matrix)
         assert factor._swapped_rows == []
         for rhs in rhs_rows:
             x = factor.solve(rhs)
-            assert np.array_equal(x, factor_tridiagonal(matrix).solve(rhs))
+            assert np.array_equal(x, _Factor(matrix).solve(rhs))
             assert_solves(matrix, rhs, x)
 
     @given(dominant_tridiagonals())
@@ -156,7 +159,7 @@ class TestFactorTridiagonal:
     def test_pivoted_last_row_singular(self):
         """[[1, 1], [1, 1]]: no swap, the first pivot holds and the last one is 0."""
         with pytest.raises(SingularMatrixError) as info:
-            factor_tridiagonal(Tridiagonal([1.0], [1.0, 1.0], [1.0]))
+            _Factor(Tridiagonal([1.0], [1.0, 1.0], [1.0]))
         assert info.value.pivot_index == 1
 
     def test_swapped_factor_reused(self):
@@ -165,11 +168,11 @@ class TestFactorTridiagonal:
         diag = rng.uniform(3.0, 4.0, 6)
         diag[0] = 0.0
         band = Tridiagonal(rng.uniform(1.0, 2.0, 5), diag, rng.uniform(1.0, 2.0, 5))
-        factor = factor_tridiagonal(band)
+        factor = _Factor(band)
         assert factor._swapped_rows[0] == 0
         for rhs in rng.normal(size=(4, 6)):
             x = factor.solve(rhs)
-            assert np.array_equal(x, factor_tridiagonal(band).solve(rhs))
+            assert np.array_equal(x, _Factor(band).solve(rhs))
             np.testing.assert_allclose(x, oracle.dense_solve(band, rhs), rtol=1e-12,
                                        atol=1e-12)
 
@@ -447,7 +450,7 @@ def test_time_grid_rule(dt):
 @pytest.mark.parametrize("dt, factors", [(1e-5, 1), (2e-5, 1), (1e-6, 1), (0.003, 2)])
 def test_rounding_last_step_reuses_the_uniform_factor(dt, factors, monkeypatch):
     """A last step that differs from ``dt`` only by rounding factors no second step matrix."""
-    calls = count_calls(monkeypatch, solver, "factor_tridiagonal")
+    calls = count_calls(monkeypatch, solver, "_step")
     level_times(dt)
     assert len(calls) == factors
 
@@ -643,10 +646,10 @@ def test_array_records_compare_by_identity():
     assert replace(UNIT_CONTEXT) == UNIT_CONTEXT
 
 
-def in_order_product(inverse_t, rhs):
-    """``sum_j rhs_j W^T[j]`` on Python floats in order of j, a multiply and an add per term."""
+def in_order_product(rows, rhs):
+    """``sum_j rhs_j rows[j]`` on Python floats in order of j, a multiply and an add per term."""
     x = [0.0] * len(rhs)
-    for r_j, row in zip(rhs.tolist(), inverse_t.tolist()):
+    for r_j, row in zip(rhs.tolist(), rows.tolist()):
         x = [x_i + r_j * w for x_i, w in zip(x, row)]
     return np.array(x)
 
@@ -667,34 +670,6 @@ def random_band(rng, m, dominant):
     """Normal bands of dimension m; a dominant diagonal swaps no row, a normal one usually does."""
     sub, diag, sup = (rng.normal(size=size) for size in (m - 1, m, m - 1))
     return Tridiagonal(sub, diag + np.sign(diag) * 6.0 if dominant else diag, sup)
-
-
-@pytest.mark.parametrize("dominant", [True, False])
-@pytest.mark.parametrize("m", [2, 10, 100, _DENSE_MAX])
-class TestStoredInverse:
-    def test_solve_is_the_in_order_product(self, m, dominant):
-        # A solve's bits are its summation order: a NumPy that sent the
-        # product to BLAS, which orders and fuses by CPU kernel, fails here.
-        rng = np.random.default_rng(m)
-        factor = factor_tridiagonal(random_band(rng, m, dominant))
-        rhs_rows = rng.normal(size=(5, m)) * 10.0 ** rng.uniform(-3, 3, size=(5, 1))
-        for rhs in rhs_rows:
-            assert factor.solve(rhs).tobytes() == in_order_product(factor._inverse_t, rhs).tobytes()
-        if m > 2:  # three terms or more: the order shows in the bits
-            reversed_order = [in_order_product(factor._inverse_t[::-1], rhs[::-1])
-                              for rhs in rhs_rows]
-            assert any(x.tobytes() != factor.solve(rhs).tobytes()
-                       for x, rhs in zip(reversed_order, rhs_rows))
-
-    def test_inverse_rows_are_substitutions(self, m, dominant):
-        # Row j of W^T is the float substitution of e_j, and the solve of e_j.
-        factor = factor_tridiagonal(random_band(np.random.default_rng(m), m, dominant))
-        assert factor._swapped_rows == [] or not dominant
-        assert factor._inverse_t.flags.c_contiguous
-        for j, e_j in enumerate(np.eye(m)):
-            row = factor._inverse_t[j].tobytes()
-            assert np.array(list(factor._substitute(e_j.tolist()))).tobytes() == row
-            assert factor.solve(e_j).tobytes() == row
 
 
 def in_order_propagator_t(inverse_t, Mf):
@@ -730,30 +705,36 @@ class TestPropagator:
         assert is_propagator_step(step)
         operator = step.args[1]
         assert operator.shape == (m + 1, m) and operator.flags.c_contiguous
-        inverse_t = factor_tridiagonal(V)._inverse_t  # fresh
+        inverse_t = transposed_inverse(V)
         assert operator[:m].tobytes() == in_order_propagator_t(inverse_t, Mf).tobytes()
         assert (-operator[m]).tobytes() == inverse_t[0].tobytes()
 
     def test_step_is_the_in_order_product(self, m, dominant):
+        # A step's bits are its summation order: a NumPy that sent the
+        # product to BLAS, or fused its multiply and add, fails here.
         V, Mf, step, rng = self.bands(m, dominant)
         operator = step.args[1]
         propagator_t, surface_column = operator[:m], -operator[m]
         scales = 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+        order_shows = []
         for x, g in zip(rng.normal(size=(4, m)) * scales, rng.normal(size=4) * scales[:, 0]):
             got = take_step(step, x, g)
-            want = [p_i - g * w for p_i, w in zip(in_order_product(propagator_t, x).tolist(),
-                                                  surface_column.tolist())]
+            product = in_order_product(propagator_t, x)
+            want = [p_i - g * w for p_i, w in zip(product.tolist(), surface_column.tolist())]
             assert got.tobytes() == np.array(want).tobytes()
+            order_shows.append(in_order_product(propagator_t[::-1], x[::-1]).tobytes()
+                               != product.tobytes())
             forcing = np.zeros(m)
             forcing[0] = g
             rhs = assembly.assemble_rhs(x, forcing, np.zeros(m), Mf, 1.0, 1.0)
             assert_residual_as_dense(V, rhs, got)
+        assert any(order_shows) or m == 2  # three terms or more: the order shows in the bits
 
     def test_folded_surface_column_is_the_subtraction(self, m, dominant):
         # Adding g * (-w) as the product's last term is bitwise subtracting
         # g * w from it: signed zeros, subnormal and huge forcings included.
         V, Mf, step, rng = self.bands(m, dominant)
-        inverse_t = factor_tridiagonal(V)._inverse_t  # fresh
+        inverse_t = transposed_inverse(V)
         propagator_t, surface_column = in_order_propagator_t(inverse_t, Mf), inverse_t[0]
         xs = rng.normal(size=(3, m))
         xs[0] = 0.0
@@ -787,8 +768,7 @@ def test_size_rule_sides_agree_with_the_dense_solve(m):
     rng = np.random.default_rng(m)
     Mf = analysis.plan_run(DECAY, DECAY, build_uniform(m + 1), UNIT_CONTEXT).operators.Mf
     for name, matrix in matrices.items():
-        factor = factor_tridiagonal(matrix)
-        assert (factor._inverse_t is not None) == (m <= _DENSE_MAX), name
+        factor = _Factor(matrix)
         for rhs in rng.normal(size=(3, m)):
             assert_residual_as_dense(matrix, rhs, factor.solve(rhs))
         # the step on either side: a propagator product, or the product with Mf and a solve
@@ -805,7 +785,7 @@ def test_singular_refused_at_factor_time_on_both_sides(m):
     diag = np.ones(m)
     diag[m // 2] = 0.0
     with pytest.raises(SingularMatrixError) as info:
-        factor_tridiagonal(Tridiagonal(np.zeros(m - 1), diag, np.zeros(m - 1)))
+        _Factor(Tridiagonal(np.zeros(m - 1), diag, np.zeros(m - 1)))
     assert info.value.pivot_index == m // 2
 
 
@@ -813,23 +793,27 @@ def test_singular_refused_at_factor_time_on_both_sides(m):
 def test_overflowing_inverse_refused(m):
     """Unit diagonal, superdiagonal 1e15: every pivot is 1, but ``W[0, j] = (-1e15)**j`` overflows.
 
-    Refused at factor time with a stored inverse, and at solve time without one.
+    The factor is accepted and its solve refuses the overflow; a step refuses
+    it at set-up with a propagator, and as it steps without one.
     """
     band = Tridiagonal(np.zeros(m - 1), np.ones(m), np.full(m - 1, 1e15))
+    identity = Tridiagonal(np.zeros(m - 1), np.ones(m), np.zeros(m - 1))
+    factor = _Factor(band)
     with pytest.raises(SingularMatrixError) as info:
-        factor_tridiagonal(band).solve(np.ones(m))
+        factor.solve(np.ones(m))
+    assert str(info.value) == "singular matrix: entry 0 of the solution is not finite"
+    with pytest.raises(SingularMatrixError) as info:
+        take_step(solver._step(band, identity), np.ones(m), 0.0)
     assert info.value.pivot_index == 0
     where = "row 0 of the inverse" if m <= _DENSE_MAX else "entry 0 of the solution"
     assert str(info.value) == f"singular matrix: {where} is not finite"
-    if m > _DENSE_MAX:
-        factor_tridiagonal(band)  # the factor itself is accepted
 
 
 @pytest.mark.parametrize("m", [10, _DENSE_MAX + 1])
 def test_overflowing_solution_refused_on_both_sides(m):
     """A finite factor and right-hand side, but ``x_k`` sums the m - k entries from k on."""
     band = Tridiagonal(np.zeros(m - 1), np.ones(m), np.full(m - 1, -1.0))
-    factor = factor_tridiagonal(band)
+    factor = _Factor(band)
     with pytest.raises(SingularMatrixError) as info:
         factor.solve(np.full(m, 1e308))
     assert info.value.pivot_index == 0
@@ -841,7 +825,7 @@ def test_overflowing_solution_refused_on_both_sides(m):
 def test_overflowing_propagator_refused(m):
     """``W = 1e300 I`` is finite, but ``P = W Mf`` with ``Mf = 1e10 I`` is not: refused."""
     band = Tridiagonal(np.zeros(m - 1), np.full(m, 1e-300), np.zeros(m - 1))
-    factor_tridiagonal(band)  # the inverse itself is finite
+    assert np.isfinite(transposed_inverse(band)).all()
     mass = Tridiagonal(np.zeros(m - 1), np.full(m, 1e10), np.zeros(m - 1))
     with pytest.raises(SingularMatrixError) as info:
         solver._step(band, mass)
