@@ -29,9 +29,9 @@ class SingularMatrixError(FirngasError):
     """A linear solve hit a zero or near-zero pivot.
 
     ``pivot_index`` is the 0-based row at which elimination broke down, the
-    first non-finite row of a stored inverse or of a propagator that
-    overflows, or the first non-finite entry of a larger factor's solve, or
-    of a level that ``run`` or ``write_csv`` refuses, mid-run.
+    first non-finite row of a propagator that overflows, or the first
+    non-finite entry of a larger factor's solve, or of a level that ``run``
+    or ``write_csv`` refuses, mid-run.
     """
 
     def __init__(self, pivot_index, message=None):

@@ -7,8 +7,8 @@ step and a last one of another length, each derived from one system's operators 
 factored once per run by one partially pivoted elimination; an admissible
 step swaps no row, so its factor is plain Thomas elimination.  The
 atmosphere enters only row 0 of the right-hand side, so a step is the fixed
-linear map ``x -> P x - g_k w``, ``P = W Mf`` and ``w = W e_0``, where row j
-of ``W^T`` is the factor's substitution of ``e_j``.
+linear map ``x -> P x - g_k w``, where ``[P | -w] = V^{-1} [Mf | -e_0]`` is
+the factor's substitution of those right-hand sides.
 One set-up evaluates every level's row-0 forcing ``g_k`` and builds each
 step, and one loop keeps the state ``[x_k; g_k]`` and writes each level in
 place: up to ``_DENSE_MAX`` rows by one in-order product with
@@ -139,14 +139,12 @@ def _step(V, Mf):
     """The implicit-Euler step ``x -> V^{-1} (Mf x - g e_0)`` as a call ``step(s, out=row)``.
 
     ``s = [x; g]`` has m+1 entries.  Up to ``_DENSE_MAX`` rows the step is one
-    in-order product with ``A = [P^T; -w^T]``, ``w = W e_0`` added last:
-    ``a + (-b)`` is ``a - b`` in IEEE arithmetic, so entry i is bitwise
-    ``(P x)_i - g w_i``.  Row j of ``W^T`` is the factor's substitution of
-    ``e_j``.  ``W^T`` is copied into ``A``'s buffer and ``P^T`` overwrites it
-    there: row j of ``P^T = (W Mf)^T`` is ``W^T[j] diag[j] + W^T[j-1] sup[j-1]
-    + W^T[j+1] sub[j]`` over ``Mf``'s bands, summed in that order by numpy (no
-    BLAS).  A non-finite row of ``W`` or of ``P^T`` raises
-    :class:`SingularMatrixError`.  The product is not backward stable as the
+    in-order product with ``A = [P^T; -w^T]``, ``-w`` added last: ``a + (-b)``
+    is ``a - b`` in IEEE arithmetic, so entry i is bitwise ``(P x)_i - g w_i``.
+    ``[P | -w]`` is ``V^{-1} R`` for the step's fixed right-hand sides
+    ``R = [Mf | -e_0]``: the factor's one substitution of R's rows, so row j of
+    ``A`` is bitwise a fresh solve of R's column j.  A non-finite row of ``A``
+    raises :class:`SingularMatrixError`.  The product is not backward stable as the
     substitution is, but its forward error is of the same order (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 14).  A larger
     ``V`` steps by the ``Mf`` product and the factor's substitution.
@@ -159,27 +157,16 @@ def _step(V, Mf):
             rhs[0] -= s[-1]
             out[:] = factor.solve(rhs)
         return substitute
-    # Row k of the identity holds component k of every e_j, so the
-    # substitution run on those rows, entry by entry, gives row k of W.
+    # R = [Mf | -e_0]: row k holds entry k of every right-hand side, so the
+    # substitution run on R's rows, entry by entry, gives row k of [P | -w].
+    rhs, k = np.zeros((m, m + 1)), np.arange(m)  # no to_dense(): its m x m temporaries
+    rhs[k, k], rhs[k[1:], k[:-1]], rhs[k[:-1], k[1:]] = Mf.diag, Mf.sub, Mf.sup
+    rhs[0, m] = -1.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        inverse = np.array([*factor._substitute(list(np.eye(m)))])
-    _refuse_non_finite(inverse, "row {} of the inverse")
-    # W^T in C order (einsum's summation order follows the layout), then -w last.
-    operator = np.empty((m + 1, m))
-    operator[:m] = inverse.T
-    del inverse  # freed first: the order of allocations shows in the peak resident memory
-    np.negative(operator[0], out=operator[-1])  # -w, before row 0 is overwritten
-    diag, sub, sup = Mf.diag.tolist(), Mf.sub.tolist(), Mf.sup.tolist()
-    above = None  # W^T[j-1] sup[j-1], taken before row j-1 is overwritten
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for j, row in enumerate(operator[:-1]):
-            term = row * sup[j] if j < len(sup) else None
-            row *= diag[j]
-            if above is not None:
-                row += above
-            if j < len(sub):
-                row += operator[j + 1] * sub[j]
-            above = term
+        rows = [*factor._substitute(list(rhs))]
+    del rhs  # freed first: the order of allocations shows in the peak resident memory
+    operator = np.stack(rows, axis=1)  # [P^T; -w^T] in C order: einsum sums in its layout
+    del rows
     _refuse_non_finite(operator, "row {} of the propagator")
     return functools.partial(_EINSUM, "ji,j->i", operator)
 
@@ -304,11 +291,15 @@ def write_csv(handle, nodes, rows):
     """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``.
 
     Each row is checked, formatted and written as it comes, so streamed rows
-    are never held together; an interior with a non-finite entry raises
-    :class:`SingularMatrixError` before its line is written.
+    are never held together; an interior whose shape is not ``(len(nodes) - 1,)``
+    raises :class:`ValidationError`, and one with a non-finite entry
+    :class:`SingularMatrixError`, before its line is written.
     """
     handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
     row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
     for t, surface, interior in rows:
+        if np.shape(interior) != (len(nodes) - 1,):
+            raise ValidationError(f"interior at t = {t:.17g} must have shape "
+                                  f"({len(nodes) - 1},), got {np.shape(interior)}")
         _refuse_non_finite(interior, f"entry {{}} of the level at t = {t:.17g}")
         handle.write(row_format % (t, surface, *interior.tolist()))

@@ -5,11 +5,11 @@ closed-form hat inner products (:func:`exact_inner`), their endpoint-average
 approximations (:func:`mvt_inner`), the dense symmetric eigensolver
 (:func:`min_symmetric_eigenvalue`, capped at dimension 2000) that the O(n)
 positive-definiteness verdicts of :func:`firngas.analysis.check_pd_all` are
-held to, one implicit-Euler step from the full-length assembly helpers
-and a fresh factor (:func:`reference_step`), and the exact semi-discrete
+held to, the step operator from solves of its right-hand sides
+(:func:`step_operator`), one implicit-Euler step from the full-length assembly
+helpers and a fresh factor (:func:`reference_step`), and the exact semi-discrete
 solution that implicit Euler approaches as dt -> 0 (:func:`semi_discrete`).
-Nothing outside
-the tests runs them; the quadrature and dense-solve references that
+Nothing outside the tests runs them; the quadrature and dense-solve references that
 ``--oracle-compare`` and the benchmark use stay in :mod:`firngas.oracle`.
 The tooling is here too: the unit config file (:func:`write_config`,
 :func:`edit_config`), a call counter (:func:`count_calls`) and a fresh
@@ -117,10 +117,10 @@ def fresh_output(code):
     return result.stdout.strip()
 
 
-def transposed_inverse(matrix):
-    """``W^T`` for ``W = matrix^{-1}``: row j is a fresh factor's solve of ``e_j``."""
-    factor = _Factor(matrix)
-    return np.array([factor.solve(e_j) for e_j in np.eye(matrix.dim)])
+def step_operator(V, Mf):
+    """``A = [P^T; -w^T]``, ``[P | -w] = V^{-1} [Mf | -e_0]``: row j solves column j afresh."""
+    factor, columns = _Factor(V), np.vstack([Mf.to_dense().T, -np.eye(V.dim)[0]])
+    return np.array([factor.solve(column) for column in columns])
 
 
 def reference_step(system, before, t_k, t_k1, atmosphere):
@@ -130,9 +130,8 @@ def reference_step(system, before, t_k, t_k1, atmosphere):
     be zero past row 0, and the right-hand side from ``assemble_rhs``.  The
     step is built afresh from fresh factors of ``system.V``, for the
     row-0 forcing ``g = v1[0] + T_e dt v3[0]``.  Up to ``_DENSE_MAX`` rows it
-    forms ``P^T`` from :func:`transposed_inverse` (row j is ``W^T[j] diag[j] +
-    W^T[j-1] sup[j-1] + W^T[j+1] sub[j]`` over ``Mf``'s bands) and ``w = W^T[0]``,
-    and returns ``P before - g w``; above, the solve of ``Mf before - g e_0``.
+    takes ``P^T`` and ``w`` from :func:`step_operator` and returns
+    ``P before - g w``; above, the solve of ``Mf before - g e_0``.
     """
     mesh, f, Mf = system.mesh, system.f_samples, system.Mf
     v1 = assembly.assemble_v1(t_k, t_k1, atmosphere, mesh, f)
@@ -144,11 +143,8 @@ def reference_step(system, before, t_k, t_k1, atmosphere):
         surface_rhs = Mf.matvec(before)
         surface_rhs[0] -= forcing
         return rhs, _Factor(system.V).solve(surface_rhs)
-    inverse_t = transposed_inverse(system.V)
-    propagator_t = inverse_t * Mf.diag[:, None]
-    propagator_t[1:] += inverse_t[:-1] * Mf.sup[:, None]
-    propagator_t[:-1] += inverse_t[1:] * Mf.sub[:, None]
-    return rhs, np.einsum("ji,j->i", propagator_t, before) - forcing * inverse_t[0]
+    operator = step_operator(system.V, Mf)
+    return rhs, np.einsum("ji,j->i", operator[:-1], before) - forcing * -operator[-1]
 
 
 def semi_discrete(system, atmosphere, times):

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import tracemalloc
@@ -17,7 +18,7 @@ from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, Re
 from firngas.analysis import _EPS, _GRID_TOL, _MAX_STEPS, _time_grid
 from firngas.solver import _DENSE_MAX, Trajectory, _Factor, levels, run, write_csv
 from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, count_calls, ctx,
-                       reference_step, transposed_inverse)
+                       reference_step, step_operator)
 
 
 def assert_solves(matrix, rhs, x):
@@ -263,6 +264,15 @@ class TestTrajectory:
                 write_csv(handle, mesh.nodes, iter(rows))
         assert info.value.pivot_index == 1
         assert path.read_text().splitlines()[1:] == ["0,0,0,0,0", "0.5,1,0.25,0.5,0.75"]
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_csv_refuses_an_interior_of_the_wrong_width(self, width):
+        # Four nodes take three interior values; only the header is written.
+        handle = io.StringIO()
+        with pytest.raises(ValidationError,
+                           match=rf"interior at t = 0 must have shape \(3,\), got \({width},\)"):
+            write_csv(handle, np.linspace(0, 1, 4), [(0.0, 0.0, np.zeros(width))])
+        assert handle.getvalue().splitlines() == ["t,0,0.33333333333333331,0.66666666666666663,1"]
 
 
 class TestRun:
@@ -615,6 +625,24 @@ def test_streamed_levels_do_not_grow_with_step_count():
     assert peaks[1] - peaks[0] <= 1.5e6
 
 
+@pytest.mark.parametrize("m", [100, _DENSE_MAX])
+def test_step_build_holds_one_operator(m):
+    # A build peaks while the substitution holds R = [Mf | -e_0] and two lists
+    # of rows, about 3.2 to 3.6 operators, and keeps the operator alone.  A
+    # kept inverse, or a dense copy of Mf alive through the substitution, fails.
+    rng = np.random.default_rng(m)
+    V, Mf = random_band(rng, m, dominant=True), random_band(rng, m, dominant=True)
+    tracemalloc.start()
+    try:
+        step = solver._step(V, Mf)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = step.args[1].nbytes
+    assert peak <= 4.0 * size
+    assert size <= held <= 1.05 * size
+
+
 def test_csv_writer_holds_one_row():
     # 5,001 rows of 102 values: the writer holds one formatted row at a time.
     mesh = build_uniform(101)
@@ -672,23 +700,6 @@ def random_band(rng, m, dominant):
     return Tridiagonal(sub, diag + np.sign(diag) * 6.0 if dominant else diag, sup)
 
 
-def in_order_propagator_t(inverse_t, Mf):
-    """``P^T`` on Python floats, summed in order.
-
-    Row j is ``W^T[j] diag[j] + W^T[j-1] sup[j-1] + W^T[j+1] sub[j]`` over ``Mf``'s bands.
-    """
-    rows, diag, sub, sup = inverse_t.tolist(), Mf.diag.tolist(), Mf.sub.tolist(), Mf.sup.tolist()
-    out = []
-    for j, row in enumerate(rows):
-        p = [w * diag[j] for w in row]
-        if j > 0:
-            p = [p_i + w * sup[j - 1] for p_i, w in zip(p, rows[j - 1])]
-        if j < len(rows) - 1:
-            p = [p_i + w * sub[j] for p_i, w in zip(p, rows[j + 1])]
-        out.append(p)
-    return np.array(out)
-
-
 @pytest.mark.parametrize("dominant", [True, False])
 @pytest.mark.parametrize("m", [2, 10, 100, _DENSE_MAX])
 class TestPropagator:
@@ -700,14 +711,17 @@ class TestPropagator:
         return V, Mf, solver._step(V, Mf), rng
 
     def test_propagator_rows_are_in_order_sums(self, m, dominant):
-        # The step's operator is [P^T; -w^T], its last row the negated surface column.
+        # The step's operator is [P^T; -w^T], its last row the negated surface
+        # column: row j is bitwise a fresh solve of column j of [Mf | -e_0],
+        # whose entries are the substitution's in-order recurrences.
         V, Mf, step, _ = self.bands(m, dominant)
         assert is_propagator_step(step)
         operator = step.args[1]
         assert operator.shape == (m + 1, m) and operator.flags.c_contiguous
-        inverse_t = transposed_inverse(V)
-        assert operator[:m].tobytes() == in_order_propagator_t(inverse_t, Mf).tobytes()
-        assert (-operator[m]).tobytes() == inverse_t[0].tobytes()
+        mass = Mf.to_dense()
+        for j in range(m):
+            assert operator[j].tobytes() == _Factor(V).solve(mass[:, j]).tobytes(), j
+        assert operator[m].tobytes() == (-_Factor(V).solve(np.eye(m)[0])).tobytes()
 
     def test_step_is_the_in_order_product(self, m, dominant):
         # A step's bits are its summation order: a NumPy that sent the
@@ -734,8 +748,8 @@ class TestPropagator:
         # Adding g * (-w) as the product's last term is bitwise subtracting
         # g * w from it: signed zeros, subnormal and huge forcings included.
         V, Mf, step, rng = self.bands(m, dominant)
-        inverse_t = transposed_inverse(V)
-        propagator_t, surface_column = in_order_propagator_t(inverse_t, Mf), inverse_t[0]
+        operator = step_operator(V, Mf)
+        propagator_t, surface_column = operator[:m], -operator[m]
         xs = rng.normal(size=(3, m))
         xs[0] = 0.0
         xs[1, ::2] = -0.0
@@ -791,10 +805,13 @@ def test_singular_refused_at_factor_time_on_both_sides(m):
 
 @pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
 def test_overflowing_inverse_refused(m):
-    """Unit diagonal, superdiagonal 1e15: every pivot is 1, but ``W[0, j] = (-1e15)**j`` overflows.
+    """Unit diagonal, superdiagonal 1e15: every pivot is 1, but ``V^{-1}`` overflows.
 
-    The factor is accepted and its solve refuses the overflow; a step refuses
-    it at set-up with a propagator, and as it steps without one.
+    Its entry ``[0, j]`` is ``(-1e15)**j``.  The factor is accepted and its solve
+    refuses the overflow; a step refuses it at set-up with a propagator, and as
+    it steps without one.  With ``Mf = I`` row j of the propagator is column j
+    of ``V^{-1}``: the first row to overflow is the first j with
+    ``15 j > log10(max double)``.
     """
     band = Tridiagonal(np.zeros(m - 1), np.ones(m), np.full(m - 1, 1e15))
     identity = Tridiagonal(np.zeros(m - 1), np.ones(m), np.zeros(m - 1))
@@ -804,8 +821,13 @@ def test_overflowing_inverse_refused(m):
     assert str(info.value) == "singular matrix: entry 0 of the solution is not finite"
     with pytest.raises(SingularMatrixError) as info:
         take_step(solver._step(band, identity), np.ones(m), 0.0)
-    assert info.value.pivot_index == 0
-    where = "row 0 of the inverse" if m <= _DENSE_MAX else "entry 0 of the solution"
+    k = info.value.pivot_index
+    if m <= _DENSE_MAX:
+        assert k == math.floor(math.log10(np.finfo(float).max) / 15) + 1 == 21
+        where = f"row {k} of the propagator"
+    else:
+        assert k == 0
+        where = "entry 0 of the solution"
     assert str(info.value) == f"singular matrix: {where} is not finite"
 
 
@@ -823,9 +845,9 @@ def test_overflowing_solution_refused_on_both_sides(m):
 
 @pytest.mark.parametrize("m", [2, _DENSE_MAX])
 def test_overflowing_propagator_refused(m):
-    """``W = 1e300 I`` is finite, but ``P = W Mf`` with ``Mf = 1e10 I`` is not: refused."""
+    """``V^{-1} = 1e300 I`` is finite, but ``P = V^{-1} Mf`` for ``Mf = 1e10 I`` is not: refused."""
     band = Tridiagonal(np.zeros(m - 1), np.full(m, 1e-300), np.zeros(m - 1))
-    assert np.isfinite(transposed_inverse(band)).all()
+    assert np.isfinite(_Factor(band).solve(np.ones(m))).all()
     mass = Tridiagonal(np.zeros(m - 1), np.full(m, 1e10), np.zeros(m - 1))
     with pytest.raises(SingularMatrixError) as info:
         solver._step(band, mass)
