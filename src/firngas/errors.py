@@ -30,8 +30,7 @@ class SingularMatrixError(FirngasError):
 
     ``pivot_index`` is the 0-based row at which elimination broke down, the
     first non-finite row of a propagator that overflows, or the first
-    non-finite entry of a larger factor's solve, or of a level that ``run``
-    or ``write_csv`` refuses, mid-run.
+    non-finite entry of a level that ``run`` or ``write_csv`` refuses.
     """
 
     def __init__(self, pivot_index, message=None):

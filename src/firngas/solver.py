@@ -14,7 +14,8 @@ step, and one loop keeps the state ``[x_k; g_k]`` and writes each level in
 place: up to ``_DENSE_MAX`` rows by one in-order product with
 ``[P^T; -w^T]``, above by one ``Mf`` product and one substitution, into the
 rows of :func:`run`'s trajectory or fresh arrays for :func:`levels`.
-:func:`run` and :func:`write_csv` refuse a level that is not finite.
+The loop checks no level: :func:`run` and :func:`write_csv` refuse the first
+level they take that is not finite, at every size.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ _EINSUM = getattr(np.einsum, "__wrapped__", np.einsum)
 
 
 def _refuse_non_finite(values, what: str):
-    """Raise :class:`SingularMatrixError` at the first row of ``values`` that is not finite.
-
-    ``what.format(k)`` names row k; the rows of a 1-d array are its entries.
-    """
+    """Raise :class:`SingularMatrixError` naming ``what.format(k)``, k the first non-finite row."""
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
@@ -61,9 +59,8 @@ class _Factor:
     ``c`` multipliers are those of plain Thomas elimination, and the
     substitution is its two list recurrences.  Raises
     :class:`SingularMatrixError` with the index of the first pivot below the
-    guard.  ``solve`` substitutes on Python floats at every size and refuses
-    a solution with a non-finite entry; a reused factor runs the same
-    arithmetic: bitwise the result of a fresh solve.
+    guard.  :meth:`_substitute`, on Python floats, is its one entry point; a
+    reused factor runs the same arithmetic: bitwise the result of a fresh one.
     """
 
     def __init__(self, matrix: assembly.Tridiagonal):
@@ -125,15 +122,6 @@ class _Factor:
             xs[k] -= c_k * xs[k + 1] + c2_k * xs[k + 2]
         return xs[:-1]
 
-    def solve(self, rhs) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.dim,):
-            raise ValidationError(f"right-hand side must have shape ({self.dim},), "
-                                  f"got {rhs.shape}")
-        x = np.fromiter(self._substitute(rhs.tolist()), dtype=float, count=self.dim)
-        _refuse_non_finite(x, "entry {} of the solution")  # Python floats overflow silently
-        return x
-
 
 def _step(V, Mf):
     """The implicit-Euler step ``x -> V^{-1} (Mf x - g e_0)`` as a call ``step(s, out=row)``.
@@ -147,15 +135,16 @@ def _step(V, Mf):
     raises :class:`SingularMatrixError`.  The product is not backward stable as the
     substitution is, but its forward error is of the same order (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 14).  A larger
-    ``V`` steps by the ``Mf`` product and the factor's substitution.
+    ``V`` steps by the ``Mf`` product and the substitution; no step refuses its level.
     """
     factor = _Factor(V)
     m = factor.dim
     if m > _DENSE_MAX:
         def substitute(s, out):
-            rhs = Mf.matvec(s[:-1])
-            rhs[0] -= s[-1]
-            out[:] = factor.solve(rhs)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused where it is taken
+                rhs = Mf.matvec(s[:-1])
+                rhs[0] -= s[-1]
+            out[:] = np.fromiter(factor._substitute(rhs.tolist()), dtype=float, count=m)
         return substitute
     # R = [Mf | -e_0]: row k holds entry k of every right-hand side, so the
     # substitution run on R's rows, entry by entry, gives row k of [P | -w].
@@ -240,8 +229,7 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
     steps abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
     A step count past the limit is refused before the K+1 levels are allocated,
     and the loop of :func:`levels` writes each into its row.  They are checked
-    once: a level with a non-finite entry, which a step of at most
-    ``_DENSE_MAX`` rows does not refuse as it runs, raises :class:`SingularMatrixError`.
+    once: a level with a non-finite entry raises :class:`SingularMatrixError`.
     """
     system = analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force).operators
     n_levels = analysis._time_grid(system.dt)[0] + 1
@@ -270,8 +258,7 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     package's one implicit-Euler step, ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k``
     (``assembly.assemble_rhs``) with only row 0 of the forcing: bitwise a
     fresh propagator's step ``P x_k - g_k w`` up to ``_DENSE_MAX`` rows, a
-    fresh solve above.  Only the larger side refuses a non-finite level as it
-    steps; :func:`run` and :func:`write_csv` check every level they take.
+    fresh substitution above.  It checks no level: :func:`run` and :func:`write_csv` do.
     """
     if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
@@ -291,15 +278,19 @@ def write_csv(handle, nodes, rows):
     """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``.
 
     Each row is checked, formatted and written as it comes, so streamed rows
-    are never held together; an interior whose shape is not ``(len(nodes) - 1,)``
-    raises :class:`ValidationError`, and one with a non-finite entry
-    :class:`SingularMatrixError`, before its line is written.
+    are never held together.  An interior, any array-like, that is not numeric or not of
+    shape ``(len(nodes) - 1,)`` raises :class:`ValidationError`, and one with a
+    non-finite entry :class:`SingularMatrixError`, before its line is written.
     """
     handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
     row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
     for t, surface, interior in rows:
-        if np.shape(interior) != (len(nodes) - 1,):
+        try:
+            interior = np.asarray(interior, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"interior at t = {t:.17g} is not numeric") from None
+        if interior.shape != (len(nodes) - 1,):
             raise ValidationError(f"interior at t = {t:.17g} must have shape "
-                                  f"({len(nodes) - 1},), got {np.shape(interior)}")
+                                  f"({len(nodes) - 1},), got {interior.shape}")
         _refuse_non_finite(interior, f"entry {{}} of the level at t = {t:.17g}")
         handle.write(row_format % (t, surface, *interior.tolist()))

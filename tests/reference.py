@@ -5,7 +5,8 @@ closed-form hat inner products (:func:`exact_inner`), their endpoint-average
 approximations (:func:`mvt_inner`), the dense symmetric eigensolver
 (:func:`min_symmetric_eigenvalue`, capped at dimension 2000) that the O(n)
 positive-definiteness verdicts of :func:`firngas.analysis.check_pd_all` are
-held to, the step operator from solves of its right-hand sides
+held to, a factor's substitution as a step runs it (:func:`substitute`), the
+step operator from solves of its right-hand sides
 (:func:`step_operator`), one implicit-Euler step from the full-length assembly
 helpers and a fresh factor (:func:`reference_step`), and the exact semi-discrete
 solution that implicit Euler approaches as dt -> 0 (:func:`semi_discrete`).
@@ -117,10 +118,16 @@ def fresh_output(code):
     return result.stdout.strip()
 
 
+def substitute(factor, rhs):
+    """``V^{-1} rhs`` by ``factor``'s one substitution, as a step above ``_DENSE_MAX`` runs it."""
+    rows = np.asarray(rhs, dtype=float).tolist()
+    return np.fromiter(factor._substitute(rows), dtype=float, count=factor.dim)
+
+
 def step_operator(V, Mf):
     """``A = [P^T; -w^T]``, ``[P | -w] = V^{-1} [Mf | -e_0]``: row j solves column j afresh."""
     factor, columns = _Factor(V), np.vstack([Mf.to_dense().T, -np.eye(V.dim)[0]])
-    return np.array([factor.solve(column) for column in columns])
+    return np.array([substitute(factor, column) for column in columns])
 
 
 def reference_step(system, before, t_k, t_k1, atmosphere):
@@ -142,7 +149,7 @@ def reference_step(system, before, t_k, t_k1, atmosphere):
     if system.V.dim > _DENSE_MAX:
         surface_rhs = Mf.matvec(before)
         surface_rhs[0] -= forcing
-        return rhs, _Factor(system.V).solve(surface_rhs)
+        return rhs, substitute(_Factor(system.V), surface_rhs)
     operator = step_operator(system.V, Mf)
     return rhs, np.einsum("ji,j->i", operator[:-1], before) - forcing * -operator[-1]
 

@@ -364,21 +364,24 @@ class TestCmdRun:
         assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_OK
         assert "dt_max: 8.3333333333309605e-202\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("n", [257, 258], ids=["propagator", "substitution"])
-    def test_overflowing_level_exit_3(self, tmp_path, capsys, n):
+    @pytest.mark.parametrize("n, stride", [(257, "1"), (258, "1"), (258, "4")],
+                             ids=["propagator", "substitution", "substitution_strided"])
+    def test_overflowing_level_exit_3(self, tmp_path, capsys, n, stride):
         """v = 500 at README scale amplifies the surface value about 1,000-fold: 1e306 overflows.
 
         Both sides of the size rule exit 3 at the first level that is not
-        finite, and the rows before it stay in the CSV.  numpy's overflow
-        warnings, which only print outside the tests, are silenced.
+        finite, with one message, and the rows before it stay in the CSV.
+        Nothing silences numpy: a stride steps on from the non-finite level
+        before the writer sees it, and an overflow warning fails the test.
         """
         cfg = edit_config(write_config(tmp_path, z_F=80.0, T_e=30.0, n=n, dt="0.3"),
                           "\nv = 0.5\n", "\nv = 500.0\n")
         cfg = edit_config(cfg, "amplitude = 1.0", "amplitude = 1e306")
         out = tmp_path / "o.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["--config", cfg, "--out", str(out), "--force"]) == cli.EXIT_NUMERICAL
-        assert capsys.readouterr().err.startswith("numerical failure: singular matrix: entry ")
+        assert cli.main(["--config", cfg, "--out", str(out), "--force",
+                         "--stride", stride]) == cli.EXIT_NUMERICAL
+        assert re.fullmatch(r"numerical failure: singular matrix: entry \d+ of the level at "
+                            r"t = \S+ is not finite\n", capsys.readouterr().err)
         rows = [row for row in out.read_text().splitlines() if not row.startswith("#")]
         assert rows[0].startswith("t,0,") and rows[1].startswith("0,0,")
         assert all(row.count("inf") == row.count("nan") == 0 for row in rows)

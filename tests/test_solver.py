@@ -2,6 +2,7 @@ import io
 import math
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, Re
 from firngas.analysis import _EPS, _GRID_TOL, _MAX_STEPS, _time_grid
 from firngas.solver import _DENSE_MAX, Trajectory, _Factor, levels, run, write_csv
 from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, count_calls, ctx,
-                       reference_step, step_operator)
+                       reference_step, step_operator, substitute)
 
 
 def assert_solves(matrix, rhs, x):
@@ -85,11 +86,11 @@ class TestBandSolve:
     def test_identity(self):
         band = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
         rhs = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(_Factor(band).solve(rhs), rhs)
+        np.testing.assert_allclose(substitute(_Factor(band), rhs), rhs)
 
     def test_hand_elimination(self):
         band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
-        np.testing.assert_allclose(_Factor(band).solve([3.0, 3.0]),
+        np.testing.assert_allclose(substitute(_Factor(band), [3.0, 3.0]),
                                    [1.0, 1.0], atol=1e-14)
 
     def test_residual_on_random_dominant(self):
@@ -100,7 +101,7 @@ class TestBandSolve:
                                np.abs(rng.normal(size=m)) + 3.0,
                                rng.normal(size=m - 1))
             rhs = rng.normal(size=m)
-            x = _Factor(band).solve(rhs)
+            x = substitute(_Factor(band), rhs)
             residual = np.max(np.abs(band.matvec(x) - rhs))
             assert residual <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
@@ -110,31 +111,21 @@ class TestBandSolve:
         # is not, but on these bands it keeps the same bound: with Mf = I and
         # g = 0 the step is W rhs.
         band, rhs = case
-        assert_residual_as_dense(band, rhs, _Factor(band).solve(rhs))
+        assert_residual_as_dense(band, rhs, substitute(_Factor(band), rhs))
         identity = Tridiagonal(np.zeros(band.dim - 1), np.ones(band.dim), np.zeros(band.dim - 1))
         assert_residual_as_dense(band, rhs, take_step(solver._step(band, identity), rhs, 0.0))
 
     def test_zero_first_pivot_swaps(self):
         band = Tridiagonal([1.0], [0.0, 1.0], [1.0])
         assert swapped_rows(band) == [0]
-        x = _Factor(band).solve(np.array([1.0, 1.0]))
+        x = substitute(_Factor(band), np.array([1.0, 1.0]))
         np.testing.assert_allclose(band.matvec(x), [1.0, 1.0], atol=1e-12)
 
     def test_singular_carries_pivot_index(self):
         band = Tridiagonal([0.0], [0.0, 1.0], [0.0])
         with pytest.raises(SingularMatrixError) as info:
-            _Factor(band).solve(np.array([1.0, 1.0]))
+            _Factor(band)
         assert info.value.pivot_index == 0
-
-    def test_dimension_guard(self):
-        band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
-        with pytest.raises(ValidationError):
-            _Factor(band).solve(np.zeros(3))
-
-    def test_column_right_hand_side_refused(self):
-        band = Tridiagonal([1.0], [2.0, 2.0], [1.0])
-        with pytest.raises(ValidationError, match=r"shape \(2,\)"):
-            _Factor(band).solve(np.zeros((2, 1)))
 
 
 class TestFactorTridiagonal:
@@ -145,8 +136,8 @@ class TestFactorTridiagonal:
         factor = _Factor(matrix)
         assert factor._swapped_rows == []
         for rhs in rhs_rows:
-            x = factor.solve(rhs)
-            assert np.array_equal(x, _Factor(matrix).solve(rhs))
+            x = substitute(factor, rhs)
+            assert np.array_equal(x, substitute(_Factor(matrix), rhs))
             assert_solves(matrix, rhs, x)
 
     @given(dominant_tridiagonals())
@@ -172,8 +163,8 @@ class TestFactorTridiagonal:
         factor = _Factor(band)
         assert factor._swapped_rows[0] == 0
         for rhs in rng.normal(size=(4, 6)):
-            x = factor.solve(rhs)
-            assert np.array_equal(x, _Factor(band).solve(rhs))
+            x = substitute(factor, rhs)
+            assert np.array_equal(x, substitute(_Factor(band), rhs))
             np.testing.assert_allclose(x, oracle.dense_solve(band, rhs), rtol=1e-12,
                                        atol=1e-12)
 
@@ -273,6 +264,26 @@ class TestTrajectory:
                            match=rf"interior at t = 0 must have shape \(3,\), got \({width},\)"):
             write_csv(handle, np.linspace(0, 1, 4), [(0.0, 0.0, np.zeros(width))])
         assert handle.getvalue().splitlines() == ["t,0,0.33333333333333331,0.66666666666666663,1"]
+
+    def test_csv_takes_array_like_rows(self):
+        # A list, a tuple or an integer array writes the bytes of its float array.
+        def written(interior):
+            handle = io.StringIO()
+            write_csv(handle, np.linspace(0, 1, 4), [(0.5, 1.0, interior)])
+            return handle.getvalue()
+
+        interior = np.array([0.1 + 0.2, -0.0, 5e-324])
+        assert written(interior.tolist()) == written(tuple(interior)) == written(interior)
+        assert written([1, 2, 3]) == written(np.arange(1, 4)) == written(np.arange(1.0, 4.0))
+
+    @pytest.mark.parametrize("interior", [["x", 0.0], np.array(["x", 0.0], dtype=object),
+                                          [0.0, {}], [0.0, [1.0, 2.0]]])
+    def test_csv_refuses_a_non_numeric_row(self, interior):
+        # Only the header is written.
+        handle = io.StringIO()
+        with pytest.raises(ValidationError, match="interior at t = 0.5 is not numeric"):
+            write_csv(handle, np.linspace(0, 1, 3), [(0.5, 0.0, interior)])
+        assert handle.getvalue() == "t,0,0.5,1\n"
 
 
 class TestRun:
@@ -720,8 +731,8 @@ class TestPropagator:
         assert operator.shape == (m + 1, m) and operator.flags.c_contiguous
         mass = Mf.to_dense()
         for j in range(m):
-            assert operator[j].tobytes() == _Factor(V).solve(mass[:, j]).tobytes(), j
-        assert operator[m].tobytes() == (-_Factor(V).solve(np.eye(m)[0])).tobytes()
+            assert operator[j].tobytes() == substitute(_Factor(V), mass[:, j]).tobytes(), j
+        assert operator[m].tobytes() == (-substitute(_Factor(V), np.eye(m)[0])).tobytes()
 
     def test_step_is_the_in_order_product(self, m, dominant):
         # A step's bits are its summation order: a NumPy that sent the
@@ -784,7 +795,7 @@ def test_size_rule_sides_agree_with_the_dense_solve(m):
     for name, matrix in matrices.items():
         factor = _Factor(matrix)
         for rhs in rng.normal(size=(3, m)):
-            assert_residual_as_dense(matrix, rhs, factor.solve(rhs))
+            assert_residual_as_dense(matrix, rhs, substitute(factor, rhs))
         # the step on either side: a propagator product, or the product with Mf and a solve
         step = solver._step(matrix, Mf)
         assert is_propagator_step(step) == (m <= _DENSE_MAX), name
@@ -803,51 +814,58 @@ def test_singular_refused_at_factor_time_on_both_sides(m):
     assert info.value.pivot_index == m // 2
 
 
+def refusal(level):
+    """The message with which :func:`write_csv` refuses ``level`` as its row at t = 1."""
+    with pytest.raises(SingularMatrixError) as info:
+        write_csv(io.StringIO(), np.linspace(0.0, 1.0, len(level) + 1), [(1.0, 0.0, level)])
+    return str(info.value)
+
+
 @pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
 def test_overflowing_inverse_refused(m):
     """Unit diagonal, superdiagonal 1e15: every pivot is 1, but ``V^{-1}`` overflows.
 
-    Its entry ``[0, j]`` is ``(-1e15)**j``.  The factor is accepted and its solve
-    refuses the overflow; a step refuses it at set-up with a propagator, and as
-    it steps without one.  With ``Mf = I`` row j of the propagator is column j
+    Its entry ``[0, j]`` is ``(-1e15)**j``.  The factor is accepted and its
+    substitution overflows from entry 0 on.  A step refuses it at set-up with
+    a propagator; without one the step writes the level, and the writer
+    refuses it.  With ``Mf = I`` row j of the propagator is column j
     of ``V^{-1}``: the first row to overflow is the first j with
     ``15 j > log10(max double)``.
     """
     band = Tridiagonal(np.zeros(m - 1), np.ones(m), np.full(m - 1, 1e15))
     identity = Tridiagonal(np.zeros(m - 1), np.ones(m), np.zeros(m - 1))
-    factor = _Factor(band)
+    assert not np.isfinite(substitute(_Factor(band), np.ones(m))[0])
+    if m > _DENSE_MAX:
+        level = take_step(solver._step(band, identity), np.ones(m), 0.0)
+        assert refusal(level) == "singular matrix: entry 0 of the level at t = 1 is not finite"
+        return
     with pytest.raises(SingularMatrixError) as info:
-        factor.solve(np.ones(m))
-    assert str(info.value) == "singular matrix: entry 0 of the solution is not finite"
-    with pytest.raises(SingularMatrixError) as info:
-        take_step(solver._step(band, identity), np.ones(m), 0.0)
+        solver._step(band, identity)
     k = info.value.pivot_index
-    if m <= _DENSE_MAX:
-        assert k == math.floor(math.log10(np.finfo(float).max) / 15) + 1 == 21
-        where = f"row {k} of the propagator"
-    else:
-        assert k == 0
-        where = "entry 0 of the solution"
-    assert str(info.value) == f"singular matrix: {where} is not finite"
+    assert k == math.floor(math.log10(np.finfo(float).max) / 15) + 1 == 21
+    assert str(info.value) == f"singular matrix: row {k} of the propagator is not finite"
 
 
 @pytest.mark.parametrize("m", [10, _DENSE_MAX + 1])
 def test_overflowing_solution_refused_on_both_sides(m):
-    """A finite factor and right-hand side, but ``x_k`` sums the m - k entries from k on."""
+    """A finite factor and right-hand side, but ``x_k`` sums the m - k entries from k on.
+
+    Neither side's step refuses the overflow: it writes the level, and the
+    writer refuses it at entry 0.
+    """
     band = Tridiagonal(np.zeros(m - 1), np.ones(m), np.full(m - 1, -1.0))
-    factor = _Factor(band)
-    with pytest.raises(SingularMatrixError) as info:
-        factor.solve(np.full(m, 1e308))
-    assert info.value.pivot_index == 0
-    assert str(info.value) == "singular matrix: entry 0 of the solution is not finite"
-    assert factor.solve(np.full(m, 1.0)).tolist() == list(range(m, 0, -1))
+    identity = Tridiagonal(np.zeros(m - 1), np.ones(m), np.zeros(m - 1))
+    assert substitute(_Factor(band), np.full(m, 1.0)).tolist() == list(range(m, 0, -1))
+    level = take_step(solver._step(band, identity), np.full(m, 1e308), 0.0)
+    assert np.isinf(level[0]) and level[-1] == 1e308
+    assert refusal(level) == "singular matrix: entry 0 of the level at t = 1 is not finite"
 
 
 @pytest.mark.parametrize("m", [2, _DENSE_MAX])
 def test_overflowing_propagator_refused(m):
     """``V^{-1} = 1e300 I`` is finite, but ``P = V^{-1} Mf`` for ``Mf = 1e10 I`` is not: refused."""
     band = Tridiagonal(np.zeros(m - 1), np.full(m, 1e-300), np.zeros(m - 1))
-    assert np.isfinite(_Factor(band).solve(np.ones(m))).all()
+    assert np.isfinite(substitute(_Factor(band), np.ones(m))).all()
     mass = Tridiagonal(np.zeros(m - 1), np.full(m, 1e10), np.zeros(m - 1))
     with pytest.raises(SingularMatrixError) as info:
         solver._step(band, mass)
@@ -855,20 +873,38 @@ def test_overflowing_propagator_refused(m):
     assert str(info.value) == "singular matrix: row 0 of the propagator is not finite"
 
 
+def overflowing_run(m):
+    """v = 500 at README scale amplifies the surface value about 1,000-fold: 1e306 overflows."""
+    mesh, atmosphere = build_uniform(m + 1), AtmosphereSeries.ramp(1e306)
+    return mesh, atmosphere, analysis.plan_run(DECAY, DECAY, mesh, V500_CONTEXT, dt=0.3,
+                                               force=True)
+
+
 @pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
 def test_overflowing_levels_refused_by_run_and_writer(m):
-    """v = 500 at README scale amplifies the surface value about 1,000-fold: 1e306 overflows.
+    """One rule at either size: ``run`` refuses its filled levels, ``write_csv`` the first row.
 
-    A propagator step lets the overflow through, so ``run`` refuses its
-    filled levels and ``write_csv`` the first row that is not finite; a
-    substitution step refuses it itself.  numpy's overflow warnings, which
-    only print outside the tests, are silenced.
+    Neither side's step refuses the overflow, and nothing here silences
+    numpy: an overflow warning from the loop fails the test.
     """
-    mesh, atmosphere = build_uniform(m + 1), AtmosphereSeries.ramp(1e306)
-    plan = analysis.plan_run(DECAY, DECAY, mesh, V500_CONTEXT, dt=0.3, force=True)
-    where = "the level at t = " if m <= _DENSE_MAX else "the solution"
-    with np.errstate(over="ignore", invalid="ignore"), open(os.devnull, "w") as handle:
-        with pytest.raises(SingularMatrixError, match=rf"singular matrix: entry \d+ of {where}"):
-            run(mesh, DECAY, DECAY, V500_CONTEXT, atmosphere, dt=0.3, force=True)
-        with pytest.raises(SingularMatrixError, match=rf"singular matrix: entry \d+ of {where}"):
-            write_csv(handle, mesh.nodes, levels(plan.operators, atmosphere))
+    mesh, atmosphere, plan = overflowing_run(m)
+    refused = r"singular matrix: entry \d+ of the level at t = "
+    with pytest.raises(SingularMatrixError, match=refused):
+        run(mesh, DECAY, DECAY, V500_CONTEXT, atmosphere, dt=0.3, force=True)
+    with open(os.devnull, "w") as handle, pytest.raises(SingularMatrixError, match=refused):
+        write_csv(handle, mesh.nodes, levels(plan.operators, atmosphere))
+
+
+@pytest.mark.parametrize("m", [_DENSE_MAX, _DENSE_MAX + 1])
+def test_levels_yield_overflowing_levels(m):
+    """The loop checks no level: drained by hand, it yields the non-finite ones.
+
+    No error and no warning at either size, as the steps go on from a
+    non-finite state.
+    """
+    _, atmosphere, plan = overflowing_run(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finite = [np.isfinite(interior).all()
+                  for _, _, interior in levels(plan.operators, atmosphere)]
+    assert finite == [True, False, False, False, False]  # K = 4, overflowed from level 1 on
