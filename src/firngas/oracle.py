@@ -1,14 +1,14 @@
 """Independent verification backend for the band assembly.
 
 Everything here is deliberately redundant with :mod:`firngas.assembly`:
-per-element 5-point Gauss-Legendre quadrature instead of endpoint averages,
-a dense LAPACK solve instead of band elimination.  ``--oracle-compare``
-holds the band matrices to :func:`assemble_reference`, and the tests and
-the benchmark's step checker hold the band solve to :func:`dense_solve`.
-The report and the time loop never call into this module, and ``import
-firngas`` does not load it.  The closed-form hat inner products and the
-dense eigensolver the tests compare against live with the tests, in
-``tests/reference.py``.
+per-element 5-point Gauss-Legendre quadrature, in one pass over the elements
+that evaluates the weight once, instead of endpoint averages, and a dense
+LAPACK solve instead of band elimination.  ``--oracle-compare`` holds the band
+matrices to :func:`assemble_reference`, and the tests and the benchmark's step
+checker hold the band solve to :func:`dense_solve`.  The report and the time
+loop never call into this module, and ``import firngas`` does not load it.
+The closed-form hat inner products and the dense eigensolver the tests
+compare against live with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -34,45 +34,34 @@ def _gauss5() -> tuple:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _integrate(fn, a: float, b: float) -> float:
-    """Integrate a callable over [a, b] with the 5-point rule."""
+def _element_integrals(weight, nodes: np.ndarray, left_prime: bool, right_prime: bool):
+    """5-point quadratures of ``weight * u * v`` on every element [a, b] of ``nodes``.
+
+    Returns a (4, len(nodes) - 1) array whose rows pair ``u`` and ``v`` as
+    ``ff, fr, rf, rr``: ``f`` is the hat of an element's left node,
+    ``(b - z)/(b - a)``, and ``r`` that of its right node, ``(z - a)/(b - a)``;
+    ``left_prime``/``right_prime`` take the slope of ``u``/``v`` instead.  The
+    weight is called once, on all the elements' points; each element's sum is
+    its own ``np.dot``, so it rounds as a one-element rule does.
+    """
     points, weights = _gauss5()
-    z = a + (b - a) * points
-    return (b - a) * float(np.dot(weights, fn(z)))
-
-
-def _hat(i: int, z: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Hat function at 1-based node index ``i``, evaluated pointwise."""
-    n = len(nodes)
-    out = np.zeros_like(z)
-    if i > 1:
-        left = (z >= nodes[i - 2]) & (z <= nodes[i - 1])
-        out[left] = (z[left] - nodes[i - 2]) / (nodes[i - 1] - nodes[i - 2])
-    if i < n:
-        right = (z >= nodes[i - 1]) & (z <= nodes[i])
-        out[right] = (nodes[i] - z[right]) / (nodes[i] - nodes[i - 1])
-    return out
-
-
-def _dhat(i: int, z: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Derivative of the hat at 1-based node ``i`` (element interiors only)."""
-    n = len(nodes)
-    out = np.zeros_like(z)
-    if i > 1:
-        left = (z > nodes[i - 2]) & (z < nodes[i - 1])
-        out[left] = 1.0 / (nodes[i - 1] - nodes[i - 2])
-    if i < n:
-        right = (z > nodes[i - 1]) & (z < nodes[i])
-        out[right] = -1.0 / (nodes[i] - nodes[i - 1])
-    return out
+    a, b = nodes[:-1, None], nodes[1:, None]
+    h = b - a
+    z = a + h * points
+    w = np.broadcast_to(np.asarray(weight(z), dtype=float), z.shape)
+    hats, slopes = ((b - z) / h, (z - a) / h), (-1.0 / h, 1.0 / h)
+    return np.array([[hk * float(np.dot(weights, row)) for hk, row in zip(h[:, 0], w * u * v)]
+                     for u in (slopes if left_prime else hats)
+                     for v in (slopes if right_prime else hats)])
 
 
 def quad_inner(weight, i: int, j: int, mesh, left_prime: bool = False,
                right_prime: bool = False) -> float:
-    """Quadrature of ``weight * u_i * v_j`` over the shared support elements.
+    """Quadrature of ``weight * u_i * v_j``, summed in order over the elements both hats share.
 
-    ``weight`` is a callable on [0, 1]; ``left_prime``/``right_prime``
-    select the derivative of the respective hat.  Indices are 1-based.
+    ``weight`` is an elementwise callable on [0, 1]; ``left_prime``/``right_prime``
+    select the derivative of the respective hat.  Indices are 1-based.  One
+    entry integrates only its shared elements, at O(1) cost.
     """
     nodes = mesh.nodes
     n = len(nodes)
@@ -80,17 +69,11 @@ def quad_inner(weight, i: int, j: int, mesh, left_prime: bool = False,
         raise ValidationError(f"basis indices ({i}, {j}) out of range")
     if abs(i - j) > 1:
         return 0.0
-    lo = max(min(i, j) - 1, 1)
-    hi = min(max(i, j), n - 1)
-    left = _dhat if left_prime else _hat
-    right = _dhat if right_prime else _hat
-
-    def integrand(z):
-        return np.asarray(weight(z), dtype=float) * left(i, z, nodes) * right(j, z, nodes)
-
+    lo, hi = (max(i - 1, 1), min(i + 1, n)) if i == j else (min(i, j), max(i, j))
+    pairs = _element_integrals(weight, nodes[lo - 1:hi], left_prime, right_prime)
     total = 0.0
-    for e in range(lo, hi + 1):  # elements [z_e, z_{e+1}], 1-based
-        total += _integrate(integrand, nodes[e - 1], nodes[e])
+    for e in range(hi - lo):  # shared element e joins nodes lo + e and lo + e + 1
+        total += pairs[2 * (i > lo + e) + (j > lo + e), e]
     return total
 
 
@@ -104,24 +87,19 @@ _KIND_FACTORS = {
 
 
 def assemble_reference(weight, kind: str, mesh, fcoef: float = 1.0) -> Tridiagonal:
-    """Near-exact counterpart of a band-assembled matrix.
+    """Near-exact counterpart of a band-assembled matrix: ``quad_inner`` of each entry's pair.
 
-    ``fcoef`` scales the ``"Kf"`` kind only.
+    ``weight`` must be elementwise: it is called once, on an (n - 1) x 5 array of
+    quadrature points.  ``fcoef`` scales the ``"Kf"`` kind only.
     """
     if kind not in _KIND_FACTORS:
         raise ValidationError(f"unknown reference matrix kind {kind!r}")
     left_prime, right_prime = _KIND_FACTORS[kind]
     scale = fcoef if kind == "Kf" else 1.0
-    m = mesh.n - 1
-    sub = np.zeros(m - 1)
-    diag = np.zeros(m)
-    sup = np.zeros(m - 1)
-    for k in range(m):
-        diag[k] = scale * quad_inner(weight, k + 2, k + 2, mesh, left_prime, right_prime)
-        if k < m - 1:
-            sup[k] = scale * quad_inner(weight, k + 2, k + 3, mesh, left_prime, right_prime)
-            sub[k] = scale * quad_inner(weight, k + 3, k + 2, mesh, left_prime, right_prime)
-    return Tridiagonal(sub, diag, sup)
+    ff, fr, rf, rr = _element_integrals(weight, mesh.nodes, left_prime, right_prime)
+    # diag[k]'s node rises on element k and falls on element k + 1, which the last lacks
+    diag = (0.0 + rr) + np.append(ff[1:], 0.0)
+    return Tridiagonal(scale * (0.0 + rf[1:]), scale * diag, scale * (0.0 + fr[1:]))
 
 
 def dense_solve(matrix, rhs: np.ndarray) -> np.ndarray:

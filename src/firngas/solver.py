@@ -278,13 +278,17 @@ def write_csv(handle, nodes, rows):
     """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``.
 
     Each row is checked, formatted and written as it comes, so streamed rows
-    are never held together.  An interior, any array-like, that is not numeric or not of
-    shape ``(len(nodes) - 1,)`` raises :class:`ValidationError`, and one with a
-    non-finite entry :class:`SingularMatrixError`, before its line is written.
+    are never held together.  A time or surface value that is not a finite
+    real number, or an interior, any array-like, that is not numeric or not of
+    shape ``(len(nodes) - 1,)`` raises :class:`ValidationError`, and an interior
+    with a non-finite entry :class:`SingularMatrixError`, before its line is written.
     """
     handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
     row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
     for t, surface, interior in rows:
+        if not all(isinstance(x, numbers.Real) and np.isfinite(x) for x in (t, surface)):
+            raise ValidationError(f"a row's time {t!r} and surface value {surface!r} "
+                                  "must be finite real numbers")
         try:
             interior = np.asarray(interior, dtype=float)
         except (TypeError, ValueError):

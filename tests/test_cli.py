@@ -601,6 +601,20 @@ class TestCmdOracleCompare:
         mf = [ln for ln in out.read_text().splitlines() if ln.startswith("Mf,")][0]
         assert float(mf.split(",")[1]) <= 1e-13
 
+    @pytest.mark.parametrize("n", [201, 1001])
+    def test_exact_stiffness_at_rounding_level_relative_to_its_band(self, tmp_path, capsys, n):
+        """S is exact for the affine D of the README config, so its deviation is rounding.
+
+        It exceeds ``1e-13`` in absolute terms from n = 201 on; the floor scales with the band.
+        """
+        cfg = write_config(tmp_path, z_F=80.0, T_e=30.0)
+        assert cli.main(["--config", cfg, "--oracle-compare", "--n", str(n)]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        stiffness = [ln for ln in out.splitlines() if ln.startswith("S,")]
+        assert len(stiffness) == 1 and stiffness[0].endswith(",nan,1,true")
+        assert float(stiffness[0].split(",")[1]) > 1e-13
+        assert err == ""
+
     def test_missed_band_names_the_kinds(self, tmp_path, capsys):
         """D drops tenfold over 1e-4 between nodes: the orders of A and S fall to about 0.4."""
         table = tmp_path / "d.csv"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference
 from firngas import oracle
@@ -17,16 +19,20 @@ from reference import min_symmetric_eigenvalue, substitute
 
 
 class TestQuadratureRule:
-    """The fixed 5-point Gauss-Legendre rule of :func:`oracle.quad_inner`."""
+    """The fixed 5-point Gauss-Legendre rule ``oracle._gauss5`` on [0, 1]."""
 
     def test_polynomial_exactness(self):
+        points, weights = oracle._gauss5()
         for degree in range(10):  # 2 * 5 - 1 = 9 is the edge of exactness
             exact = 1.0 / (degree + 1)
-            got = oracle._integrate(lambda z, p=degree: z**p, 0.0, 1.0)
+            got = float(np.dot(weights, points**degree))
             assert got == pytest.approx(exact, abs=1e-13)
 
     def test_shifted_interval(self):
-        assert oracle._integrate(lambda z: z**2, 1.0, 2.0) == pytest.approx(7.0 / 3.0, abs=1e-13)
+        points, weights = oracle._gauss5()
+        a, b = 1.0, 2.0
+        got = (b - a) * float(np.dot(weights, (a + (b - a) * points) ** 2))
+        assert got == pytest.approx(7.0 / 3.0, abs=1e-13)
 
 
 class TestQuadInner:
@@ -56,7 +62,49 @@ class TestQuadInner:
             quad_inner(lambda z: z, 0, 1, build_uniform(3))
 
 
+@st.composite
+def graded_meshes(draw):
+    """Meshes of 3 to 40 nodes whose element lengths span three decades."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = np.cumsum(10.0 ** rng.uniform(-3.0, 0.0, n - 1))
+    return Mesh(np.concatenate([[0.0], ends[:-1] / ends[-1], [1.0]]))
+
+
+CLOSED_FORM_WEIGHTS = {"1-z": lambda z: 1.0 - z, "exp(-z)": lambda z: np.exp(-z),
+                       "sqrt(1-z)": lambda z: np.sqrt(1.0 - z),
+                       "cos(7z)": lambda z: np.cos(7.0 * z)}
+
+
 class TestAssembleReference:
+    @given(graded_meshes(), st.sampled_from(sorted(oracle._KIND_FACTORS)),
+           st.sampled_from(sorted(CLOSED_FORM_WEIGHTS)), st.floats(0.1, 10.0))
+    def test_every_entry_is_the_quad_inner_of_its_pair(self, mesh, kind, weight_name, fcoef):
+        """Bit for bit: diag[k] is pair (k+2, k+2), sup[k] (k+2, k+3) and sub[k] (k+3, k+2)."""
+        weight = CLOSED_FORM_WEIGHTS[weight_name]
+        band = assemble_reference(weight, kind, mesh, fcoef=fcoef)
+        scale = fcoef if kind == "Kf" else 1.0
+
+        def entries(pairs):
+            return np.array([scale * quad_inner(weight, i, j, mesh, *oracle._KIND_FACTORS[kind])
+                             for i, j in pairs])
+
+        m = mesh.n - 1
+        assert band.diag.tobytes() == entries((k + 2, k + 2) for k in range(m)).tobytes()
+        assert band.sup.tobytes() == entries((k + 2, k + 3) for k in range(m - 1)).tobytes()
+        assert band.sub.tobytes() == entries((k + 3, k + 2) for k in range(m - 1)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["Mf", "Kf", "A", "S"])
+    def test_one_weight_call_per_band(self, kind):
+        shapes = []
+
+        def weight(z):
+            shapes.append(z.shape)
+            return 1.0 - z
+
+        assemble_reference(weight, kind, build_uniform(1001))
+        assert shapes == [(1000, 5)]
+
     def test_constant_weight_matches_exact_mass(self):
         mesh = build_uniform(11)
         ref = assemble_reference(lambda z: np.ones_like(z), "Mf", mesh)

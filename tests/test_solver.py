@@ -109,7 +109,7 @@ class TestBandSolve:
     def test_residual_on_random_general(self, case):
         # Partial pivoting is backward stable.  The propagator step's product
         # is not, but on these bands it keeps the same bound: with Mf = I and
-        # g = 0 the step is W rhs.
+        # g = 0 the step is P rhs = V^{-1} rhs.
         band, rhs = case
         assert_residual_as_dense(band, rhs, substitute(_Factor(band), rhs))
         identity = Tridiagonal(np.zeros(band.dim - 1), np.ones(band.dim), np.zeros(band.dim - 1))
@@ -221,17 +221,16 @@ class TestTrajectory:
     def test_csv_bytes_match_per_value_formatting(self, tmp_path, stride):
         # Edge values of 17-digit text over 2,500 rows; the reference formats
         # each value of each reconstructed row on its own.  The writer refuses
-        # a non-finite interior, so inf and nan appear in the surface column.
+        # a non-finite time, surface value or interior entry, so all are finite.
         finite = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1.0 / 3.0, 2.0**52 + 1.0,
                   1e-5, 123456789.12345678, 1e16]
-        special = finite + [np.inf, -np.inf, np.nan]
         rng = np.random.default_rng(3)
         mesh = build_uniform(6)
         n_levels = 2500
         interior = rng.choice(finite, size=(n_levels, 5)) * rng.choice([1.0, 1.7], (n_levels, 5))
         interior[0] = 0.0
         traj = Trajectory(times=np.cumsum(np.r_[0.0, rng.uniform(1e-9, 1.0, n_levels - 1)]),
-                          interior=interior, boundary=rng.choice(special, n_levels), mesh=mesh)
+                          interior=interior, boundary=rng.choice(finite, n_levels), mesh=mesh)
         kept = list(range(0, n_levels, stride))
         kept += [n_levels - 1] if kept[-1] != n_levels - 1 else []
         path = tmp_path / "traj.csv"
@@ -284,6 +283,15 @@ class TestTrajectory:
         with pytest.raises(ValidationError, match="interior at t = 0.5 is not numeric"):
             write_csv(handle, np.linspace(0, 1, 3), [(0.5, 0.0, interior)])
         assert handle.getvalue() == "t,0,0.5,1\n"
+
+    @pytest.mark.parametrize("t, surface", [("x", 0.0), (0.0, "x"), (0.0, None), (np.nan, 0.0)],
+                             ids=["text_time", "text_surface", "no_surface", "nan_time"])
+    def test_csv_refuses_a_time_or_surface_value_that_is_not_a_finite_number(self, t, surface):
+        # The row before it is written; the refused row is not.
+        handle = io.StringIO()
+        with pytest.raises(ValidationError, match="must be finite real numbers"):
+            write_csv(handle, np.linspace(0, 1, 3), [(0.5, 1.0, [0.0, 0.0]), (t, surface, [0.0, 0.0])])
+        assert handle.getvalue() == "t,0,0.5,1\n0.5,1,0,0\n"
 
 
 class TestRun:
