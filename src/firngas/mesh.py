@@ -12,6 +12,7 @@ Index conventions (tested in tests/test_mesh.py):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,8 @@ class Mesh:
 
 def build_uniform(n: int) -> Mesh:
     """Uniform mesh with ``n`` nodes and spacing ``1/(n-1)``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValidationError(f"node count must be an integer, got {n!r}")
     if n < 3:
         raise ValidationError(f"mesh needs at least 3 nodes, got {n}")
     return Mesh(np.linspace(0.0, 1.0, n))

@@ -3,12 +3,12 @@
 Everything here is deliberately redundant with :mod:`firngas.assembly`:
 per-element 5-point Gauss-Legendre quadrature, in one pass over the elements
 that evaluates the weight once, instead of endpoint averages, and a dense
-LAPACK solve instead of band elimination.  ``--oracle-compare`` holds the band
-matrices to :func:`assemble_reference`, and the tests and the benchmark's step
-checker hold the band solve to :func:`dense_solve`.  The report and the time
-loop never call into this module, and ``import firngas`` does not load it.
-The closed-form hat inner products and the dense eigensolver the tests
-compare against live with the tests, in ``tests/reference.py``.
+LAPACK solve of the same bands instead of band elimination.  ``--oracle-compare``
+holds the band matrices to :func:`assemble_reference`, and the tests and the
+benchmark's step checker hold the band solve to :func:`dense_solve`.  The report
+and the time loop never call into this module, and ``import firngas`` does not
+load it.  The closed-form hat inner products and the dense eigensolver the
+tests compare against live with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .assembly import Tridiagonal
 from .errors import SingularMatrixError, ValidationError
 
-__all__ = ["quad_inner", "assemble_reference", "dense_solve"]
+__all__ = ["assemble_reference", "dense_solve"]
 
 
 @functools.cache
@@ -55,28 +55,6 @@ def _element_integrals(weight, nodes: np.ndarray, left_prime: bool, right_prime:
                      for v in (slopes if right_prime else hats)])
 
 
-def quad_inner(weight, i: int, j: int, mesh, left_prime: bool = False,
-               right_prime: bool = False) -> float:
-    """Quadrature of ``weight * u_i * v_j``, summed in order over the elements both hats share.
-
-    ``weight`` is an elementwise callable on [0, 1]; ``left_prime``/``right_prime``
-    select the derivative of the respective hat.  Indices are 1-based.  One
-    entry integrates only its shared elements, at O(1) cost.
-    """
-    nodes = mesh.nodes
-    n = len(nodes)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValidationError(f"basis indices ({i}, {j}) out of range")
-    if abs(i - j) > 1:
-        return 0.0
-    lo, hi = (max(i - 1, 1), min(i + 1, n)) if i == j else (min(i, j), max(i, j))
-    pairs = _element_integrals(weight, nodes[lo - 1:hi], left_prime, right_prime)
-    total = 0.0
-    for e in range(hi - lo):  # shared element e joins nodes lo + e and lo + e + 1
-        total += pairs[2 * (i > lo + e) + (j > lo + e), e]
-    return total
-
-
 _KIND_FACTORS = {
     # kind -> (left_prime, right_prime)
     "Mf": (False, False),
@@ -87,7 +65,7 @@ _KIND_FACTORS = {
 
 
 def assemble_reference(weight, kind: str, mesh, fcoef: float = 1.0) -> Tridiagonal:
-    """Near-exact counterpart of a band-assembled matrix: ``quad_inner`` of each entry's pair.
+    """Near-exact counterpart of a band-assembled matrix, read off one pass over the elements.
 
     ``weight`` must be elementwise: it is called once, on an (n - 1) x 5 array of
     quadrature points.  ``fcoef`` scales the ``"Kf"`` kind only.
@@ -102,11 +80,9 @@ def assemble_reference(weight, kind: str, mesh, fcoef: float = 1.0) -> Tridiagon
     return Tridiagonal(scale * (0.0 + rf[1:]), scale * diag, scale * (0.0 + fr[1:]))
 
 
-def dense_solve(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Partially pivoted dense solve (LAPACK); accepts bands or a 2-d array."""
-    dense = matrix.to_dense() if isinstance(matrix, Tridiagonal) else np.asarray(matrix, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValidationError("dense_solve needs a square matrix")
+def dense_solve(matrix: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
+    """Partially pivoted dense solve (LAPACK) of the bands ``matrix``."""
+    dense = matrix.to_dense()
     if dense.shape[0] != len(rhs):
         raise ValidationError("right-hand-side length mismatch")
     try:

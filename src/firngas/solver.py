@@ -215,8 +215,9 @@ class Trajectory:
 
     def reconstruct_full(self, k: int) -> np.ndarray:
         """Full node vector at level ``k``: Dirichlet value then interior."""
-        if not 0 <= k < self.n_levels:
-            raise ValidationError(f"level index {k} out of range 0..{self.n_levels - 1}")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < self.n_levels:
+            raise ValidationError(f"level index must be an integer in 0..{self.n_levels - 1}, "
+                                  f"got {k!r}")
         return np.concatenate([[self.boundary[k]], self.interior[k]])
 
 

@@ -529,6 +529,25 @@ class TestCmdCheck:
         cfg = write_config(tmp_path, f_kind="constant", f_value=-1.0)
         assert cli.main(["--config", cfg, "--check-only"]) == cli.EXIT_ADMISSIBILITY
 
+    def test_dt_and_force_ignored(self, tmp_path, capsys):
+        """The report is the unforced auto step's: ``--dt``, above or below ``dt_max``, and
+        ``--force`` change nothing, and a config a check refuses still exits 2."""
+        cfg = write_config(tmp_path)
+        reports = {}
+        for name, flags in [("plain", []), ("above_bound", ["--dt", "0.5"]),
+                            ("below_bound", ["--dt", "0.001"])]:
+            reports[name] = tmp_path / f"{name}.txt"
+            assert cli.main(["--config", cfg, "--check-only", "--out", str(reports[name]),
+                             *flags]) == cli.EXIT_OK
+        assert float(dict(line.split(": ") for line in
+                          reports["plain"].read_text().splitlines())["dt_max"]) < 0.5
+        assert {path.read_bytes() for path in reports.values()} == {reports["plain"].read_bytes()}
+        (tmp_path / "refused").mkdir()
+        refused = write_config(tmp_path / "refused", f_kind="constant", f_value=-1.0)
+        assert cli.main(["--config", refused, "--check-only", "--force"]) == \
+            cli.EXIT_ADMISSIBILITY
+        assert "(5)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n, code, message", [
         ("101", cli.EXIT_ADMISSIBILITY, "assumption (9)"),
         ("2002", cli.EXIT_ADMISSIBILITY, "assumption (9)"),

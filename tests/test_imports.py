@@ -22,6 +22,12 @@ from firngas.model import rescale
 from reference import fresh_output, write_config
 
 
+def firngas_modules():
+    """The package and each of its modules."""
+    return [firngas] + [importlib.import_module(f"firngas.{info.name}")
+                        for info in pkgutil.iter_modules(firngas.__path__)]
+
+
 def test_package_and_cli_import_without_scipy():
     assert fresh_output("import sys, firngas, firngas.cli; "
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -30,11 +36,35 @@ def test_package_and_cli_import_without_scipy():
 
 def test_every_export_resolves():
     """A name left in an ``__all__`` after its definition is deleted fails here."""
-    modules = [firngas] + [importlib.import_module(f"firngas.{info.name}")
-                           for info in pkgutil.iter_modules(firngas.__path__)]
-    missing = [f"{module.__name__}.{name}" for module in modules
+    missing = [f"{module.__name__}.{name}" for module in firngas_modules()
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_export_has_a_caller():
+    """An exported name that no module, benchmark file or README example uses is dead code.
+
+    A use is a ``Name``, an ``Attribute`` or an imported name anywhere in
+    ``src/firngas``, ``perfbench`` or a README ``python`` block; the tests
+    do not count, so a reference only the tests need lives with the tests.
+    """
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    sources = [path.read_text() for folder in (root / "src" / "firngas", root / "perfbench")
+               for path in sorted(folder.glob("*.py"))]
+    sources += re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    used = set()
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    unused = [f"{module.__name__}.{name}" for module in firngas_modules()
+              for name in getattr(module, "__all__", ())
+              if not name.startswith("__") and name not in used]
+    assert unused == []
 
 
 def test_package_import_leaves_oracle_unloaded():

@@ -18,6 +18,14 @@ class TestBuildUniform:
         with pytest.raises(ValidationError):
             build_uniform(2)
 
+    @pytest.mark.parametrize("n", [5.0, True, "5"], ids=["float", "bool", "str"])
+    def test_non_integer_node_count_refused(self, n):
+        with pytest.raises(ValidationError, match="node count must be an integer"):
+            build_uniform(n)
+
+    def test_numpy_integer_node_count(self):
+        assert build_uniform(np.int64(5)).n == 5
+
     def test_lengths_sum_to_one(self):
         mesh = build_uniform(97)
         assert mesh.element_lengths.sum() == pytest.approx(1.0, abs=1e-13)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import reference
 from firngas import oracle
-from firngas.assembly import (Tridiagonal, assemble_Kf, assemble_M,
+from firngas.assembly import (Tridiagonal, assemble_A, assemble_Kf, assemble_M,
                               assemble_Mf, assemble_S)
 from firngas.errors import SingularMatrixError, ValidationError
 from firngas.mesh import Mesh, build_uniform
-from firngas.oracle import assemble_reference, dense_solve, quad_inner
+from firngas.oracle import assemble_reference, dense_solve
 from firngas.solver import _Factor
 from reference import min_symmetric_eigenvalue, substitute
 
@@ -35,33 +35,6 @@ class TestQuadratureRule:
         assert got == pytest.approx(7.0 / 3.0, abs=1e-13)
 
 
-class TestQuadInner:
-    def test_neighbor_mass(self):
-        mesh = build_uniform(6)
-        got = quad_inner(lambda z: np.ones_like(z), 3, 2, mesh)
-        assert got == pytest.approx(0.2 / 6.0, abs=1e-14)
-
-    def test_partition_of_unity(self):
-        mesh = Mesh([0.0, 0.2, 0.5, 1.0])
-        total = sum(
-            quad_inner(lambda z: np.ones_like(z), i, j, mesh)
-            for i in range(1, mesh.n + 1)
-            for j in range(1, mesh.n + 1)
-        )
-        assert total == pytest.approx(1.0, abs=1e-13)
-
-    def test_linear_weight_hand_value(self):
-        # int_0^h z * ((h - z)/h)^2 dz = h^2 / 12 with the left hat on [0, h]
-        mesh = build_uniform(3)  # h = 0.5
-        got = quad_inner(lambda z: z, 1, 1, mesh)
-        # left hat's support is only element 1
-        assert got == pytest.approx(0.5**2 / 12.0, abs=1e-14)
-
-    def test_index_guard(self):
-        with pytest.raises(ValidationError):
-            quad_inner(lambda z: z, 0, 1, build_uniform(3))
-
-
 @st.composite
 def graded_meshes(draw):
     """Meshes of 3 to 40 nodes whose element lengths span three decades."""
@@ -71,28 +44,39 @@ def graded_meshes(draw):
     return Mesh(np.concatenate([[0.0], ends[:-1] / ends[-1], [1.0]]))
 
 
-CLOSED_FORM_WEIGHTS = {"1-z": lambda z: 1.0 - z, "exp(-z)": lambda z: np.exp(-z),
-                       "sqrt(1-z)": lambda z: np.sqrt(1.0 - z),
-                       "cos(7z)": lambda z: np.cos(7.0 * z)}
+BAND_ASSEMBLY = {"Mf": lambda mesh, w, fcoef: assemble_Mf(mesh, w),
+                 "Kf": assemble_Kf,
+                 "A": lambda mesh, w, fcoef: assemble_A(mesh, w),
+                 "S": lambda mesh, w, fcoef: assemble_S(mesh, w)}
 
 
 class TestAssembleReference:
+    def test_neighbor_mass(self):
+        band = assemble_reference(lambda z: np.ones_like(z), "Mf", build_uniform(6))
+        assert band.sub[0] == pytest.approx(0.2 / 6.0, abs=1e-14)
+
+    def test_linear_weight_hand_value(self):
+        # the bottom hat (z - a)/h on [a, 1], a = 1 - h: int z * hat^2 = h^2/4 + a*h/3
+        band = assemble_reference(lambda z: z, "Mf", build_uniform(3))  # h = 0.5
+        assert band.diag[-1] == pytest.approx(0.5**2 / 4.0 + 0.5 * 0.5 / 3.0, abs=1e-14)
+
+    def test_partition_of_unity(self):
+        # the hats sum to 1, but the surface hat has no row: the total lacks its
+        # row and its column, h0/2 each, which share its own product h0/3
+        band = assemble_reference(lambda z: np.ones_like(z), "Mf", Mesh([0.0, 0.2, 0.5, 1.0]))
+        total = band.sub.sum() + band.diag.sum() + band.sup.sum()
+        assert total == pytest.approx(1.0 - 2.0 * 0.2 / 3.0, abs=1e-13)
+
     @given(graded_meshes(), st.sampled_from(sorted(oracle._KIND_FACTORS)),
-           st.sampled_from(sorted(CLOSED_FORM_WEIGHTS)), st.floats(0.1, 10.0))
-    def test_every_entry_is_the_quad_inner_of_its_pair(self, mesh, kind, weight_name, fcoef):
-        """Bit for bit: diag[k] is pair (k+2, k+2), sup[k] (k+2, k+3) and sub[k] (k+3, k+2)."""
-        weight = CLOSED_FORM_WEIGHTS[weight_name]
-        band = assemble_reference(weight, kind, mesh, fcoef=fcoef)
-        scale = fcoef if kind == "Kf" else 1.0
-
-        def entries(pairs):
-            return np.array([scale * quad_inner(weight, i, j, mesh, *oracle._KIND_FACTORS[kind])
-                             for i, j in pairs])
-
-        m = mesh.n - 1
-        assert band.diag.tobytes() == entries((k + 2, k + 2) for k in range(m)).tobytes()
-        assert band.sup.tobytes() == entries((k + 2, k + 3) for k in range(m - 1)).tobytes()
-        assert band.sub.tobytes() == entries((k + 3, k + 2) for k in range(m - 1)).tobytes()
+           st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+    def test_constant_weight_matches_band_assembly(self, mesh, kind, c, fcoef):
+        """Endpoint averages are exact for a constant weight: every band is the assembly's."""
+        band = assemble_reference(lambda z: np.full_like(z, c), kind, mesh, fcoef=fcoef)
+        want = BAND_ASSEMBLY[kind](mesh, np.full(mesh.n, c), fcoef)
+        tol = 1e-12 * want.max_abs()
+        for name in ("sub", "diag", "sup"):
+            np.testing.assert_allclose(getattr(band, name), getattr(want, name), rtol=0, atol=tol,
+                                       err_msg=name)
 
     @pytest.mark.parametrize("kind", ["Mf", "Kf", "A", "S"])
     def test_one_weight_call_per_band(self, kind):
@@ -152,15 +136,16 @@ class TestAssembleReference:
 class TestDenseSolve:
     def test_identity(self):
         rhs = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(dense_solve(np.eye(3), rhs), rhs)
+        np.testing.assert_allclose(dense_solve(Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2)),
+                                               rhs), rhs)
 
     def test_hand_elimination(self):
-        x = dense_solve(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
+        x = dense_solve(Tridiagonal([1.0], [2.0, 2.0], [1.0]), np.array([3.0, 3.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
-            dense_solve(np.zeros((2, 2)), np.ones(2))
+            dense_solve(Tridiagonal([0.0], [0.0, 0.0], [0.0]), np.ones(2))
 
     def test_cross_check_band_solver(self):
         rng = np.random.default_rng(11)
@@ -175,10 +160,9 @@ class TestDenseSolve:
                 substitute(_Factor(band), rhs), dense_solve(band, rhs), atol=1e-10)
 
     def test_shape_guards(self):
+        # a band is square by construction: only the right-hand side's length can mismatch
         with pytest.raises(ValidationError):
-            dense_solve(np.ones((2, 3)), np.ones(2))
-        with pytest.raises(ValidationError):
-            dense_solve(np.eye(3), np.ones(2))
+            dense_solve(Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2)), np.ones(2))
 
 
 class TestMinSymmetricEigenvalue:

@@ -177,8 +177,17 @@ class TestTrajectory:
                           boundary=np.array([0.0, 1.0]), mesh=mesh)
         np.testing.assert_array_equal(traj.reconstruct_full(0), [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(traj.reconstruct_full(1), [1.0, 0.3, 0.7])
+        np.testing.assert_array_equal(traj.reconstruct_full(np.int64(1)), [1.0, 0.3, 0.7])
         with pytest.raises(ValidationError):
             traj.reconstruct_full(2)
+
+    @pytest.mark.parametrize("k", [True, 1.0, np.float64(0.0), "1"],
+                             ids=["bool", "float", "numpy_float", "str"])
+    def test_reconstruct_full_refuses_a_non_integer_index(self, k):
+        traj = Trajectory(times=np.array([0.0, 1.0]), interior=np.zeros((2, 2)),
+                          boundary=np.zeros(2), mesh=build_uniform(3))
+        with pytest.raises(ValidationError, match="level index must be an integer"):
+            traj.reconstruct_full(k)
 
     def test_must_start_from_zero(self):
         mesh = build_uniform(3)
