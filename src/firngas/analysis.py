@@ -19,7 +19,7 @@ import numpy as np
 
 from . import assembly
 from .errors import AssumptionError, FirngasError, TimeStepError, ValidationError
-from .model import RescaledContext
+from .model import RescaledContext, _finite
 
 __all__ = [
     "PDVerdict",
@@ -59,8 +59,7 @@ def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
 def _estimate_lipschitz(profile, mesh, hi: float) -> float:
     """Max divided difference of a profile over [0, hi] on ``4 (n - 1) + 1`` points."""
     grid = np.linspace(0.0, hi, 4 * (mesh.n - 1) + 1)
-    values = np.asarray(profile(grid), dtype=float)
-    return float(np.max(np.abs(np.diff(values) / np.diff(grid))))
+    return float(np.max(np.abs(np.diff(profile(grid)) / np.diff(grid))))
 
 
 def _hardy_constant(cum_inv_w: np.ndarray, grid: np.ndarray, z_F: float) -> float:
@@ -92,7 +91,7 @@ def _inverse_integral(weight, bottom: float, z_F: float) -> tuple:
     closed = bottom > 0.0
     points = np.append(grid, 1.0) if closed else grid
     with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / np.maximum(np.asarray(weight(points), dtype=float), 0.0)
+        inv = 1.0 / np.maximum(weight(points), 0.0)
     cum = _cumulative_trapezoid(inv, points)
     coarse = float(cum[:grid.size][grid <= 1.0 - 1e-4][-1])
     full = float(cum[-1])
@@ -126,7 +125,7 @@ def _check_node_samples(values: np.ndarray, cap, mesh, assumption: str):
 def _compute_fh(f_profile, h: float) -> float:
     """Minimum of the pore fraction over [0, 1 - h]."""
     grid = np.linspace(0.0, 1.0 - h, 50001)
-    value = float(np.min(np.asarray(f_profile(grid), dtype=float)))
+    value = float(np.min(f_profile(grid)))
     if value <= 0.0:
         raise AssumptionError("(5)", "pore fraction not strictly positive away from the bottom")
     return value
@@ -161,11 +160,13 @@ class PDVerdict:
 
 
 def check_pd_all(matrices: dict) -> dict:
-    """Positive definiteness of the symmetric part of each named band matrix of one dimension.
+    """Positive definiteness of the symmetric part of each named :class:`Tridiagonal` of one size.
 
     The verdicts are :func:`_certified`'s, so an all-zero matrix is not definite;
     bisection on the same scaled symmetric parts gives ``min_eigenvalue``.
     """
+    if not all(isinstance(matrix, assembly.Tridiagonal) for matrix in matrices.values()):
+        raise ValidationError("check_pd_all needs Tridiagonal matrices")
     if len({matrix.dim for matrix in matrices.values()}) > 1:
         raise ValidationError("check_pd_all needs matrices of one dimension")
     if not matrices:
@@ -370,10 +371,11 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     ``sup f/D`` and ``sup D``.  Under ``force`` a failed check drops the
     constants and the run goes on with the node samples; the step bound is
     computed after the failure only to pick an ``"auto"`` step.  A ``c_D``
-    outside (0, 2), or a ``dt`` that is neither ``"auto"`` nor a real number
-    in (0, 1] with at most ``_MAX_STEPS`` steps, raises
+    that is not a number in (0, 2), or a ``dt`` that is neither ``"auto"``
+    nor a real number in (0, 1] with at most ``_MAX_STEPS`` steps, raises
     :class:`ValidationError` first, ``force`` or not.
     """
+    c_D = _finite("c_D", c_D)
     if not 0.0 < c_D < 2.0:
         raise ValidationError(f"c_D must lie in (0, 2), got {c_D}")
     auto = isinstance(dt, str) and dt == "auto"
@@ -381,7 +383,7 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
         raise ValidationError(f"time step must be a number or 'auto', got {dt!r}")
     if not auto:
         _time_grid(dt)
-    f_nodes, d_nodes = (np.asarray(p(mesh.nodes), dtype=float) for p in (f_profile, d_profile))
+    f_nodes, d_nodes = f_profile(mesh.nodes), d_profile(mesh.nodes)
     d_bottom = float(d_nodes[-1])  # the last node is z = 1
     grid, cum_inv_d, inv_d = _inverse_integral(d_profile, d_bottom, context.z_F)
     bound = constants = None
@@ -396,7 +398,7 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
         b0 = _hardy_constant(cum_inv_d, grid, context.z_F)
         del grid, cum_inv_d
         body = np.linspace(0.0, 1.0 - _TRUNC, 20001)  # one sample for C0 and continuity (9)
-        f_vals, d_vals = (np.asarray(p(body), dtype=float) for p in (f_profile, d_profile))
+        f_vals, d_vals = f_profile(body), d_profile(body)
         if np.any(d_vals <= 0.0):
             raise AssumptionError("(6)", "diffusivity vanishes inside [0, 1)")
         sqrt_fd = math.sqrt(_sup_ratio(f_vals, d_vals))

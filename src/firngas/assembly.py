@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import RescaledContext
+from .model import RescaledContext, _finite_array
 
 __all__ = [
     "Tridiagonal",
@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class Tridiagonal:
-    """Square tridiagonal matrix stored as three bands.
+    """Square tridiagonal matrix stored as three finite 1-d float bands.
 
     ``sub[s]`` couples row ``s+1`` to column ``s``; ``sup[s]`` couples row
     ``s`` to column ``s+1``.
@@ -54,16 +54,11 @@ class Tridiagonal:
     sup: np.ndarray
 
     def __post_init__(self):
-        sub = np.asarray(self.sub, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        sup = np.asarray(self.sup, dtype=float)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "sup", sup)
-        if len(sub) != len(diag) - 1 or len(sup) != len(diag) - 1:
+        for name in ("sub", "diag", "sup"):
+            object.__setattr__(self, name, _finite_array(getattr(self, name),
+                                                         "non-finite matrix entry"))
+        if self.diag.ndim != 1 or not self.sub.shape == self.sup.shape == (self.dim - 1,):
             raise ValidationError("inconsistent band lengths")
-        if not (np.all(np.isfinite(sub)) and np.all(np.isfinite(diag)) and np.all(np.isfinite(sup))):
-            raise ValidationError("non-finite matrix entry")
 
     @property
     def dim(self) -> int:

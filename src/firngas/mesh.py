@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .model import _finite_array
 
 __all__ = ["Mesh", "build_uniform"]
 
@@ -30,7 +31,7 @@ class Mesh:
     element_lengths: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _finite_array(self.nodes, "mesh nodes must be finite numbers")
         if nodes.ndim != 1:
             raise ValidationError(f"mesh nodes must be a 1-d array, got shape {nodes.shape}")
         object.__setattr__(self, "nodes", nodes)

@@ -3,7 +3,9 @@
 The model lives on the rescaled unit square: depth ``z`` in ``[0, 1]``
 (physical depth divided by the firn depth ``z_F``) and time ``t`` in
 ``[0, 1]`` (physical time divided by the final time ``T_e``).  Coefficient
-profiles are therefore functions of the rescaled depth.
+profiles are therefore functions of the rescaled depth.  A caller's number
+becomes a finite float by one rule, :func:`_finite` (arrays: :func:`_finite_array`),
+which raises :class:`ValidationError` for any other value; records store its float.
 """
 
 from __future__ import annotations
@@ -27,10 +29,26 @@ __all__ = [
 
 
 def _finite(name: str, value) -> float:
-    value = float(value)
-    if not np.isfinite(value):
+    """``float(value)`` if it is finite; else, or for an array, :class:`ValidationError`."""
+    try:
+        value = value if np.ndim(value) else float(value)
+    except (TypeError, ValueError):
+        pass  # refused below, as the caller gave it
+    if not (isinstance(value, float) and np.isfinite(value)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _finite_array(values, message: str) -> np.ndarray:
+    """``np.asarray(values, dtype=float)`` if all finite, else ``ValidationError(message)``."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(message) from None
+    # min and max propagate nan and inf without a temporary of the array's size
+    if not (np.isfinite(array.min(initial=0.0)) and np.isfinite(array.max(initial=0.0))):
+        raise ValidationError(message)
+    return array
 
 
 @dataclass(frozen=True)
@@ -52,10 +70,12 @@ class ModelParams:
     T_e: float      # final physical time
 
     def __post_init__(self):
-        for name in ("M_alpha", "g", "R", "T", "tau", "lam", "v", "w_air", "z_F", "T_e"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValidationError(f"ModelParams.{name} must be strictly positive, got {value!r}")
+        for item in fields(self):
+            value = _finite(f"ModelParams.{item.name}", getattr(self, item.name))
+            if value <= 0.0:
+                raise ValidationError(f"ModelParams.{item.name} must be strictly positive, "
+                                      f"got {value!r}")
+            object.__setattr__(self, item.name, value)
         if not 0.5 <= self.lam <= 0.999:
             warnings.warn(
                 f"decay rate lam={self.lam} outside the tabulated range [0.5, 0.999]",
@@ -80,6 +100,7 @@ class RescaledContext:
             if value < 0.0 or (positive and value == 0.0):
                 sign = "strictly positive" if positive else "nonnegative"
                 raise ValidationError(f"RescaledContext.{item.name} must be {sign}")
+            object.__setattr__(self, item.name, value)
 
 
 def rescale(params: ModelParams) -> RescaledContext:
@@ -98,11 +119,9 @@ def rescale(params: ModelParams) -> RescaledContext:
 
 def _sample_table(x, y, what: str) -> tuple[np.ndarray, np.ndarray]:
     """A piecewise-linear sample table: 1-d, finite, strictly increasing ``x`` covering [0, 1]."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = (_finite_array(a, f"{what} samples must be finite") for a in (x, y))
     if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
         raise ValidationError(f"{what} needs matching 1-d sample arrays of length >= 2")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValidationError(f"{what} samples must be finite")
     if np.any(np.diff(x) <= 0.0):
         raise ValidationError(f"{what} sample points must be strictly increasing")
     if x[0] > 0.0 or x[-1] < 1.0:
@@ -123,8 +142,8 @@ def _firn_diffusion(z_eddy: float, r_alpha: float, c_f: float, d_eddy, d_co2_air
 class CoefficientProfile:
     """A nonnegative coefficient function on the rescaled depth ``[0, 1]``.
 
-    Built by one of the constructors, each of which refuses non-finite
-    arguments:
+    Built by one of the constructors, each of which refuses an argument that
+    is not a finite number:
 
     :meth:`constant`        value
     :meth:`affine`          intercept + slope * z
@@ -132,8 +151,9 @@ class CoefficientProfile:
     :meth:`firn_diffusion`  d_eddy(z) + r_alpha*c_f*d_co2_air(z) for z <= z_eddy,
                             r_alpha*d_co2_air(z) for z > z_eddy
 
-    ``evaluate`` maps an array of depths in ``[0, 1]`` to the values; the
-    constructors build it from module-level functions, so profiles pickle.
+    ``evaluate`` maps an array of depths in ``[0, 1]`` to a float array of the
+    same shape, else a call raises :class:`ValidationError`; the constructors
+    build it from module-level functions, so profiles pickle.
     ``upper_bound``, when set, caps admissible values.  A profile checks only
     its own arguments: :func:`firngas.analysis.plan_run` refuses its node
     values for their sign or for exceeding the cap.
@@ -186,6 +206,12 @@ class CoefficientProfile:
         if np.any(z < 0.0) or np.any(z > 1.0):
             raise DomainError("profile evaluated outside [0, 1]")
         out = self.evaluate(z)
+        try:
+            out = np.asarray(out, dtype=float)
+        except (TypeError, ValueError):
+            out = None  # refused below
+        if out is None or out.shape != z.shape:
+            raise ValidationError(f"profile values must be a float array of shape {z.shape}")
         return out if out.ndim else float(out)
 
 
@@ -210,7 +236,7 @@ class AtmosphereSeries:
     @classmethod
     def ramp(cls, amplitude: float = 1.0) -> "AtmosphereSeries":
         """Linear ramp from 0 at t=0 to ``amplitude`` at t=1."""
-        return cls(np.array([0.0, 1.0]), np.array([0.0, float(amplitude)]))
+        return cls(np.array([0.0, 1.0]), np.array([0.0, _finite("ramp amplitude", amplitude)]))
 
     @classmethod
     def zero(cls) -> "AtmosphereSeries":

@@ -28,6 +28,8 @@ import numpy as np
 
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
+from .mesh import Mesh
+from .model import _finite_array
 
 __all__ = ["Trajectory", "run", "levels", "write_csv"]
 
@@ -167,6 +169,11 @@ def _set_up(system: assembly.DiscreteSystem, atmosphere):
     times = np.append(np.arange(n_steps) * float(dt), 1.0)
     last_system = system if last_dt == dt else replace(system, dt=last_dt)
     boundary = np.asarray(atmosphere(times), dtype=float)
+    if boundary.shape != times.shape or boundary[0] != 0.0:
+        raise ValidationError("the atmosphere must give one value per level time, 0 at t = 0")
+    if not (np.isfinite(boundary.min()) and np.isfinite(boundary.max())):  # no K-long temporary
+        t = next(t for t, value in zip(times, boundary) if not np.isfinite(value))
+        raise ValidationError(f"the atmosphere is not finite at t = {t:.17g}")
     forcing = assembly.surface_v1(boundary[:-1], boundary[1:], mesh, system.f_samples)
     v3 = assembly.surface_v3(boundary[1:], mesh, system.f_samples, system.d_samples,
                              system.context)
@@ -190,16 +197,19 @@ def _set_up(system: assembly.DiscreteSystem, atmosphere):
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class Trajectory:
-    """Discrete solution: interior coefficients plus boundary values per level."""
+    """Discrete solution on a :class:`Mesh`: finite interior coefficients and boundary values."""
 
     times: np.ndarray           # (K+1,), t_0 = 0, t_K = 1
     interior: np.ndarray        # (K+1, n-1)
     boundary: np.ndarray        # (K+1,), atmospheric value at each level
-    mesh: object
+    mesh: Mesh
 
     def __post_init__(self):
         for name in ("times", "interior", "boundary"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = _finite_array(getattr(self, name), f"trajectory {name} must be finite")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.mesh, Mesh):
+            raise ValidationError(f"a trajectory needs a Mesh, got {self.mesh!r}")
         if (self.times.ndim != 1 or self.times.size == 0 or self.times[0] != 0.0
                 or np.any(np.diff(self.times) <= 0.0)):
             raise ValidationError("trajectory times must increase from 0 in a nonempty 1-d array")
@@ -252,8 +262,9 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     up to ``t_K = 1`` (``analysis._time_grid``; a last step other than ``dt``
     gets a step matrix of its own), the atmosphere at every level, the row-0
     forcings ``g_k = v1_k + T_e dt_k v3_k`` (``surface_v1``/``surface_v3``)
-    and each step matrix's step (:func:`_step`), so a bad stride or step, or
-    a singular step matrix or propagator, raises here.  The returned
+    and each step matrix's step (:func:`_step`), so a bad stride or step, an
+    atmosphere not finite at a level or not 0 at t = 0, or a singular step
+    matrix or propagator, raises here.  The returned
     generator yields ``(t, surface value, interior)``, each interior a fresh
     array, at level 0, every ``stride``-th level and the last.  It is the
     package's one implicit-Euler step, ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k``

@@ -13,7 +13,8 @@ from firngas.analysis import _MAX_STEPS, build_report, check_pd_all, plan_run
 from firngas.assembly import Tridiagonal, assemble_M, assemble_S, assemble_system
 from firngas.errors import AssumptionError, FirngasError, ValidationError
 from firngas.mesh import build_uniform
-from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext, rescale
+from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, RescaledContext,
+                           rescale)
 from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, count_calls, ctx,
                        min_symmetric_eigenvalue, reference_step, write_config)
 
@@ -329,6 +330,11 @@ class TestCheckPd:
     def test_empty_mapping_gives_no_verdicts(self):
         assert check_pd_all({}) == {}
 
+    @pytest.mark.parametrize("matrix", [np.eye(3), None, [[1.0]]], ids=["array", "none", "list"])
+    def test_a_value_that_is_not_a_tridiagonal_refused(self, matrix):
+        with pytest.raises(ValidationError, match="needs Tridiagonal matrices"):
+            check_pd_all({"M": assemble_M(build_uniform(4)), "a": matrix})
+
     @given(tridiagonals())
     def test_matches_dense_on_random_bands(self, band):
         assert_matches_dense({"T": check_pd(band)}, {"T": band})
@@ -415,6 +421,18 @@ class TestPlanArguments:
     def test_numpy_dt_taken(self):
         plan = plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=np.float64(0.004))
         assert plan.operators.dt == 0.004
+
+    def test_float32_parameters_plan_in_double_precision(self):
+        """The unit config's constants as float32: the same report as the widened floats."""
+        values = dict(M_alpha=0.04, g=9.81, R=8.314, T=250.0, tau=0.3, lam=0.7, v=0.5,
+                      w_air=0.1, z_F=1.0, T_e=1.0)
+        single = rescale(ModelParams(**{k: np.float32(v) for k, v in values.items()}))
+        widened = rescale(ModelParams(**{k: float(np.float32(v)) for k, v in values.items()}))
+        assert all(type(value) is float for value in vars(single).values())
+        plans = [plan_run(DECAY, DECAY, build_uniform(21), context)
+                 for context in (single, widened)]
+        assert type(plans[0].operators.dt) is float
+        assert plans[0].report.to_text() == plans[1].report.to_text()
 
 
 class TestWholePlans:

@@ -3,10 +3,18 @@ import pickle
 import numpy as np
 import pytest
 
+from firngas.analysis import plan_run
+from firngas.assembly import Tridiagonal
 from firngas.errors import DomainError, ValidationError
+from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
-from reference import ONE
+from firngas.solver import Trajectory
+from reference import ONE, ctx
+
+# Values a number argument cannot take: each is refused with ValidationError.
+BAD_NUMBERS = {"str": "x", "none": None, "object": object(), "list": [1.0],
+               "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 
 
 def make_params(**overrides):
@@ -52,11 +60,21 @@ class TestModelParams:
             RescaledContext(T_e=1.0, z_F=1.0, mcoef=-1.0, gcoef=0.0, fcoef=0.0)
 
     @pytest.mark.parametrize("name", ["T_e", "z_F", "mcoef", "gcoef", "fcoef"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
     def test_context_refuses_non_finite(self, name, bad):
         fields = dict(T_e=1.0, z_F=1.0, mcoef=0.0, gcoef=0.0, fcoef=0.0)
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             RescaledContext(**{**fields, name: bad})
+
+    @pytest.mark.parametrize("number", [np.float32, np.float64, int, str],
+                             ids=["float32", "float64", "int", "str"])
+    def test_records_store_python_floats(self, number):
+        params = make_params(**{name: number(value) for name, value in dict(
+            T=250, z_F=80, T_e=30, R=8).items()})
+        for record in (params, rescale(params)):
+            for name, value in vars(record).items():
+                assert type(value) is float, (name, value)
+        assert (params.T, params.z_F, params.T_e, params.R) == (250.0, 80.0, 30.0, 8.0)
 
 
 class TestCoefficientProfile:
@@ -97,10 +115,10 @@ class TestCoefficientProfile:
         with pytest.raises(DomainError):
             p(np.array([-0.1, 0.5]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
     @pytest.mark.parametrize("build", [
         lambda x: CoefficientProfile.constant(x),
-        lambda x: CoefficientProfile.constant(1.0, upper_bound=x),
+        lambda x: CoefficientProfile.constant(1.0, upper_bound="x" if x is None else x),
         lambda x: CoefficientProfile.affine(x, -1.0),
         lambda x: CoefficientProfile.affine(1.0, x),
         lambda x: CoefficientProfile.sampled([0.0, 0.5, 1.0], [1.0, x, 0.0]),
@@ -111,8 +129,33 @@ class TestCoefficientProfile:
     ], ids=["constant", "upper_bound", "intercept", "slope", "sampled_value", "sampled_z",
             "z_eddy", "r_alpha", "c_f"])
     def test_constructors_refuse_non_finite(self, build, bad):
+        # upper_bound=None means no cap (test_upper_bound_none_is_no_cap), so "x" stands in
         with pytest.raises(ValidationError, match="finite"):
             build(bad)
+
+    def test_upper_bound_none_is_no_cap(self):
+        assert CoefficientProfile.constant(1.0, upper_bound=None).upper_bound is None
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda z: 1.0,
+        lambda z: [1.0],
+        lambda z: z[:, None],
+        lambda z: np.full(z.shape, "x"),
+        lambda z: [object()] * len(z),
+    ], ids=["scalar", "short_list", "column", "str", "object"])
+    def test_call_refuses_a_result_that_is_not_a_float_array_of_the_depths_shape(self, evaluate):
+        with pytest.raises(ValidationError, match=r"float array of shape \(5,\)"):
+            CoefficientProfile(evaluate)(np.linspace(0.0, 1.0, 5))
+
+    def test_call_converts_a_list_of_the_depths_shape(self):
+        z = np.linspace(0.0, 1.0, 5)
+        values = CoefficientProfile(lambda z: list(1.0 - z))(z)
+        assert values.dtype == float
+        np.testing.assert_array_equal(values, 1.0 - z)
+
+    def test_plan_refuses_a_wrong_shape_profile(self):
+        with pytest.raises(ValidationError, match="float array of shape"):
+            plan_run(CoefficientProfile(lambda z: np.ones(3)), ONE, build_uniform(5), ctx())
 
     def test_pickle_round_trip(self):
         """Profiles cross process boundaries, as an ensemble over worker processes needs."""
@@ -173,3 +216,40 @@ class TestAtmosphereSeries:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             AtmosphereSeries.ramp()(1.5)
+
+
+# Every other site that takes a caller's number: one value in a valid call is replaced.
+NUMBER_SITES = {
+    "params": lambda x: make_params(g=x),
+    "atmosphere_value": lambda x: AtmosphereSeries([0.0, 0.5, 1.0], [0.0, x, 1.0]),
+    "ramp": lambda x: AtmosphereSeries.ramp(x),
+    "mesh_node": lambda x: Mesh([0.0, x, 1.0]),
+    "band_entry": lambda x: Tridiagonal([x], [1.0, 1.0], [0.0]),
+    "c_D": lambda x: plan_run(ONE, ONE, build_uniform(5), ctx(), c_D=x),
+    "trajectory_times": lambda x: Trajectory([0.0, x], np.zeros((2, 2)), [0.0, 1.0],
+                                             build_uniform(3)),
+    "trajectory_interior": lambda x: Trajectory([0.0, 1.0], [[0.0, 0.0], [x, 0.0]],
+                                                [0.0, 1.0], build_uniform(3)),
+    "trajectory_boundary": lambda x: Trajectory([0.0, 1.0], np.zeros((2, 2)), [0.0, x],
+                                                build_uniform(3)),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_every_number_site_refuses_with_validation_error(site, bad):
+    """Never a raw TypeError, ValueError or AttributeError."""
+    NUMBER_SITES[site](1.0 if site == "c_D" else 0.5)  # the valid call
+    with pytest.raises(ValidationError):
+        NUMBER_SITES[site](bad)
+
+
+def test_two_dimensional_band_refused():
+    with pytest.raises(ValidationError, match="inconsistent band lengths"):
+        Tridiagonal([[1.0]], [1.0, 1.0], [0.0])
+
+
+@pytest.mark.parametrize("mesh", [None, np.linspace(0.0, 1.0, 3)], ids=["none", "array"])
+def test_trajectory_needs_a_mesh(mesh):
+    with pytest.raises(ValidationError, match="needs a Mesh"):
+        Trajectory([0.0, 1.0], np.zeros((2, 2)), [0.0, 1.0], mesh)

@@ -304,6 +304,19 @@ class TestTrajectory:
 
 
 class TestRun:
+    @pytest.mark.parametrize("atmosphere, message", [
+        (lambda t: np.where(t > 0.5, np.nan, 0.0), r"not finite at t = 0\.5[0-9]*$"),
+        (lambda t: 1.0 + t, "0 at t = 0"),
+        (lambda t: 0.0, "one value per level time"),
+    ], ids=["nan", "nonzero_at_0", "scalar"])
+    def test_plain_atmosphere_checked_at_set_up(self, atmosphere, message):
+        """Refused by ``levels`` at its call, before any step, and so by ``run``."""
+        plan = analysis.plan_run(ONE, ONE, build_uniform(5), ctx(), dt=0.01)
+        with pytest.raises(ValidationError, match=message):
+            levels(plan.operators, atmosphere)
+        with pytest.raises(ValidationError, match=message):
+            run(build_uniform(5), ONE, ONE, ctx(), atmosphere, dt=0.01)
+
     def test_zero_forcing_exactly_zero(self):
         traj = run(build_uniform(11), ONE, ONE, ctx(), AtmosphereSeries.zero(), dt="auto")
         assert np.all(traj.interior == 0.0)
