@@ -371,9 +371,9 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     ``sup f/D`` and ``sup D``.  Under ``force`` a failed check drops the
     constants and the run goes on with the node samples; the step bound is
     computed after the failure only to pick an ``"auto"`` step.  A ``c_D``
-    that is not a number in (0, 2), or a ``dt`` that is neither ``"auto"``
-    nor a real number in (0, 1] with at most ``_MAX_STEPS`` steps, raises
-    :class:`ValidationError` first, ``force`` or not.
+    that is not a number in (0, 2) or a ``dt`` that is neither ``"auto"`` nor a
+    real number in (0, 1] of at most ``_MAX_STEPS`` steps raises :class:`ValidationError`
+    first, and a non-finite profile value where it is sampled, ``force`` or not.
     """
     c_D = _finite("c_D", c_D)
     if not 0.0 < c_D < 2.0:
@@ -408,8 +408,8 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
         constants = dict(
             B0=b0, C0=c0, continuity=_continuity(f_vals, d_vals, sqrt_fd, d_sup, context, b0, c0),
             lipschitz_L=lipschitz, **ratios, **bound)
-    except FirngasError:
-        if not force:
+    except FirngasError as error:
+        if not force or isinstance(error, ValidationError):  # an argument it cannot take
             raise
     if bound is None and auto:
         bound = _step_bound(f_profile, d_profile, mesh, context, c_D, inv_d)

@@ -12,13 +12,12 @@ Index conventions (tested in tests/test_mesh.py):
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import _finite_array
+from .model import _finite_array, _integer
 
 __all__ = ["Mesh", "build_uniform"]
 
@@ -55,8 +54,6 @@ class Mesh:
 
 def build_uniform(n: int) -> Mesh:
     """Uniform mesh with ``n`` nodes and spacing ``1/(n-1)``."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValidationError(f"node count must be an integer, got {n!r}")
-    if n < 3:
+    if _integer("node count", n) < 3:
         raise ValidationError(f"mesh needs at least 3 nodes, got {n}")
     return Mesh(np.linspace(0.0, 1.0, n))

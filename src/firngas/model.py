@@ -3,13 +3,14 @@
 The model lives on the rescaled unit square: depth ``z`` in ``[0, 1]``
 (physical depth divided by the firn depth ``z_F``) and time ``t`` in
 ``[0, 1]`` (physical time divided by the final time ``T_e``).  Coefficient
-profiles are therefore functions of the rescaled depth.  A caller's number
-becomes a finite float by one rule, :func:`_finite` (arrays: :func:`_finite_array`),
-which raises :class:`ValidationError` for any other value; records store its float.
+profiles are therefore functions of the rescaled depth.  The argument rules live here:
+a caller's number becomes a finite float by :func:`_finite` (arrays: :func:`_finite_array`),
+a count or index an int by :func:`_integer`; a bool or other value is :class:`ValidationError`.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from collections.abc import Callable
 from functools import partial
@@ -28,11 +29,18 @@ __all__ = [
 ]
 
 
+def _holds_bool(values) -> bool:
+    """Whether ``values`` is or holds a bool, which numpy would take for the number 0 or 1."""
+    if isinstance(values, (list, tuple)) or getattr(values, "dtype", None) == object:
+        return not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))
+    return isinstance(values, (bool, np.bool_)) or getattr(values, "dtype", None) == bool
+
+
 def _finite(name: str, value) -> float:
-    """``float(value)`` if it is finite; else, or for an array, :class:`ValidationError`."""
-    try:
-        value = value if np.ndim(value) else float(value)
-    except (TypeError, ValueError):
+    """``float(value)`` if finite, not a bool and not an array; else :class:`ValidationError`."""
+    try:  # ``ndim``, not ``np.ndim``: a Python float pays for no array conversion
+        value = value if getattr(value, "ndim", 0) or _holds_bool(value) else float(value)
+    except (TypeError, ValueError, OverflowError):
         pass  # refused below, as the caller gave it
     if not (isinstance(value, float) and np.isfinite(value)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -40,15 +48,22 @@ def _finite(name: str, value) -> float:
 
 
 def _finite_array(values, message: str) -> np.ndarray:
-    """``np.asarray(values, dtype=float)`` if all finite, else ``ValidationError(message)``."""
+    """``np.asarray(values, dtype=float)`` if finite, no bool; else ``ValidationError(message)``."""
     try:
         array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(message) from None
     # min and max propagate nan and inf without a temporary of the array's size
-    if not (np.isfinite(array.min(initial=0.0)) and np.isfinite(array.max(initial=0.0))):
+    if not np.isfinite([array.min(initial=0), array.max(initial=0)]).all() or _holds_bool(values):
         raise ValidationError(message)
     return array
+
+
+def _integer(name: str, value) -> int:
+    """``int(value)`` for a Python or numpy int; else, or for a bool, :class:`ValidationError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -151,12 +166,12 @@ class CoefficientProfile:
     :meth:`firn_diffusion`  d_eddy(z) + r_alpha*c_f*d_co2_air(z) for z <= z_eddy,
                             r_alpha*d_co2_air(z) for z > z_eddy
 
-    ``evaluate`` maps an array of depths in ``[0, 1]`` to a float array of the
-    same shape, else a call raises :class:`ValidationError`; the constructors
-    build it from module-level functions, so profiles pickle.
-    ``upper_bound``, when set, caps admissible values.  A profile checks only
-    its own arguments: :func:`firngas.analysis.plan_run` refuses its node
-    values for their sign or for exceeding the cap.
+    A call takes finite depths (a finite one outside ``[0, 1]`` is a :class:`DomainError`)
+    and ``evaluate`` maps them to a finite float array of the same shape, else the
+    call raises :class:`ValidationError`; constructors use module-level functions,
+    so profiles pickle.  ``upper_bound``, when set, caps admissible values.  A profile
+    checks only its own arguments and values: :func:`firngas.analysis.plan_run`
+    refuses its node values for their sign or for exceeding the cap.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -201,17 +216,14 @@ class CoefficientProfile:
         return cls(partial(_firn_diffusion, z_eddy, r_alpha, c_f, d_eddy, d_co2_air), upper_bound)
 
     def __call__(self, z):
-        """Evaluate the profile at rescaled depths ``z`` in ``[0, 1]``."""
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0.0) or np.any(z > 1.0):
+        """Evaluate the profile at finite rescaled depths ``z`` in ``[0, 1]``."""
+        z = _finite_array(z, "profile depths must be finite numbers")
+        if z.min(initial=0.0) < 0.0 or z.max(initial=0.0) > 1.0:
             raise DomainError("profile evaluated outside [0, 1]")
-        out = self.evaluate(z)
-        try:
-            out = np.asarray(out, dtype=float)
-        except (TypeError, ValueError):
-            out = None  # refused below
-        if out is None or out.shape != z.shape:
-            raise ValidationError(f"profile values must be a float array of shape {z.shape}")
+        message = f"profile values must be a finite float array of shape {z.shape}"
+        out = _finite_array(self.evaluate(z), message)
+        if out.shape != z.shape:
+            raise ValidationError(message)
         return out if out.ndim else float(out)
 
 
@@ -243,8 +255,8 @@ class AtmosphereSeries:
         return cls(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self.times[-1]):
+        t = _finite_array(t, "atmosphere times must be finite numbers")
+        if t.min(initial=0.0) < 0.0 or t.max(initial=0.0) > self.times[-1]:
             raise DomainError("atmosphere series evaluated outside its time range")
         out = np.interp(t, self.times, self.values)
         return out if out.ndim else float(out)

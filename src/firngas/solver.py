@@ -21,7 +21,6 @@ level they take that is not finite, at every size.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 from .mesh import Mesh
-from .model import _finite_array
+from .model import _finite, _finite_array, _integer
 
 __all__ = ["Trajectory", "run", "levels", "write_csv"]
 
@@ -168,8 +167,11 @@ def _set_up(system: assembly.DiscreteSystem, atmosphere):
     n_steps, last_dt = analysis._time_grid(dt)
     times = np.append(np.arange(n_steps) * float(dt), 1.0)
     last_system = system if last_dt == dt else replace(system, dt=last_dt)
-    boundary = np.asarray(atmosphere(times), dtype=float)
-    if boundary.shape != times.shape or boundary[0] != 0.0:
+    try:
+        boundary = np.asarray(atmosphere(times), dtype=float)
+    except (TypeError, ValueError):
+        boundary = None  # refused below
+    if boundary is None or boundary.shape != times.shape or boundary[0] != 0.0:
         raise ValidationError("the atmosphere must give one value per level time, 0 at t = 0")
     if not (np.isfinite(boundary.min()) and np.isfinite(boundary.max())):  # no K-long temporary
         t = next(t for t, value in zip(times, boundary) if not np.isfinite(value))
@@ -225,7 +227,7 @@ class Trajectory:
 
     def reconstruct_full(self, k: int) -> np.ndarray:
         """Full node vector at level ``k``: Dirichlet value then interior."""
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < self.n_levels:
+        if not 0 <= _integer("level index", k) < self.n_levels:
             raise ValidationError(f"level index must be an integer in 0..{self.n_levels - 1}, "
                                   f"got {k!r}")
         return np.concatenate([[self.boundary[k]], self.interior[k]])
@@ -272,7 +274,7 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     fresh propagator's step ``P x_k - g_k w`` up to ``_DENSE_MAX`` rows, a
     fresh substitution above.  It checks no level: :func:`run` and :func:`write_csv` do.
     """
-    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+    if _integer("stride", stride) < 1:
         raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
     times, boundary, march = _set_up(system, atmosphere)
     n_steps, m = len(times) - 1, system.mesh.n - 1
@@ -290,17 +292,15 @@ def write_csv(handle, nodes, rows):
     """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``.
 
     Each row is checked, formatted and written as it comes, so streamed rows
-    are never held together.  A time or surface value that is not a finite
-    real number, or an interior, any array-like, that is not numeric or not of
+    are never held together.  A time or surface value that the number rule refuses
+    (``model._finite``), or an interior, any array-like, that is not numeric or not of
     shape ``(len(nodes) - 1,)`` raises :class:`ValidationError`, and an interior
     with a non-finite entry :class:`SingularMatrixError`, before its line is written.
     """
     handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
     row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
     for t, surface, interior in rows:
-        if not all(isinstance(x, numbers.Real) and np.isfinite(x) for x in (t, surface)):
-            raise ValidationError(f"a row's time {t!r} and surface value {surface!r} "
-                                  "must be finite real numbers")
+        t, surface = _finite("a row's time", t), _finite("a row's surface value", surface)
         try:
             interior = np.asarray(interior, dtype=float)
         except (TypeError, ValueError):

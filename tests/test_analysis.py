@@ -418,6 +418,21 @@ class TestPlanArguments:
             plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=dt, force=force)
         assert integrals == [] and assemblies == []
 
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("dt", ["auto", 0.01])
+    @pytest.mark.parametrize("nan_in", ["f", "D"])
+    def test_profile_nan_between_the_nodes(self, nan_in, dt, force):
+        """nan only on (0.5001, 0.5003): no node sees it, the analysis grids do."""
+        gap = CoefficientProfile(lambda z: np.where((z > 0.5001) & (z < 0.5003), np.nan, 1.0))
+        f, d = (gap, ONE) if nan_in == "f" else (ONE, gap)
+        with pytest.raises(ValidationError, match="profile values must be a finite float array"):
+            plan_run(f, d, build_uniform(11), ctx(), dt=dt, force=force)
+
+    def test_profile_nan_at_a_node_refused_at_the_node_sample(self):
+        nan_below = CoefficientProfile(lambda z: np.where(z > 0.5, np.nan, 1.0))
+        with pytest.raises(ValidationError, match=r"finite float array of shape \(11,\)"):
+            plan_run(nan_below, ONE, build_uniform(11), ctx())
+
     def test_numpy_dt_taken(self):
         plan = plan_run(DECAY, DECAY, build_uniform(11), ctx(), dt=np.float64(0.004))
         assert plan.operators.dt == 0.004

@@ -113,6 +113,15 @@ def test_assumption_errors_raised_only_by_the_analysis():
     assert raisers == {"analysis.py"}
 
 
+def test_integer_rule_lives_in_the_model():
+    """One module decides what an integer is: only ``model.py`` names ``numbers.Integral``."""
+    users = {path.name for path in Path(firngas.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Attribute, ast.ImportFrom))
+             and re.search(r"\bIntegral\b", ast.unparse(node))}
+    assert users == {"model.py"}
+
+
 def test_bands_assembled_only_by_the_assembly():
     """One wiring from node samples to bands: no module but ``assembly.py`` calls a band assembler.
 

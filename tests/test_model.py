@@ -1,4 +1,6 @@
+import io
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from firngas.errors import DomainError, ValidationError
 from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
-from firngas.solver import Trajectory
+from firngas.solver import Trajectory, levels, write_csv
 from reference import ONE, ctx
 
 # Values a number argument cannot take: each is refused with ValidationError.
 BAD_NUMBERS = {"str": "x", "none": None, "object": object(), "list": [1.0],
-               "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+               "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "bool": True,
+               "huge_int": 10**400}
 
 
 def make_params(**overrides):
@@ -114,6 +117,9 @@ class TestCoefficientProfile:
             p(1.5)
         with pytest.raises(DomainError):
             p(np.array([-0.1, 0.5]))
+        for bad in (np.nan, "x"):  # not a depth at all: no domain test can place it
+            with pytest.raises(ValidationError, match="profile depths must be finite numbers"):
+                p(bad)
 
     @pytest.mark.parametrize("bad", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
     @pytest.mark.parametrize("build", [
@@ -216,6 +222,9 @@ class TestAtmosphereSeries:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             AtmosphereSeries.ramp()(1.5)
+        for bad in (np.nan, "x"):
+            with pytest.raises(ValidationError, match="atmosphere times must be finite numbers"):
+                AtmosphereSeries.ramp()(bad)
 
 
 # Every other site that takes a caller's number: one value in a valid call is replaced.
@@ -232,6 +241,11 @@ NUMBER_SITES = {
                                                 [0.0, 1.0], build_uniform(3)),
     "trajectory_boundary": lambda x: Trajectory([0.0, 1.0], np.zeros((2, 2)), [0.0, x],
                                                 build_uniform(3)),
+    "profile_depth": lambda x: ONE([0.25, x]),
+    "history_time": lambda x: AtmosphereSeries.ramp()([0.25, x]),
+    "profile_result": lambda x: CoefficientProfile(lambda z: [1.0, x])([0.25, 0.75]),
+    "csv_time": lambda x: write_csv(io.StringIO(), [0.0, 0.5, 1.0], [(x, 0.0, [0.0, 0.0])]),
+    "csv_surface": lambda x: write_csv(io.StringIO(), [0.0, 0.5, 1.0], [(0.0, x, [0.0, 0.0])]),
 }
 
 
@@ -242,6 +256,25 @@ def test_every_number_site_refuses_with_validation_error(site, bad):
     NUMBER_SITES[site](1.0 if site == "c_D" else 0.5)  # the valid call
     with pytest.raises(ValidationError):
         NUMBER_SITES[site](bad)
+
+
+# Every site that takes a caller's count or index: the one integer rule, then the site's range.
+INTEGER_SITES = {
+    "node count": build_uniform,
+    "stride": lambda k: levels(plan_run(ONE, ONE, build_uniform(5), ctx(), dt=0.01).operators,
+                               AtmosphereSeries.ramp(), stride=k),
+    "level index": Trajectory(np.linspace(0.0, 1.0, 4), np.zeros((4, 2)), np.zeros(4),
+                              build_uniform(3)).reconstruct_full,
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_site_takes_a_numpy_integer_and_refuses_the_rest(site, bad):
+    INTEGER_SITES[site](np.int64(3))
+    message = f"{site} must be an integer, got {bad!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        INTEGER_SITES[site](bad)
 
 
 def test_two_dimensional_band_refused():

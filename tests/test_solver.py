@@ -298,7 +298,7 @@ class TestTrajectory:
     def test_csv_refuses_a_time_or_surface_value_that_is_not_a_finite_number(self, t, surface):
         # The row before it is written; the refused row is not.
         handle = io.StringIO()
-        with pytest.raises(ValidationError, match="must be finite real numbers"):
+        with pytest.raises(ValidationError, match="must be finite, got"):
             write_csv(handle, np.linspace(0, 1, 3), [(0.5, 1.0, [0.0, 0.0]), (t, surface, [0.0, 0.0])])
         assert handle.getvalue() == "t,0,0.5,1\n0.5,1,0,0\n"
 
@@ -308,7 +308,8 @@ class TestRun:
         (lambda t: np.where(t > 0.5, np.nan, 0.0), r"not finite at t = 0\.5[0-9]*$"),
         (lambda t: 1.0 + t, "0 at t = 0"),
         (lambda t: 0.0, "one value per level time"),
-    ], ids=["nan", "nonzero_at_0", "scalar"])
+        (lambda t: np.array(["x"] * len(t)), "one value per level time"),
+    ], ids=["nan", "nonzero_at_0", "scalar", "text"])
     def test_plain_atmosphere_checked_at_set_up(self, atmosphere, message):
         """Refused by ``levels`` at its call, before any step, and so by ``run``."""
         plan = analysis.plan_run(ONE, ONE, build_uniform(5), ctx(), dt=0.01)
