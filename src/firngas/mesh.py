@@ -17,24 +17,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import _finite_array, _integer
+from .model import _finite_array, _integer, _read_only
 
 __all__ = ["Mesh", "build_uniform"]
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class Mesh:
-    """Mesh from a strictly increasing node sequence on [0, 1]; uniform or graded."""
+    """Mesh from a strictly increasing node sequence on [0, 1]; uniform or graded.
+
+    The mesh keeps read-only copies of its nodes and element lengths.
+    """
 
     nodes: np.ndarray
     element_lengths: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        nodes = _finite_array(self.nodes, "mesh nodes must be finite numbers")
+        nodes = _read_only(_finite_array(self.nodes, "mesh nodes must be finite numbers"))
         if nodes.ndim != 1:
             raise ValidationError(f"mesh nodes must be a 1-d array, got shape {nodes.shape}")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "element_lengths", np.diff(nodes))
+        object.__setattr__(self, "element_lengths", _read_only(np.diff(nodes)))
         if len(nodes) < 3:
             raise ValidationError(f"mesh needs at least 3 nodes, got {len(nodes)}")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:

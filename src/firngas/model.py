@@ -59,6 +59,13 @@ def _finite_array(values, message: str) -> np.ndarray:
     return array
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array``: a record keeps its own, which a caller's write cannot reach."""
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 def _integer(name: str, value) -> int:
     """``int(value)`` for a Python or numpy int; else, or for a bool, :class:`ValidationError`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -133,8 +140,11 @@ def rescale(params: ModelParams) -> RescaledContext:
 
 
 def _sample_table(x, y, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """A piecewise-linear sample table: 1-d, finite, strictly increasing ``x`` covering [0, 1]."""
-    x, y = (_finite_array(a, f"{what} samples must be finite") for a in (x, y))
+    """A piecewise-linear sample table: 1-d, finite, strictly increasing ``x`` covering [0, 1].
+
+    ``x`` and ``y`` are returned as read-only copies.
+    """
+    x, y = (_read_only(_finite_array(a, f"{what} samples must be finite")) for a in (x, y))
     if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
         raise ValidationError(f"{what} needs matching 1-d sample arrays of length >= 2")
     if np.any(np.diff(x) <= 0.0):

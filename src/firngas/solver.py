@@ -12,15 +12,20 @@ the factor's substitution of those right-hand sides.
 One set-up evaluates every level's row-0 forcing ``g_k`` and builds each
 step, and one loop keeps the state ``[x_k; g_k]`` and writes each level in
 place: up to ``_DENSE_MAX`` rows by one in-order product with
-``[P^T; -w^T]``, above by one ``Mf`` product and one substitution, into the
-rows of :func:`run`'s trajectory or fresh arrays for :func:`levels`.
+``[P^T; -w^T]`` (NumPy's C ``einsum``), above by one ``Mf`` product and one
+substitution, into the rows of :func:`run`'s trajectory, or for :func:`levels`
+into an array per kept level and one scratch row for the levels its stride skips.
 The loop checks no level: :func:`run` and :func:`write_csv` refuse the first
-level they take that is not finite, at every size.
+level they take that is not finite, at every size.  The plan does not depend on
+the atmosphere, so :func:`run` keeps the last plan's operators and reuses them
+when called again with the very same mesh, profiles, context, ``c_D``, ``dt``
+and ``force``; the step operators are built again at every set-up.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +33,7 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 from .mesh import Mesh
-from .model import _finite, _finite_array, _integer
+from .model import _finite, _finite_array, _holds_bool, _integer
 
 __all__ = ["Trajectory", "run", "levels", "write_csv"]
 
@@ -36,9 +41,13 @@ _PIVOT_TOL = 1e-16  # pivot-magnitude guard relative to max|entry|
 # Largest step matrix whose step is a propagator product (514 KB at m = 256).
 # The product beats the substitution up to m of about 500 on a 2-core x86-64 host.
 _DENSE_MAX = 256
-# np.einsum without its ``__array_function__`` dispatch, about 1.5 us of a 7 us step
-# at m = 100 on a 2-core x86-64 host; the loop's operands are always plain arrays.
-_EINSUM = getattr(np.einsum, "__wrapped__", np.einsum)
+# The C function that np.einsum(..., optimize=False) calls, so the same bits without the
+# Python wrapper and its ``__array_function__`` dispatch: about 0.5 us of a 5 us step at
+# m = 100 on a 2-core x86-64 host.  The loop's operands are always plain arrays.
+try:
+    from numpy._core.multiarray import c_einsum as _EINSUM
+except ImportError:  # another NumPy layout: the wrapper without its dispatch
+    _EINSUM = getattr(np.einsum, "__wrapped__", np.einsum)
 
 
 def _refuse_non_finite(values, what: str):
@@ -168,11 +177,13 @@ def _set_up(system: assembly.DiscreteSystem, atmosphere):
     times = np.append(np.arange(n_steps) * float(dt), 1.0)
     last_system = system if last_dt == dt else replace(system, dt=last_dt)
     try:
-        boundary = np.asarray(atmosphere(times), dtype=float)
+        boundary = np.asarray(values := atmosphere(times), dtype=float)
     except (TypeError, ValueError):
         boundary = None  # refused below
     if boundary is None or boundary.shape != times.shape or boundary[0] != 0.0:
         raise ValidationError("the atmosphere must give one value per level time, 0 at t = 0")
+    if _holds_bool(values):  # numpy would take True and False for 1.0 and 0.0
+        raise ValidationError("the atmosphere must give numbers, not bools")
     if not (np.isfinite(boundary.min()) and np.isfinite(boundary.max())):  # no K-long temporary
         t = next(t for t, value in zip(times, boundary) if not np.isfinite(value))
         raise ValidationError(f"the atmosphere is not finite at t = {t:.17g}")
@@ -188,9 +199,10 @@ def _set_up(system: assembly.DiscreteSystem, atmosphere):
     def march(rows):
         state = np.zeros(mesh.n)  # [x_k; g_k]
         x = state[:-1]
-        for k, row in enumerate(rows):
-            state[-1] = forcing[k]
-            (last if k == n_steps - 1 else uniform)(state, out=row)
+        steps = itertools.chain(itertools.repeat(uniform, n_steps - 1), [last])
+        for row, g, step in zip(rows, forcing, steps):
+            state[-1] = g
+            step(state, out=row)
             x[...] = row
             yield row
 
@@ -233,6 +245,11 @@ class Trajectory:
         return np.concatenate([[self.boundary[k]], self.interior[k]])
 
 
+# The arguments of the last plan :func:`run` made and its operators, read and written
+# as one tuple: concurrent callers can at worst plan again, never mix two plans.
+_plan_slot = (None, None)
+
+
 def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
         force: bool = False, c_D: float = 1.0) -> Trajectory:
     """Full implicit-Euler run on the rescaled unit time interval: every level of :func:`levels`.
@@ -240,11 +257,22 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
     ``dt`` is either a number or ``"auto"`` (0.9 times the computed step
     bound, at most 1).  Failed checks, steps above the bound and uncertified
     steps abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
+    The plan does not depend on the atmosphere: a call whose plan arguments are
+    the very objects of the last planned call (``is``, not ``==``: ``True == 1.0``)
+    reuses that plan's operators; a refused plan, or one with a numpy array among its
+    arguments, is never kept.  A profile is a pure function of depth, and a mesh and
+    the sampled tables keep read-only copies.
     A step count past the limit is refused before the K+1 levels are allocated,
     and the loop of :func:`levels` writes each into its row.  They are checked
     once: a level with a non-finite entry raises :class:`SingularMatrixError`.
     """
-    system = analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force).operators
+    global _plan_slot
+    key = (mesh, f_profile, d_profile, context, c_D, dt, force)
+    planned, system = _plan_slot
+    if planned is None or any(a is not b for a, b in zip(key, planned)):
+        system = analysis.plan_run(f_profile, d_profile, mesh, context, c_D, dt, force).operators
+        if not any(isinstance(arg, np.ndarray) for arg in key):  # a 0-d c_D can change in place
+            _plan_slot = key, system
     n_levels = analysis._time_grid(system.dt)[0] + 1
     interior = np.empty((n_levels, mesh.n - 1))  # before the set-up's m x m arrays:
     interior[0] = 0.0  # above their freed space it would lift the peak resident memory
@@ -265,10 +293,11 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     gets a step matrix of its own), the atmosphere at every level, the row-0
     forcings ``g_k = v1_k + T_e dt_k v3_k`` (``surface_v1``/``surface_v3``)
     and each step matrix's step (:func:`_step`), so a bad stride or step, an
-    atmosphere not finite at a level or not 0 at t = 0, or a singular step
-    matrix or propagator, raises here.  The returned
-    generator yields ``(t, surface value, interior)``, each interior a fresh
-    array, at level 0, every ``stride``-th level and the last.  It is the
+    atmosphere that gives bools, is not finite at a level or is not 0 at t = 0, or a
+    singular step matrix or propagator, raises here.  The returned
+    generator yields ``(t, surface value, interior)``, each interior an array of
+    its own, at level 0, every ``stride``-th level and the last; the levels in
+    between are written into one scratch row.  It is the
     package's one implicit-Euler step, ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k``
     (``assembly.assemble_rhs``) with only row 0 of the forcing: bitwise a
     fresh propagator's step ``P x_k - g_k w`` up to ``_DENSE_MAX`` rows, a
@@ -281,8 +310,11 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
 
     def steps():
         yield float(times[0]), float(boundary[0]), np.zeros(m)
-        for k, interior in enumerate(march(np.empty(m) for _ in range(n_steps)), 1):
-            if k % stride == 0 or k == n_steps:
+        scratch = np.empty(m)  # every level the stride skips
+        rows = (scratch if k % stride and k != n_steps else np.empty(m)
+                for k in range(1, n_steps + 1))
+        for k, interior in enumerate(march(rows), 1):
+            if interior is not scratch:
                 yield float(times[k]), float(boundary[k]), interior
 
     return steps()

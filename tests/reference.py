@@ -13,8 +13,9 @@ solution that implicit Euler approaches as dt -> 0 (:func:`semi_discrete`).
 Nothing outside the tests runs them; the quadrature and dense-solve references that
 ``--oracle-compare`` and the benchmark use stay in :mod:`firngas.oracle`.
 The tooling is here too: the unit config file (:func:`write_config`,
-:func:`edit_config`), a call counter (:func:`count_calls`) and a fresh
-interpreter (:func:`fresh_output`).  Test files import this module by plain
+:func:`edit_config`), a call counter (:func:`count_calls`), a reset of the plan
+:func:`firngas.run` keeps (:func:`clear_plan_slot`) and a fresh interpreter
+(:func:`fresh_output`).  Test files import this module by plain
 name and no other test module.
 """
 
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from firngas import assembly
+from firngas import assembly, solver
 from firngas.assembly import Tridiagonal
 from firngas.errors import DomainError, ValidationError
 from firngas.model import CoefficientProfile, ModelParams, RescaledContext, rescale
@@ -104,6 +105,11 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def clear_plan_slot(monkeypatch):
+    """Forget the last plan of :func:`firngas.run` for this test, so that its next call plans."""
+    monkeypatch.setattr(solver, "_plan_slot", (None, None))
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

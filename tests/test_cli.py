@@ -12,7 +12,7 @@ import firngas
 from firngas import analysis, assembly, cli
 from firngas.errors import AssumptionError, FirngasError, TimeStepError, ValidationError
 from firngas.model import rescale
-from reference import AFFINE, count_calls, edit_config, write_config
+from reference import AFFINE, clear_plan_slot, count_calls, edit_config, write_config
 
 def vanishing_d_config(tmp_path, dip):
     """Unit config with f = 1 and a sampled D that dips to ``dip`` at z = 0.5049, between nodes."""
@@ -694,6 +694,7 @@ class TestOneAssemblyPerPlan:
 
     def test_library_run(self, tmp_path, monkeypatch):
         config = cli.load_config(write_config(tmp_path))
+        clear_plan_slot(monkeypatch)  # a kept plan would assemble nothing
         calls = count_calls(monkeypatch, assembly, "assemble_system")
         verdicts = count_calls(monkeypatch, analysis, "check_pd_all")
         firngas.run(config.mesh, config.f_profile, config.d_profile, config.context,

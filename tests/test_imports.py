@@ -133,3 +133,41 @@ def test_bands_assembled_only_by_the_assembly():
                if isinstance(node, ast.Call)
                and ast.unparse(node.func).split(".")[-1] in assemblers}
     assert callers == {"assembly.py"}
+
+
+def test_numpy_private_modules_stay_behind_one_guarded_import():
+    """Only ``solver`` imports from a private NumPy module: ``c_einsum``, with a fallback."""
+    private = []
+    for path in sorted(Path(firngas.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        guarded = {id(node) for handler in ast.walk(tree) if isinstance(handler, ast.Try)
+                   and any(ast.unparse(h.type) == "ImportError" for h in handler.handlers)
+                   for node in handler.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(re.match(r"numpy\._", module) for module in modules):
+                private.append((path.name, ast.unparse(node), id(node) in guarded))
+    assert private == [("solver.py", "from numpy._core.multiarray import c_einsum as _EINSUM",
+                        True)]
+
+
+def test_einsum_fallback_runs_bitwise_as_the_c_function():
+    """With the private import failing, ``solver`` steps through ``np.einsum``'s wrapper, same bits."""
+    run = ("from firngas import run, solver; from firngas.mesh import build_uniform; "
+           "from firngas.model import AtmosphereSeries, CoefficientProfile, RescaledContext; "
+           "profile = CoefficientProfile.affine(1.0, -1.0); "
+           "context = RescaledContext(T_e=1.0, z_F=1.0, mcoef=0.0, gcoef=1.0, fcoef=1.0); "
+           "levels = run(build_uniform(21), profile, profile, context, AtmosphereSeries.ramp()); "
+           "print(solver._EINSUM.__name__, hashlib.sha256(levels.interior.tobytes()).hexdigest())")
+    fallback = ("import hashlib, numpy._core.multiarray as multiarray; "
+                "del multiarray.c_einsum; "  # the guarded import in solver now fails
+                + run)
+    c_name, c_digest = fresh_output("import hashlib; " + run).split()
+    wrapper_name, wrapper_digest = fresh_output(fallback).split()
+    assert (c_name, wrapper_name) == ("c_einsum", "einsum")
+    assert wrapper_digest == c_digest

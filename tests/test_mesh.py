@@ -64,3 +64,15 @@ class TestMeshInvariants:
         mesh = Mesh(nodes)
         assert mesh.n == 4
         assert np.array_equal(mesh.element_lengths, np.diff(nodes))
+
+
+def test_mesh_keeps_a_read_only_copy_of_its_nodes():
+    """A later write to the caller's array leaves the mesh as it was checked."""
+    nodes = np.linspace(0.0, 1.0, 5)
+    mesh = Mesh(nodes)
+    nodes[2] = 0.9
+    assert mesh.nodes.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert mesh.element_lengths.tolist() == [0.25] * 4
+    for array in (mesh.nodes, mesh.element_lengths):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 0.9

@@ -96,6 +96,12 @@ class TestCoefficientProfile:
         assert p(0.25) == pytest.approx(0.8)
         assert p(0.75) == pytest.approx(0.3)
 
+    def test_sampled_keeps_a_read_only_copy_of_its_table(self):
+        z, values = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.6, 0.0])
+        p = CoefficientProfile.sampled(z, values)
+        values[1], z[1] = 5.0, 0.9
+        assert p(0.5) == 0.6
+
     def test_sampled_must_cover_unit_interval(self):
         with pytest.raises(ValidationError):
             CoefficientProfile.sampled([0.1, 1.0], [1.0, 1.0])
@@ -208,6 +214,15 @@ class TestAtmosphereSeries:
     def test_zero(self):
         atm = AtmosphereSeries.zero()
         assert atm(0.7) == 0.0
+
+    def test_keeps_a_read_only_copy_of_its_samples(self):
+        times, values = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.6, 1.0])
+        atm = AtmosphereSeries(times, values)
+        values[1], times[1] = 5.0, 0.9
+        assert atm(0.5) == 0.6
+        for array in (atm.times, atm.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 0.9
 
     def test_initial_value_must_vanish(self):
         with pytest.raises(ValidationError):

@@ -18,8 +18,8 @@ from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams, Re
                            rescale)
 from firngas.analysis import _EPS, _GRID_TOL, _MAX_STEPS, _time_grid
 from firngas.solver import _DENSE_MAX, Trajectory, _Factor, levels, run, write_csv
-from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, count_calls, ctx,
-                       reference_step, step_operator, substitute)
+from reference import (DECAY, ONE, README_CONTEXT, UNIT_CONTEXT, clear_plan_slot, count_calls,
+                       ctx, reference_step, step_operator, substitute)
 
 
 def assert_solves(matrix, rhs, x):
@@ -309,7 +309,8 @@ class TestRun:
         (lambda t: 1.0 + t, "0 at t = 0"),
         (lambda t: 0.0, "one value per level time"),
         (lambda t: np.array(["x"] * len(t)), "one value per level time"),
-    ], ids=["nan", "nonzero_at_0", "scalar", "text"])
+        (lambda t: t > 2, "numbers, not bools"),
+    ], ids=["nan", "nonzero_at_0", "scalar", "text", "bool"])
     def test_plain_atmosphere_checked_at_set_up(self, atmosphere, message):
         """Refused by ``levels`` at its call, before any step, and so by ``run``."""
         plan = analysis.plan_run(ONE, ONE, build_uniform(5), ctx(), dt=0.01)
@@ -441,6 +442,81 @@ class TestRun:
         assert traj.n_levels == 10001
         assert traj.times[-1] == 1.0
         assert np.all(np.isfinite(traj.interior))
+
+
+class TestPlanReuse:
+    """``run`` plans once per configuration: the very same plan arguments reuse the last plan."""
+
+    @staticmethod
+    def histories(count):
+        rng = np.random.default_rng(count)
+        return [AtmosphereSeries(np.linspace(0.0, 1.0, 6), np.append(0.0, rng.uniform(-1, 1, 5)))
+                for _ in range(count)]
+
+    def test_histories_on_one_configuration_plan_once(self, monkeypatch):
+        clear_plan_slot(monkeypatch)
+        plans = count_calls(monkeypatch, analysis, "plan_run")
+        mesh, context, histories = build_uniform(11), ctx(), self.histories(16)
+        reused = [run(mesh, DECAY, DECAY, context, atmosphere) for atmosphere in histories]
+        assert len(plans) == 1
+        for atmosphere, trajectory in zip(histories, reused):
+            clear_plan_slot(monkeypatch)
+            fresh = run(mesh, DECAY, DECAY, context, atmosphere)
+            for name in ("times", "boundary", "interior"):
+                assert getattr(trajectory, name).tobytes() == getattr(fresh, name).tobytes()
+        assert len(plans) == 17
+
+    @pytest.mark.parametrize("name", ["mesh", "f_profile", "d_profile", "context", "c_D", "dt",
+                                      "force"])
+    def test_an_equal_but_other_object_plans_again(self, name, monkeypatch):
+        clear_plan_slot(monkeypatch)
+        plans = count_calls(monkeypatch, analysis, "plan_run")
+        args = dict(mesh=build_uniform(11), f_profile=DECAY, d_profile=DECAY, context=ctx(),
+                    dt=0.004, force=False, c_D=1.0)
+        equal = dict(mesh=Mesh(args["mesh"].nodes), f_profile=replace(DECAY),
+                     d_profile=replace(DECAY), context=replace(args["context"]),
+                     dt=float("0.004"), force=0, c_D=float("1.0"))
+        assert equal[name] is not args[name]
+        atmosphere = AtmosphereSeries.ramp()
+        first = [run(atmosphere=atmosphere, **args) for _ in range(2)]
+        assert len(plans) == 1
+        other = run(atmosphere=atmosphere, **{**args, name: equal[name]})
+        assert len(plans) == 2
+        assert other.interior.tobytes() == first[0].interior.tobytes() == first[1].interior.tobytes()
+
+    @pytest.mark.parametrize("name, planned, bad", [("c_D", 1.0, True), ("dt", 1.0, True),
+                                                    ("dt", 0.01, "0.01")],
+                             ids=["c_D_true", "dt_true", "dt_text"])
+    def test_a_refused_argument_after_a_kept_plan_is_refused(self, name, planned, bad,
+                                                             monkeypatch):
+        # True == 1.0 and hash(True) == hash(1.0): an equality key would reuse the plan.
+        clear_plan_slot(monkeypatch)
+        mesh, context, atmosphere = build_uniform(5), ctx(), AtmosphereSeries.ramp()
+        args = {"dt": 0.01, "c_D": 1.0, "force": True, name: planned}
+        run(mesh, ONE, ONE, context, atmosphere, **args)
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                run(mesh, ONE, ONE, context, atmosphere, **{**args, name: bad})
+
+    def test_an_array_argument_is_planned_at_every_call(self, monkeypatch):
+        # A 0-d array is a number to the number rule, and it can change in place.
+        clear_plan_slot(monkeypatch)
+        mesh, context, atmosphere = build_uniform(5), ctx(), AtmosphereSeries.ramp()
+        c_D = np.array(1.0)
+        run(mesh, ONE, ONE, context, atmosphere, dt=0.01, c_D=c_D)
+        c_D[()] = 5.0
+        with pytest.raises(ValidationError, match="c_D must lie in"):
+            run(mesh, ONE, ONE, context, atmosphere, dt=0.01, c_D=c_D)
+
+    def test_a_refused_plan_is_refused_on_every_call(self, monkeypatch):
+        clear_plan_slot(monkeypatch)
+        mesh, context, atmosphere = build_uniform(11), ctx(), AtmosphereSeries.ramp()
+        planned = run(mesh, ONE, ONE, context, atmosphere, dt=0.01)
+        for _ in range(3):
+            with pytest.raises(TimeStepError):
+                run(mesh, ONE, ONE, context, atmosphere, dt=0.9)
+        again = run(mesh, ONE, ONE, context, atmosphere, dt=0.01)
+        assert again.interior.tobytes() == planned.interior.tobytes()
 
 
 def step_by_step(plan, atmosphere, times):
@@ -605,6 +681,16 @@ def test_levels_of_a_bare_system_match_the_plan(case, atm_name):
                            plan.operators.dt)
     for got, want in zip(zip(*levels(bare, atmosphere)), zip(*levels(plan.operators, atmosphere))):
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_kept_levels_stay_unchanged_by_later_steps():
+    # Each kept level is an array of its own; the skipped ones share one scratch row.
+    plan = analysis.plan_run(DECAY, DECAY, build_uniform(11), UNIT_CONTEXT, dt=0.003)
+    kept = [(interior, interior.copy())
+            for _, _, interior in levels(plan.operators, AtmosphereSeries.ramp(), stride=7)]
+    assert len(kept) == 334 // 7 + 2
+    assert len({id(interior) for interior, _ in kept}) == len(kept)
+    assert all(interior.tobytes() == copy.tobytes() for interior, copy in kept)
 
 
 def test_swap_cases_step_on_swapped_factors():
