@@ -19,7 +19,8 @@ import numpy as np
 
 from . import assembly
 from .errors import AssumptionError, FirngasError, TimeStepError, ValidationError
-from .model import RescaledContext, _finite
+from .mesh import Mesh
+from .model import CoefficientProfile, RescaledContext, _finite
 
 __all__ = [
     "PDVerdict",
@@ -351,8 +352,8 @@ class Plan:
         return StabilityReport(pd_verdicts=check_pd_all(matrices), **self.constants)
 
 
-def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 1.0,
-             dt="auto", force: bool = False) -> Plan:
+def plan_run(f_profile: CoefficientProfile, d_profile: CoefficientProfile, mesh: Mesh,
+             context: RescaledContext, c_D: float = 1.0, dt="auto", force: bool = False) -> Plan:
     """Admissibility plan of one run: every check, the step bound, then one assembly.
 
     Every caller runs every check that can refuse a config, in this order:
@@ -370,11 +371,17 @@ def plan_run(f_profile, d_profile, mesh, context: RescaledContext, c_D: float = 
     and the continuity constants share one sample of f and D, and its
     ``sup f/D`` and ``sup D``.  Under ``force`` a failed check drops the
     constants and the run goes on with the node samples; the step bound is
-    computed after the failure only to pick an ``"auto"`` step.  A ``c_D``
-    that is not a number in (0, 2) or a ``dt`` that is neither ``"auto"`` nor a
-    real number in (0, 1] of at most ``_MAX_STEPS`` steps raises :class:`ValidationError`
-    first, and a non-finite profile value where it is sampled, ``force`` or not.
+    computed after the failure only to pick an ``"auto"`` step.  An argument of another
+    type than its annotation, a ``c_D`` that is not a number in (0, 2) or a ``dt`` that is
+    neither ``"auto"`` nor a real number in (0, 1] of at most ``_MAX_STEPS`` steps raises
+    :class:`ValidationError` first, and a non-finite profile value where it is sampled,
+    ``force`` or not.
     """
+    for name, value, kind in (("f_profile", f_profile, CoefficientProfile),
+                              ("d_profile", d_profile, CoefficientProfile),
+                              ("mesh", mesh, Mesh), ("context", context, RescaledContext)):
+        if not isinstance(value, kind):
+            raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
     c_D = _finite("c_D", c_D)
     if not 0.0 < c_D < 2.0:
         raise ValidationError(f"c_D must lie in (0, 2), got {c_D}")

@@ -5,7 +5,7 @@ The model lives on the rescaled unit square: depth ``z`` in ``[0, 1]``
 ``[0, 1]`` (physical time divided by the final time ``T_e``).  Coefficient
 profiles are therefore functions of the rescaled depth.  The argument rules live here:
 a caller's number becomes a finite float by :func:`_finite` (arrays: :func:`_finite_array`),
-a count or index an int by :func:`_integer`; a bool or other value is :class:`ValidationError`.
+a count or index an int by :func:`_integer`; a bool, complex or other is :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -29,32 +29,42 @@ __all__ = [
 ]
 
 
-def _holds_bool(values) -> bool:
-    """Whether ``values`` is or holds a bool, which numpy would take for the number 0 or 1."""
-    if isinstance(values, (list, tuple)) or getattr(values, "dtype", None) == object:
-        return not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))
-    return isinstance(values, (bool, np.bool_)) or getattr(values, "dtype", None) == bool
+_NOT_REAL = {bool, np.bool_, complex, np.complex64, np.complex128, np.clongdouble}
+
+
+class _NotReal(TypeError):
+    """A bool or complex value, which numpy takes for 1, 0 or its real part; the text names it."""
+
+
+def _real(values) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``; :class:`_NotReal` if it is or holds a bool or complex."""
+    held = (set(map(type, np.asarray(values, dtype=object).flat))
+            if isinstance(values, (list, tuple)) or getattr(values, "dtype", None) == object
+            else {type(values), getattr(values, "dtype", np.dtype(float)).type})  # one dtype
+    if not held.isdisjoint(_NOT_REAL):
+        raise _NotReal("bools" if held & {bool, np.bool_} else "complex values")
+    return np.asarray(values, dtype=float)
 
 
 def _finite(name: str, value) -> float:
-    """``float(value)`` if finite, not a bool and not an array; else :class:`ValidationError`."""
-    try:  # ``ndim``, not ``np.ndim``: a Python float pays for no array conversion
-        value = value if getattr(value, "ndim", 0) or _holds_bool(value) else float(value)
+    """``float(value)`` for a finite real number with no dimension; else :class:`ValidationError`."""
+    try:  # a float converts without an array; ``[()]`` leaves any other array an array
+        number = value if isinstance(value, float) else _real(value)[()]
     except (TypeError, ValueError, OverflowError):
-        pass  # refused below, as the caller gave it
-    if not (isinstance(value, float) and np.isfinite(value)):
+        number = None  # refused below, as the caller gave it
+    if not (isinstance(number, float) and abs(number) < np.inf):  # nan and inf fail the test
         raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
+    return float(number)
 
 
 def _finite_array(values, message: str) -> np.ndarray:
-    """``np.asarray(values, dtype=float)`` if finite, no bool; else ``ValidationError(message)``."""
+    """``_real(values)`` if every entry is finite; else ``ValidationError(message)``."""
     try:
-        array = np.asarray(values, dtype=float)
+        array = _real(values)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(message) from None
     # min and max propagate nan and inf without a temporary of the array's size
-    if not np.isfinite([array.min(initial=0), array.max(initial=0)]).all() or _holds_bool(values):
+    if not np.isfinite([array.min(initial=0), array.max(initial=0)]).all():
         raise ValidationError(message)
     return array
 

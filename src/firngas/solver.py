@@ -16,10 +16,7 @@ place: up to ``_DENSE_MAX`` rows by one in-order product with
 substitution, into the rows of :func:`run`'s trajectory, or for :func:`levels`
 into an array per kept level and one scratch row for the levels its stride skips.
 The loop checks no level: :func:`run` and :func:`write_csv` refuse the first
-level they take that is not finite, at every size.  The plan does not depend on
-the atmosphere, so :func:`run` keeps the last plan's operators and reuses them
-when called again with the very same mesh, profiles, context, ``c_D``, ``dt``
-and ``force``; the step operators are built again at every set-up.
+level they take that is not finite, at every size.  :func:`run` keeps its last plan.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 from . import analysis, assembly
 from .errors import SingularMatrixError, ValidationError
 from .mesh import Mesh
-from .model import _finite, _finite_array, _holds_bool, _integer
+from .model import _NotReal, _finite, _finite_array, _integer, _real
 
 __all__ = ["Trajectory", "run", "levels", "write_csv"]
 
@@ -177,13 +174,13 @@ def _set_up(system: assembly.DiscreteSystem, atmosphere):
     times = np.append(np.arange(n_steps) * float(dt), 1.0)
     last_system = system if last_dt == dt else replace(system, dt=last_dt)
     try:
-        boundary = np.asarray(values := atmosphere(times), dtype=float)
-    except (TypeError, ValueError):
+        boundary = _real(atmosphere(times))
+    except _NotReal as error:
+        raise ValidationError(f"the atmosphere must give numbers, not {error}") from None
+    except (TypeError, ValueError, OverflowError):
         boundary = None  # refused below
     if boundary is None or boundary.shape != times.shape or boundary[0] != 0.0:
         raise ValidationError("the atmosphere must give one value per level time, 0 at t = 0")
-    if _holds_bool(values):  # numpy would take True and False for 1.0 and 0.0
-        raise ValidationError("the atmosphere must give numbers, not bools")
     if not (np.isfinite(boundary.min()) and np.isfinite(boundary.max())):  # no K-long temporary
         t = next(t for t, value in zip(times, boundary) if not np.isfinite(value))
         raise ValidationError(f"the atmosphere is not finite at t = {t:.17g}")
@@ -254,17 +251,16 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
         force: bool = False, c_D: float = 1.0) -> Trajectory:
     """Full implicit-Euler run on the rescaled unit time interval: every level of :func:`levels`.
 
-    ``dt`` is either a number or ``"auto"`` (0.9 times the computed step
-    bound, at most 1).  Failed checks, steps above the bound and uncertified
-    steps abort unless ``force`` is set; see :func:`firngas.analysis.plan_run`.
-    The plan does not depend on the atmosphere: a call whose plan arguments are
-    the very objects of the last planned call (``is``, not ``==``: ``True == 1.0``)
-    reuses that plan's operators; a refused plan, or one with a numpy array among its
-    arguments, is never kept.  A profile is a pure function of depth, and a mesh and
-    the sampled tables keep read-only copies.
-    A step count past the limit is refused before the K+1 levels are allocated,
-    and the loop of :func:`levels` writes each into its row.  They are checked
-    once: a level with a non-finite entry raises :class:`SingularMatrixError`.
+    ``dt`` is either a number or ``"auto"`` (0.9 times the computed step bound, at most
+    1).  Failed checks, steps above the bound and uncertified steps abort unless ``force``
+    is set; see :func:`firngas.analysis.plan_run`.  The plan does not depend on the
+    atmosphere: a call whose plan arguments are the very objects of the last planned call
+    (``is``, not ``==``: ``True == 1.0``) reuses that plan's operators; a refused plan, or
+    one with a numpy array among its arguments, is never kept.  A profile is a pure
+    function of depth, and a mesh and the sampled tables keep read-only copies.  A step
+    count past the limit is refused before the K+1 levels are allocated; the loop of
+    :func:`levels` writes each into its row.  The trajectory tests them once: a non-finite
+    level is :class:`SingularMatrixError`.
     """
     global _plan_slot
     key = (mesh, f_profile, d_profile, context, c_D, dt, force)
@@ -279,10 +275,12 @@ def run(mesh, f_profile, d_profile, context, atmosphere, dt="auto",
     times, boundary, march = _set_up(system, atmosphere)
     for _ in march(interior[1:]):
         pass
-    if not (np.isfinite(interior.min()) and np.isfinite(interior.max())):  # no K-long temporary
+    try:
+        return Trajectory(times=times, interior=interior, boundary=boundary, mesh=mesh)
+    except ValidationError:
         for t, level in zip(times, interior):
             _refuse_non_finite(level, f"entry {{}} of the level at t = {t:.17g}")
-    return Trajectory(times=times, interior=interior, boundary=boundary, mesh=mesh)
+        raise
 
 
 def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
@@ -293,15 +291,14 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
     gets a step matrix of its own), the atmosphere at every level, the row-0
     forcings ``g_k = v1_k + T_e dt_k v3_k`` (``surface_v1``/``surface_v3``)
     and each step matrix's step (:func:`_step`), so a bad stride or step, an
-    atmosphere that gives bools, is not finite at a level or is not 0 at t = 0, or a
-    singular step matrix or propagator, raises here.  The returned
-    generator yields ``(t, surface value, interior)``, each interior an array of
-    its own, at level 0, every ``stride``-th level and the last; the levels in
-    between are written into one scratch row.  It is the
-    package's one implicit-Euler step, ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k``
-    (``assembly.assemble_rhs``) with only row 0 of the forcing: bitwise a
-    fresh propagator's step ``P x_k - g_k w`` up to ``_DENSE_MAX`` rows, a
-    fresh substitution above.  It checks no level: :func:`run` and :func:`write_csv` do.
+    atmosphere that gives no real number (``model._real``), is not finite at a level
+    or is not 0 at t = 0, or a singular step matrix or propagator, raises here.  The
+    returned generator yields ``(t, surface value, interior)``, each interior an array
+    of its own, at level 0, every ``stride``-th level and the last; the levels in
+    between are written into one scratch row.  It is the package's one implicit-Euler
+    step, ``V x_{k+1} = Mf x_k - v1_k - T_e dt_k v3_k`` (``assembly.assemble_rhs``)
+    with only row 0 of the forcing: bitwise a fresh propagator's step ``P x_k - g_k w``
+    up to ``_DENSE_MAX`` rows, a fresh substitution above.  It checks no level.
     """
     if _integer("stride", stride) < 1:
         raise ValidationError(f"stride must be an integer >= 1, got {stride!r}")
@@ -323,19 +320,21 @@ def levels(system: assembly.DiscreteSystem, atmosphere, stride: int = 1):
 def write_csv(handle, nodes, rows):
     """Node-coordinate header, then one ``%.17g`` line per ``(t, surface value, interior)``.
 
-    Each row is checked, formatted and written as it comes, so streamed rows
-    are never held together.  A time or surface value that the number rule refuses
-    (``model._finite``), or an interior, any array-like, that is not numeric or not of
-    shape ``(len(nodes) - 1,)`` raises :class:`ValidationError`, and an interior
-    with a non-finite entry :class:`SingularMatrixError`, before its line is written.
+    ``nodes`` must be a finite 1-d array (``model._finite_array``).  Each row is checked
+    and written as it comes, so streamed rows are never held together: a time or surface
+    value that ``model._finite`` refuses, or an interior that ``model._real`` refuses or
+    not of shape ``(len(nodes) - 1,)``, raises :class:`ValidationError`, and a non-finite
+    interior entry :class:`SingularMatrixError`, before its line is written.
     """
+    if (nodes := _finite_array(nodes, "the nodes must be a finite 1-d array")).ndim != 1:
+        raise ValidationError("the nodes must be a finite 1-d array")
     handle.write("t," + ",".join(f"{z:.17g}" for z in nodes) + "\n")
     row_format = ",".join(["%.17g"] * (len(nodes) + 1)) + "\n"
     for t, surface, interior in rows:
         t, surface = _finite("a row's time", t), _finite("a row's surface value", surface)
         try:
-            interior = np.asarray(interior, dtype=float)
-        except (TypeError, ValueError):
+            interior = _real(interior)
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"interior at t = {t:.17g} is not numeric") from None
         if interior.shape != (len(nodes) - 1,):
             raise ValidationError(f"interior at t = {t:.17g} must have shape "

@@ -393,6 +393,19 @@ class TestPlanArguments:
             plan_run(DECAY, DECAY, build_uniform(11), ctx(), c_D=5.0, dt=dt, force=True)
 
     @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("name, bad", [("f_profile", lambda z: 1.0 - z),
+                                           ("d_profile", DECAY.evaluate),
+                                           ("mesh", np.linspace(0.0, 1.0, 5)),
+                                           ("context", {"z_F": 1.0})])
+    def test_an_argument_of_another_type_is_refused_before_any_sampling(self, name, bad, force):
+        sampled = []
+        profile = CoefficientProfile(lambda z: sampled.append(z) or np.ones_like(z))
+        args = dict(f_profile=profile, d_profile=profile, mesh=build_uniform(5), context=ctx())
+        with pytest.raises(ValidationError, match=f"^{name} must be a "):
+            plan_run(**{**args, name: bad}, force=force)
+        assert sampled == []
+
+    @pytest.mark.parametrize("force", [False, True])
     @pytest.mark.parametrize("dt", ["abc", None, True, "0.01", [0.01]])
     def test_dt_neither_a_number_nor_auto(self, dt, force):
         with pytest.raises(ValidationError, match="time step"):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import firngas
-from firngas import analysis, cli
+from firngas import analysis, cli, solver
 from firngas.model import rescale
 from reference import fresh_output, write_config
 
@@ -120,6 +120,18 @@ def test_integer_rule_lives_in_the_model():
              if isinstance(node, (ast.Attribute, ast.ImportFrom))
              and re.search(r"\bIntegral\b", ast.unparse(node))}
     assert users == {"model.py"}
+
+
+def test_solver_converts_caller_values_only_through_the_model():
+    """``solver`` keeps no number rule of its own: it calls no ``np.asarray`` and no ``.astype``.
+
+    A plain atmosphere's values and a CSV row's interior go through ``model._real``.
+    """
+    tree = ast.parse(Path(solver.__file__).read_text())
+    conversions = [ast.unparse(node) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("asarray", "astype")]
+    assert conversions == []
 
 
 def test_bands_assembled_only_by_the_assembly():

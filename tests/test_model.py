@@ -11,13 +11,15 @@ from firngas.errors import DomainError, ValidationError
 from firngas.mesh import Mesh, build_uniform
 from firngas.model import (AtmosphereSeries, CoefficientProfile, ModelParams,
                            RescaledContext, rescale)
-from firngas.solver import Trajectory, levels, write_csv
+from firngas.solver import Trajectory, levels, run, write_csv
 from reference import ONE, ctx
 
-# Values a number argument cannot take: each is refused with ValidationError.
+# Values a number argument cannot take: each is refused with ValidationError.  numpy would
+# take a complex scalar with no imaginary part for its real part, with a ComplexWarning.
 BAD_NUMBERS = {"str": "x", "none": None, "object": object(), "list": [1.0],
                "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "bool": True,
-               "huge_int": 10**400}
+               "huge_int": 10**400, "complex64": np.complex64(0.5),
+               "complex128": np.complex128(0.5), "clongdouble": np.clongdouble(0.5)}
 
 
 def make_params(**overrides):
@@ -271,6 +273,42 @@ def test_every_number_site_refuses_with_validation_error(site, bad):
     NUMBER_SITES[site](1.0 if site == "c_D" else 0.5)  # the valid call
     with pytest.raises(ValidationError):
         NUMBER_SITES[site](bad)
+
+
+# Every site that takes an array, given one through ``lift``: each refuses a complex array
+# even with no imaginary part, which numpy would cast to its real part with a ComplexWarning.
+ARRAY_SITES = {
+    "sampled_z": lambda lift: CoefficientProfile.sampled(lift([0.0, 0.5, 1.0]), [1.0, 0.5, 0.0]),
+    "sampled_value": lambda lift: CoefficientProfile.sampled([0.0, 0.5, 1.0],
+                                                             lift([1.0, 0.5, 0.0])),
+    "atmosphere_times": lambda lift: AtmosphereSeries(lift([0.0, 1.0]), [0.0, 1.0]),
+    "atmosphere_values": lambda lift: AtmosphereSeries([0.0, 1.0], lift([0.0, 1.0])),
+    "mesh": lambda lift: Mesh(lift([0.0, 0.5, 1.0])),
+    "band": lambda lift: Tridiagonal(lift([0.5]), [1.0, 1.0], [0.0]),
+    "trajectory_times": lambda lift: Trajectory(lift([0.0, 1.0]), np.zeros((2, 2)), [0.0, 1.0],
+                                                build_uniform(3)),
+    "trajectory_interior": lambda lift: Trajectory([0.0, 1.0], lift(np.zeros((2, 2))),
+                                                   [0.0, 1.0], build_uniform(3)),
+    "trajectory_boundary": lambda lift: Trajectory([0.0, 1.0], np.zeros((2, 2)),
+                                                   lift([0.0, 1.0]), build_uniform(3)),
+    "profile_depths": lambda lift: ONE(lift([0.25, 0.5])),
+    "profile_result": lambda lift: CoefficientProfile(lambda z: lift(1.0 - z))([0.25, 0.75]),
+    "history_times": lambda lift: AtmosphereSeries.ramp()(lift([0.25, 0.5])),
+    "plain_atmosphere_levels": lambda lift: levels(
+        plan_run(ONE, ONE, build_uniform(5), ctx(), dt=0.04).operators, lift),
+    "plain_atmosphere_run": lambda lift: run(build_uniform(5), ONE, ONE, ctx(), lift, dt=0.04),
+    "csv_nodes": lambda lift: write_csv(io.StringIO(), lift([0.0, 0.5, 1.0]), []),
+    "csv_interior": lambda lift: write_csv(io.StringIO(), [0.0, 0.5, 1.0],
+                                           [(0.0, 0.0, lift([0.0, 0.0]))]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.clongdouble])
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_every_array_site_refuses_a_complex_array_with_no_imaginary_part(site, dtype):
+    ARRAY_SITES[site](lambda values: np.asarray(values, dtype=float))  # the valid call
+    with pytest.raises(ValidationError):
+        ARRAY_SITES[site](lambda values: np.asarray(values, dtype=dtype))
 
 
 # Every site that takes a caller's count or index: the one integer rule, then the site's range.

@@ -302,8 +302,36 @@ class TestTrajectory:
             write_csv(handle, np.linspace(0, 1, 3), [(0.5, 1.0, [0.0, 0.0]), (t, surface, [0.0, 0.0])])
         assert handle.getvalue() == "t,0,0.5,1\n0.5,1,0,0\n"
 
+    @pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 4).reshape(2, 2), ["a", "b", "c"],
+                                       [np.nan, 0.5, 1.0], [False, True]],
+                             ids=["two_dimensional", "text", "nan", "bool"])
+    def test_csv_refuses_nodes_that_are_not_a_finite_1d_array(self, nodes):
+        # Nothing is written, not even the header.
+        handle = io.StringIO()
+        with pytest.raises(ValidationError, match="^the nodes must be a finite 1-d array$"):
+            write_csv(handle, nodes, [(0.0, 0.0, [0.0])])
+        assert handle.getvalue() == ""
+
+    @pytest.mark.parametrize("interior", [[True, False], np.array([False, False]),
+                                          [0.0, np.complex128(0.0)]],
+                             ids=["bool_list", "bool_array", "complex"])
+    def test_csv_refuses_a_bool_or_complex_interior(self, interior):
+        # True is no number, though numpy takes it for 1; only the header is written.
+        handle = io.StringIO()
+        with pytest.raises(ValidationError, match="interior at t = 0.5 is not numeric"):
+            write_csv(handle, np.linspace(0, 1, 3), [(0.5, 0.0, interior)])
+        assert handle.getvalue() == "t,0,0.5,1\n"
+
 
 class TestRun:
+    @pytest.mark.parametrize("name, bad", [("mesh", "mesh"), ("context", {"z_F": 1.0}),
+                                           ("f_profile", lambda z: 1.0 - z),
+                                           ("d_profile", lambda z: 1.0 - z)])
+    def test_a_plan_argument_of_another_type_is_refused_by_name(self, name, bad):
+        args = dict(mesh=build_uniform(5), f_profile=ONE, d_profile=ONE, context=ctx())
+        with pytest.raises(ValidationError, match=f"^{name} must be a "):
+            run(atmosphere=AtmosphereSeries.ramp(), dt=0.01, **{**args, name: bad})
+
     @pytest.mark.parametrize("atmosphere, message", [
         (lambda t: np.where(t > 0.5, np.nan, 0.0), r"not finite at t = 0\.5[0-9]*$"),
         (lambda t: 1.0 + t, "0 at t = 0"),
@@ -318,6 +346,12 @@ class TestRun:
             levels(plan.operators, atmosphere)
         with pytest.raises(ValidationError, match=message):
             run(build_uniform(5), ONE, ONE, ctx(), atmosphere, dt=0.01)
+
+    def test_plain_atmosphere_too_large_for_a_float_refused(self):
+        # numpy raises OverflowError converting 10**400: refused as a value that is no float.
+        plan = analysis.plan_run(ONE, ONE, build_uniform(5), ctx(), dt=0.01)
+        with pytest.raises(ValidationError, match="one value per level time"):
+            levels(plan.operators, lambda t: [0] + [10**400] * (len(t) - 1))
 
     def test_zero_forcing_exactly_zero(self):
         traj = run(build_uniform(11), ONE, ONE, ctx(), AtmosphereSeries.zero(), dt="auto")
@@ -507,6 +541,14 @@ class TestPlanReuse:
         c_D[()] = 5.0
         with pytest.raises(ValidationError, match="c_D must lie in"):
             run(mesh, ONE, ONE, context, atmosphere, dt=0.01, c_D=c_D)
+
+    def test_a_complex_c_D_is_refused_on_every_call(self, monkeypatch):
+        # numpy would take it for 1.0 with a ComplexWarning, and the plan would be kept.
+        clear_plan_slot(monkeypatch)
+        mesh, context, atmosphere = build_uniform(5), ctx(), AtmosphereSeries.ramp()
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="c_D must be finite"):
+                run(mesh, ONE, ONE, context, atmosphere, dt=0.01, c_D=np.complex128(1.0))
 
     def test_a_refused_plan_is_refused_on_every_call(self, monkeypatch):
         clear_plan_slot(monkeypatch)
