@@ -15,7 +15,7 @@ import configparser
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,13 +119,8 @@ def load_config(path, overrides: argparse.Namespace | None = None) -> RunConfig:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
         p = parser["params"]
-        params = ModelParams(
-            M_alpha=_get_float(p, "M_alpha"), g=_get_float(p, "g"),
-            R=_get_float(p, "R"), T=_get_float(p, "T"),
-            tau=_get_float(p, "tau"), lam=_get_float(p, "lam"),
-            v=_get_float(p, "v"), w_air=_get_float(p, "w_air"),
-            z_F=_get_float(p, "z_F"), T_e=_get_float(p, "T_e"),
-        )
+        params = ModelParams(**{item.name: _get_float(p, item.name)
+                                for item in fields(ModelParams)})
         context = rescale(params)
         msec = parser["mesh"] if "mesh" in parser else {}
         n = int(given("n", msec.get("n", 0)))

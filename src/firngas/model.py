@@ -37,10 +37,12 @@ class _NotReal(TypeError):
 
 
 def _real(values) -> np.ndarray:
-    """``np.asarray(values, dtype=float)``; :class:`_NotReal` if it is or holds a bool or complex."""
-    held = (set(map(type, np.asarray(values, dtype=object).flat))
-            if isinstance(values, (list, tuple)) or getattr(values, "dtype", None) == object
-            else {type(values), getattr(values, "dtype", np.dtype(float)).type})  # one dtype
+    """``np.asarray(values, dtype=float)``; :class:`_NotReal` if it is or holds a bool or complex.
+
+    An array of a non-object dtype is judged by its dtype; anything else by the types it holds.
+    """
+    held = ({values.dtype.type} if isinstance(values, np.ndarray) and values.dtype != object
+            else set(map(type, np.asarray(values, dtype=object).flat)))
     if not held.isdisjoint(_NOT_REAL):
         raise _NotReal("bools" if held & {bool, np.bool_} else "complex values")
     return np.asarray(values, dtype=float)
@@ -83,6 +85,17 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _store_fields(record, nonnegative=()) -> None:
+    """Store each field of a frozen ``record`` as a finite float: >= 0 if named, else > 0."""
+    for item in fields(record):
+        name = f"{type(record).__name__}.{item.name}"
+        value = _finite(name, getattr(record, item.name))
+        if value < 0.0 or (value == 0.0 and item.name not in nonnegative):
+            sign = "nonnegative" if item.name in nonnegative else "strictly positive"
+            raise ValidationError(f"{name} must be {sign}, got {value!r}")
+        object.__setattr__(record, item.name, value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants of the firn transport model.
@@ -102,12 +115,7 @@ class ModelParams:
     T_e: float      # final physical time
 
     def __post_init__(self):
-        for item in fields(self):
-            value = _finite(f"ModelParams.{item.name}", getattr(self, item.name))
-            if value <= 0.0:
-                raise ValidationError(f"ModelParams.{item.name} must be strictly positive, "
-                                      f"got {value!r}")
-            object.__setattr__(self, item.name, value)
+        _store_fields(self)
         if not 0.5 <= self.lam <= 0.999:
             warnings.warn(
                 f"decay rate lam={self.lam} outside the tabulated range [0.5, 0.999]",
@@ -126,13 +134,7 @@ class RescaledContext:
     fcoef: float  # total advection speed, m/yr
 
     def __post_init__(self):
-        for item in fields(self):
-            value = _finite(f"RescaledContext.{item.name}", getattr(self, item.name))
-            positive = item.name in ("T_e", "z_F")
-            if value < 0.0 or (positive and value == 0.0):
-                sign = "strictly positive" if positive else "nonnegative"
-                raise ValidationError(f"RescaledContext.{item.name} must be {sign}")
-            object.__setattr__(self, item.name, value)
+        _store_fields(self, nonnegative=("mcoef", "gcoef", "fcoef"))
 
 
 def rescale(params: ModelParams) -> RescaledContext:

@@ -14,6 +14,9 @@ from firngas.errors import AssumptionError, FirngasError, TimeStepError, Validat
 from firngas.model import rescale
 from reference import AFFINE, clear_plan_slot, count_calls, edit_config, write_config
 
+PARAMS = ["M_alpha", "g", "R", "T", "tau", "lam", "v", "w_air", "z_F", "T_e"]  # ModelParams' order
+
+
 def vanishing_d_config(tmp_path, dip):
     """Unit config with f = 1 and a sampled D that dips to ``dip`` at z = 0.5049, between nodes."""
     table = tmp_path / "d.csv"
@@ -94,6 +97,19 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text("[params]\ng = 9.81\n")
         assert cli.main(["--config", str(path)]) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("missing", [[key] for key in PARAMS] + [["T_e", "g"]],
+                             ids=PARAMS + ["T_e_and_g"])
+    def test_missing_params_key_named_in_field_order(self, tmp_path, capsys, missing):
+        """The file lists ``[params]`` in reverse; the first missing key of ``PARAMS`` is named."""
+        path = Path(write_config(tmp_path))
+        params, rest = path.read_text().split("[mesh]")
+        kept = [line for line in reversed(params.splitlines()[1:])
+                if line.split(" = ")[0] not in missing]
+        path.write_text("\n".join(["[params]", *kept, "[mesh]" + rest]))
+        assert cli.main(["--config", str(path), "--check-only"]) == cli.EXIT_IO
+        key = next(key for key in PARAMS if key in missing)
+        assert capsys.readouterr().err == f"error: missing key {key!r} in section [params]\n"
 
     @pytest.mark.parametrize("old, new, name", [("[params]", "[parameters]", "'params'"),
                                                 (AFFINE, "kind = sampled", "'file'")],

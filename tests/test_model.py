@@ -1,10 +1,18 @@
+import dataclasses
+import inspect
 import io
+import itertools
+import math
 import pickle
 import re
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from firngas import model
 from firngas.analysis import plan_run
 from firngas.assembly import Tridiagonal
 from firngas.errors import DomainError, ValidationError
@@ -45,6 +53,13 @@ class TestModelParams:
             make_params(lam=0.1)
         assert record[0].filename == __file__  # the caller, not the generated __init__
 
+    def test_decay_rate_warning_names_the_calling_line(self):
+        constants = {**vars(make_params()), "lam": 2.0}
+        with pytest.warns(UserWarning, match=r"^decay rate lam=2\.0 outside") as record:
+            line = inspect.currentframe().f_lineno + 1
+            ModelParams(**constants)
+        assert (record[0].filename, record[0].lineno) == (__file__, line)
+
     def test_rescaled_coefficients(self):
         ctx = rescale(make_params())
         mcoef, gcoef, fcoef = ctx.mcoef, ctx.gcoef, ctx.fcoef
@@ -57,6 +72,23 @@ class TestModelParams:
         assert isinstance(ctx, RescaledContext)
         assert ctx.T_e == 30.0 and ctx.z_F == 80.0
         assert ctx.gcoef == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    @pytest.mark.parametrize("record, name", [
+        *((ModelParams, name) for name in ["M_alpha", "g", "R", "T", "tau", "lam",
+                                           "v", "w_air", "z_F", "T_e"]),
+        *((RescaledContext, name) for name in ["T_e", "z_F", "mcoef", "gcoef", "fcoef"])])
+    def test_sign_rule_names_the_field_and_the_value(self, record, name, value):
+        """Every field is refused below 0; at 0 only the fields that must be strictly positive are."""
+        valid = vars(make_params() if record is ModelParams else ctx())
+        nonnegative = record is RescaledContext and name in ("mcoef", "gcoef", "fcoef")
+        if value == 0.0 and nonnegative:
+            assert getattr(record(**{**valid, name: value}), name) == 0.0
+        else:
+            sign = "nonnegative" if nonnegative else "strictly positive"
+            message = f"{record.__name__}.{name} must be {sign}, got {value!r}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                record(**{**valid, name: value})
 
     def test_context_validation(self):
         with pytest.raises(ValidationError):
@@ -284,23 +316,57 @@ ARRAY_SITES = {
     "atmosphere_times": lambda lift: AtmosphereSeries(lift([0.0, 1.0]), [0.0, 1.0]),
     "atmosphere_values": lambda lift: AtmosphereSeries([0.0, 1.0], lift([0.0, 1.0])),
     "mesh": lambda lift: Mesh(lift([0.0, 0.5, 1.0])),
-    "band": lambda lift: Tridiagonal(lift([0.5]), [1.0, 1.0], [0.0]),
+    "band": lambda lift: Tridiagonal(lift([1.0]), [1.0, 1.0], [0.0]),
     "trajectory_times": lambda lift: Trajectory(lift([0.0, 1.0]), np.zeros((2, 2)), [0.0, 1.0],
                                                 build_uniform(3)),
     "trajectory_interior": lambda lift: Trajectory([0.0, 1.0], lift(np.zeros((2, 2))),
                                                    [0.0, 1.0], build_uniform(3)),
     "trajectory_boundary": lambda lift: Trajectory([0.0, 1.0], np.zeros((2, 2)),
                                                    lift([0.0, 1.0]), build_uniform(3)),
-    "profile_depths": lambda lift: ONE(lift([0.25, 0.5])),
-    "profile_result": lambda lift: CoefficientProfile(lambda z: lift(1.0 - z))([0.25, 0.75]),
-    "history_times": lambda lift: AtmosphereSeries.ramp()(lift([0.25, 0.5])),
-    "plain_atmosphere_levels": lambda lift: levels(
-        plan_run(ONE, ONE, build_uniform(5), ctx(), dt=0.04).operators, lift),
+    "profile_depths": lambda lift: ONE(lift([0.0, 0.5])),
+    "profile_result": lambda lift: CoefficientProfile(lambda z: lift(1.0 - z))([0.0, 0.75]),
+    "history_times": lambda lift: AtmosphereSeries.ramp()(lift([0.0, 0.5])),
+    "plain_atmosphere_levels": lambda lift: list(levels(
+        plan_run(ONE, ONE, build_uniform(5), ctx(), dt=0.04).operators, lift)),
     "plain_atmosphere_run": lambda lift: run(build_uniform(5), ONE, ONE, ctx(), lift, dt=0.04),
-    "csv_nodes": lambda lift: write_csv(io.StringIO(), lift([0.0, 0.5, 1.0]), []),
-    "csv_interior": lambda lift: write_csv(io.StringIO(), [0.0, 0.5, 1.0],
-                                           [(0.0, 0.0, lift([0.0, 0.0]))]),
+    "csv_nodes": lambda lift: csv_text(lift([0.0, 0.5, 1.0]), []),
+    "csv_interior": lambda lift: csv_text([0.0, 0.5, 1.0], [(0.0, 0.0, lift([0.0, 0.0]))]),
 }
+
+
+def csv_text(nodes, rows):
+    write_csv(out := io.StringIO(), nodes, rows)
+    return out.getvalue()
+
+
+def held_floats(result):
+    """What an ``ARRAY_SITES`` call built, as values ``np.testing.assert_equal`` compares."""
+    if isinstance(result, CoefficientProfile):
+        return result(np.linspace(0.0, 1.0, 5))
+    if dataclasses.is_dataclass(result):
+        return {name: value for name, value in vars(result).items()
+                if isinstance(value, np.ndarray)}
+    return result
+
+
+def nest(leaves, shape, kinds):
+    """``leaves`` as a nest of ``shape``; each inner node is built by the next of ``kinds``."""
+    if not shape:
+        return leaves[0]
+    step = len(leaves) // shape[0]
+    return next(kinds)(nest(leaves[i:i + step], shape[1:], kinds)
+                       for i in range(0, len(leaves), step))
+
+
+def held_by_a_deque(swap):
+    """A ``lift`` to nested deques of floats whose first 0.0 or 1.0 becomes ``swap`` of it."""
+    def lift(values):
+        array = np.asarray(values, dtype=float)
+        leaves = array.ravel().tolist()
+        first = next(i for i, leaf in enumerate(leaves) if leaf in (0.0, 1.0))
+        leaves[first] = swap(leaves[first])
+        return nest(leaves, array.shape, itertools.repeat(deque))
+    return lift
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.clongdouble])
@@ -309,6 +375,52 @@ def test_every_array_site_refuses_a_complex_array_with_no_imaginary_part(site, d
     ARRAY_SITES[site](lambda values: np.asarray(values, dtype=float))  # the valid call
     with pytest.raises(ValidationError):
         ARRAY_SITES[site](lambda values: np.asarray(values, dtype=dtype))
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_every_array_site_takes_a_deque_of_floats(site):
+    expected = held_floats(ARRAY_SITES[site](lambda values: np.asarray(values, dtype=float)))
+    np.testing.assert_equal(held_floats(ARRAY_SITES[site](held_by_a_deque(float))), expected)
+
+
+@pytest.mark.parametrize("swap", [bool, np.bool_, np.complex128],
+                         ids=["bool", "numpy_bool", "complex128"])
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_every_array_site_refuses_a_bool_or_complex_value_held_by_a_deque(site, swap):
+    with pytest.raises(ValidationError):
+        ARRAY_SITES[site](held_by_a_deque(swap))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+REAL_LEAVES = st.one_of(FINITE, st.integers(-2**70, 2**70), FINITE.map(repr),
+                        st.integers(-10**6, 10**6).map(str))
+NOT_REAL_LEAVES = st.sampled_from([True, False, np.True_, np.False_, np.complex64(1.0),
+                                   np.complex128(0.5), np.clongdouble(0.0)])
+
+
+@st.composite
+def real_nests(draw):
+    """A rectangular nest of lists, tuples and deques of real leaves, and one of its leaves spoiled.
+
+    The spoiled copy is the same nest with one leaf replaced by a bool or a complex value.
+    """
+    shape = draw(st.lists(st.integers(1, 3), max_size=3))
+    size = math.prod(shape)
+    leaves = draw(st.lists(REAL_LEAVES, min_size=size, max_size=size))
+    kinds = draw(st.lists(st.sampled_from([list, tuple, deque]), min_size=13, max_size=13))
+    spoiled = leaves.copy()
+    spoiled[draw(st.integers(0, size - 1))] = draw(NOT_REAL_LEAVES)
+    return nest(leaves, shape, iter(kinds)), nest(spoiled, shape, iter(kinds))
+
+
+@given(real_nests())
+def test_real_converts_held_real_values_as_numpy_does_and_refuses_any_held_bool_or_complex(nests):
+    real, spoiled = nests
+    converted, expected = model._real(real), np.asarray(real, dtype=float)
+    assert (converted.dtype, converted.shape) == (expected.dtype, expected.shape)
+    assert converted.tobytes() == expected.tobytes()
+    with pytest.raises(model._NotReal):
+        model._real(spoiled)
 
 
 # Every site that takes a caller's count or index: the one integer rule, then the site's range.
